@@ -7,34 +7,28 @@ truncated by multidegree.  All arithmetic is exact.
 """
 
 from .exactlinalg import SparseExactMatrix
-from .hochschild import (CellTooLarge, ComparisonReport, HochschildComplex,
-                         compare_with_koszul)
-from .homology import (AdmissibleSet, DegreeSlice, EigenSplit, HomologyReport,
-                       build_report, enumerate_admissible, homology_basis,
-                       invariant_quotient_split, one_parameter_admissible,
-                       predicted_dims, scan_admissible)
-from .hyperplane import (AlgebraSpec, GenericityReport, MultiIndex,
-                         ScalingAutomorphism, apply_sigma,
+from .hochschild import CellTooLarge, HochschildComplex, compare_with_koszul
+from .homology import (HomologyReport, build_report, enumerate_admissible,
+                       homology_basis, one_parameter_admissible, predicted_dims,
+                       scan_admissible)
+from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                          automorphism_for_top_class, canonical_automorphism,
                          commutation_factor, is_admissible, is_generic,
                          monomial_product, normal_order, sigma_commutes_at)
-from .koszul import (CheckReport, ReducedComplex, check_d_squared,
-                     check_homotopy_identity)
+from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
 from .qscalar import (NumericAssignment, QCoefficient, QExponent, QFraction,
                       QPolynomial)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleSet", "AlgebraSpec", "CellTooLarge", "CheckReport",
-    "ComparisonReport", "DegreeSlice", "EigenSplit", "GenericityReport",
-    "HochschildComplex", "HomologyReport", "MultiIndex", "NumericAssignment",
-    "QCoefficient", "QExponent", "QFraction", "QPolynomial", "ReducedComplex",
-    "ScalingAutomorphism", "SparseExactMatrix", "apply_sigma",
-    "automorphism_for_top_class", "build_report", "canonical_automorphism",
-    "check_d_squared", "check_homotopy_identity", "commutation_factor",
-    "compare_with_koszul", "enumerate_admissible", "homology_basis",
-    "invariant_quotient_split", "is_admissible", "is_generic",
+    "AlgebraSpec", "CellTooLarge", "HochschildComplex", "HomologyReport",
+    "NumericAssignment", "QCoefficient", "QExponent", "QFraction",
+    "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
+    "SparseExactMatrix", "apply_sigma", "automorphism_for_top_class",
+    "build_report", "canonical_automorphism", "check_d_squared",
+    "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
+    "enumerate_admissible", "homology_basis", "is_admissible", "is_generic",
     "monomial_product", "normal_order", "one_parameter_admissible",
     "predicted_dims", "scan_admissible", "sigma_commutes_at",
 ]

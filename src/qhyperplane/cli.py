@@ -6,8 +6,10 @@ are exact rational strings, never floats.  Structured reports are single
 JSON documents with the field names frozen in docs/format.md; identical
 configuration produces byte-identical output.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 bad configuration,
-3 truncated enumeration without --allow-truncated.
+Exit codes: 0 ok; 1 verification failed (an oracle cell disagrees with the
+Koszul prediction, a cell was skipped because its chain basis exceeds
+--cap, a Koszul self-check failed, or a required top class is absent);
+2 bad configuration; 3 truncated enumeration without --allow-truncated.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ from pathlib import Path
 from .hochschild import DEFAULT_CELL_CAP, compare_with_koszul
 from .homology import HomologyReport, build_report, enumerate_admissible
 from .hyperplane import (AlgebraSpec, NUMERIC, SYMBOLIC, ScalingAutomorphism,
-                         automorphism_for_top_class, canonical_automorphism,
-                         is_generic)
+                         add_index, automorphism_for_top_class,
+                         canonical_automorphism, is_admissible, is_generic)
 from .koszul import check_d_squared, check_homotopy_identity
-from .qscalar import NumericAssignment
+from .qscalar import NumericAssignment, all_pairs
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_CONFIG = 2
 EXIT_TRUNCATED = 3
 
-FORMAT_VERSION = "qhyperplane-report/1"
+FORMAT_VERSION = "qhyperplane-report/2"
 
 CANONICAL = "canonical"
 IDENTITY = "identity"
@@ -96,8 +98,11 @@ def parse_fraction(text: str) -> Fraction:
         raise ConfigError(f"not an exact rational: {text!r}")
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def parse_int(text) -> int:
+    try:
+        return int(str(text))       # str() rejects 2.5 and true from JSON
+    except ValueError:
+        raise ConfigError(f"not an integer: {text!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -107,26 +112,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             file_config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}")
+        if not isinstance(file_config, dict):
+            raise ConfigError("the config file must hold a JSON object")
 
     n = args.n if args.n is not None else file_config.get("n")
     if n is None:
         raise ConfigError("the number of generators is required (--n)")
-    n = int(n)
+    n = parse_int(n)
     if n < 1:
         raise ConfigError("--n must be at least 1")
 
     q_entries: list[tuple[int, int, Fraction]] = []
-    raw_q = list(file_config.get("q", []))
-    for item in args.q or []:
-        parts = item.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"--q wants i,j,value but got {item!r}")
-        raw_q.append(parts)
-    for i, j, value in raw_q:
-        i, j = int(i), int(j)
+    raw_q = file_config.get("q", [])
+    if not isinstance(raw_q, list):
+        raise ConfigError("q in the config file must be a list of [i, j, value]")
+    raw_q = raw_q + [item.split(",") for item in args.q or []]
+    for entry in raw_q:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"q wants i,j,value but got {entry!r}")
+        i, j = parse_int(entry[0]), parse_int(entry[1])
         if not (1 <= i < j <= n):
             raise ConfigError(f"q pair ({i},{j}) needs 1 <= i < j <= {n}")
-        v = value if isinstance(value, Fraction) else parse_fraction(str(value))
+        v = parse_fraction(str(entry[2]))
         if v == 0:
             raise ConfigError(f"q({i},{j}) must be nonzero")
         q_entries.append((i, j, v))
@@ -137,14 +144,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--symbolic excludes --q and --auto-primes")
     if args.auto_primes:
         assignment = NumericAssignment.distinct_primes(n)
-        q_entries = [(i, j, assignment.value(i, j)) for i, j in _all_pairs(n)]
+        q_entries = [(i, j, assignment.value(i, j)) for i, j in all_pairs(n)]
     if symbolic:
         mode = SYMBOLIC
         q_entries = []
     else:
         mode = NUMERIC
         have = {(i, j) for i, j, _ in q_entries}
-        missing = [p for p in _all_pairs(n) if p not in have]
+        missing = [p for p in all_pairs(n) if p not in have]
         if missing:
             raise ConfigError(f"numeric mode needs every pair; missing {missing}")
         if len(have) != len(q_entries):
@@ -163,15 +170,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("explicit p entries must be nonzero")
     alpha = None
     if args.alpha:
-        alpha = tuple(int(x) for x in args.alpha.split(","))
+        alpha = tuple(parse_int(x) for x in args.alpha.split(","))
     if automorphism == SOLVE_TOP:
         if alpha is None or len(alpha) != n or any(a < 0 for a in alpha):
             raise ConfigError("solve-top needs --alpha with N nonnegative entries")
 
-    bound = args.bound if args.bound is not None else int(file_config.get("bound", 2 * n))
+    bound = args.bound if args.bound is not None else parse_int(file_config.get("bound", 2 * n))
     if bound < 0:
         raise ConfigError("--bound must be nonnegative")
-    n_max = args.nmax if args.nmax is not None else int(file_config.get("n_max", n))
+    n_max = args.nmax if args.nmax is not None else parse_int(file_config.get("n_max", n))
     if n_max < 0:
         raise ConfigError("--nmax must be nonnegative")
 
@@ -179,7 +186,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      automorphism=automorphism, p_list=p_list, alpha=alpha,
                      bound=bound, n_max=n_max, out=args.out,
                      allow_truncated=args.allow_truncated,
-                     expect_top=getattr(args, "expect_top", False),
+                     expect_top=args.expect_top,
                      cap=args.cap)
 
 
@@ -239,16 +246,22 @@ def cmd_verify(config: RunConfig) -> int:
     d2 = check_d_squared(spec, sigma, config.bound)
     homotopy = check_homotopy_identity(spec, sigma, config.bound)
 
-    top_gamma = (1,) * spec.n
-    top_slice = build_report(spec, sigma, max(config.bound, spec.n),
-                             spec.n).slices[spec.n]
-    top_present = (top_slice.betti == 1
-                   and top_slice.generators == (((0,) * spec.n, top_gamma),))
+    # the promised top class is x^alpha (x) x_1 ^ ... ^ x_N (alpha = 0 unless
+    # solve-top); it survives exactly when its multidegree is admissible
+    ones = (1,) * spec.n
+    top_gamma = add_index(config.alpha, ones) if config.automorphism == SOLVE_TOP else ones
+    top_present = is_admissible(spec, sigma, top_gamma)
     top_promised = config.automorphism in (CANONICAL, SOLVE_TOP) or config.expect_top
 
+    mismatches = comparison.mismatches()
+    skipped = len(comparison.skipped_cells)
+    total = len(comparison.cells)
     failures = []
-    if not comparison.agreement:
-        failures.append(f"{len(comparison.mismatches())} cell mismatches")
+    if mismatches:
+        failures.append(f"{len(mismatches)} cell mismatches")
+    if skipped:
+        failures.append(f"{skipped} of {total} cells skipped: "
+                        f"chain basis over --cap {config.cap}")
     if not d2.passed:
         failures.append("d^2 != 0")
     if not homotopy.passed:
@@ -258,12 +271,12 @@ def cmd_verify(config: RunConfig) -> int:
 
     print(f"verify: N={spec.n} bound={config.bound} n_max={config.n_max}")
     print(f"  koszul/oracle agreement: {comparison.agreement} "
-          f"({len(comparison.cells)} cells, {len(comparison.skipped_cells)} skipped)")
+          f"({total - skipped}/{total} cells checked)")
     print(f"  d^2 = 0: {d2.passed} ({d2.checked} elements)")
     print(f"  dh + hd = id: {homotopy.passed} ({homotopy.checked} elements)")
     print(f"  top class present: {top_present}"
           + (" (required)" if top_promised else ""))
-    for cell in comparison.mismatches():
+    for cell in mismatches:
         print(f"  MISMATCH {cell.to_dict()}")
 
     document = _document(config, "verify", {

@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Only what homology ranks need: rank, kernel dimension and a kernel basis,
-plus matrix products for boundary-composition checks.  Elimination is exact
-throughout; rows are integerised once (clearing denominators) and kept
-gcd-reduced so entry growth stays tame at desk scale.
+Only what homology ranks need: rank, plus matrix products for
+boundary-composition checks.  Elimination is exact throughout; rows are
+integerised once (clearing denominators) and kept gcd-reduced so entry
+growth stays tame at desk scale.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class SparseExactMatrix:
             rows[r][c] = v
         return rows
 
-    def transpose(self) -> "SparseExactMatrix":
-        return SparseExactMatrix(self.n_cols, self.n_rows,
-                                 {(c, r): v for (r, c), v in self.entries.items()})
-
     def matmul(self, other: "SparseExactMatrix") -> "SparseExactMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimensions disagree")
@@ -67,16 +63,12 @@ class SparseExactMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def rank(self, pivot: str = "shortest") -> int:
+    def rank(self) -> int:
         """Exact rank by sparse elimination.
 
-        pivot selects the pivot row within a column: "shortest" prefers the
-        entry with the smallest numerator-times-denominator bit length (the
-        default, to contain coefficient blowup), "first" takes rows in order.
-        Both strategies give the same rank; tests rely on that.
+        Within a column the pivot is the row whose entry has the smallest bit
+        length, to contain coefficient blowup.
         """
-        if pivot not in ("shortest", "first"):
-            raise ValueError(f"unknown pivot strategy {pivot!r}")
         rows = []
         for tag, row in enumerate(self.row_dicts()):
             if row:
@@ -85,11 +77,8 @@ class SparseExactMatrix:
         while rows:
             col = min(min(row) for _, row in rows)
             carriers = [entry for entry in rows if col in entry[1]]
-            if pivot == "shortest":
-                piv = min(carriers, key=lambda entry: (abs(entry[1][col]).bit_length(),
-                                                       entry[0]))
-            else:
-                piv = carriers[0]
+            piv = min(carriers, key=lambda entry: (abs(entry[1][col]).bit_length(),
+                                                   entry[0]))
             rank += 1
             rows.remove(piv)
             prow = piv[1]
@@ -112,51 +101,6 @@ class SparseExactMatrix:
             rows = next_rows
         return rank
 
-    def kernel_dimension(self) -> int:
-        return self.n_cols - self.rank()
-
-    def kernel_basis(self) -> list[dict[int, Fraction]]:
-        """A basis of the right kernel, as sparse column vectors.
-
-        Dense reduced echelon computation; meant for the small matrices
-        that show up in tests and eigencomponent sampling.
-        """
-        m, n = self.n_rows, self.n_cols
-        dense = [[Fraction(0)] * n for _ in range(m)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            sel = None
-            for i in range(r, m):
-                if dense[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            dense[r], dense[sel] = dense[sel], dense[r]
-            inv = 1 / dense[r][c]
-            dense[r] = [v * inv for v in dense[r]]
-            for i in range(m):
-                if i != r and dense[i][c] != 0:
-                    f = dense[i][c]
-                    dense[i] = [x - f * y for x, y in zip(dense[i], dense[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = {fc: Fraction(1)}
-            for prow, pc in enumerate(pivots):
-                v = -dense[prow][fc]
-                if v:
-                    vec[pc] = v
-            basis.append(vec)
-        return basis
-
 
 def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
     """Scale a row to coprime integers (rank is scaling-invariant)."""
@@ -176,11 +120,3 @@ def _strip_gcd(row: dict[int, int]) -> dict[int, int]:
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
-
-
-def rank(matrix: SparseExactMatrix, pivot: str = "shortest") -> int:
-    return matrix.rank(pivot)
-
-
-def kernel_dimension(matrix: SparseExactMatrix) -> int:
-    return matrix.kernel_dimension()

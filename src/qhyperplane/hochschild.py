@@ -24,17 +24,12 @@ from math import comb
 from .exactlinalg import SparseExactMatrix
 from .homology import predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, degree, iter_multidegrees,
-                         monomial_product, specialize_automorphism)
+                         apply_sigma, iter_multidegrees, monomial_product,
+                         specialize_automorphism)
 
 Tensor = tuple[MultiIndex, ...]
-TensorChain = dict[Tensor, Fraction]
 
 DEFAULT_CELL_CAP = 20000
-
-NATURAL = "natural"
-INVARIANT = "invariant"
-QUOTIENT = "quotient"
 
 
 class CellTooLarge(Exception):
@@ -64,7 +59,6 @@ class HochschildComplex:
         self.spec = spec
         self.sigma = sigma
         self.cap = cap
-        self._p = tuple(c.as_fraction() for c in sigma.p)
         self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
         self._rank_cache: dict[tuple[int, MultiIndex], int] = {}
 
@@ -113,19 +107,6 @@ class HochschildComplex:
         faces.append(((merged,) + tensor[1:n], sign * twist * coeff.as_fraction()))
         return faces
 
-    def boundary(self, chain: TensorChain) -> TensorChain:
-        out: TensorChain = {}
-        for tensor, value in chain.items():
-            if len(tensor) == 1:
-                continue
-            for face, coeff in self.boundary_faces(tensor):
-                merged = out.get(face, Fraction(0)) + coeff * value
-                if merged:
-                    out[face] = merged
-                else:
-                    out.pop(face, None)
-        return out
-
     def boundary_matrix(self, n: int, gamma: MultiIndex) -> SparseExactMatrix:
         """Matrix of the boundary from degree n to degree n-1 at one
         multidegree, in the lexicographic bases."""
@@ -150,25 +131,6 @@ class HochschildComplex:
             self._rank_cache[key] = self.boundary_matrix(n, gamma).rank()
         return self._rank_cache[key]
 
-    # -- eigenstructure -----------------------------------------------------------
-
-    def eigenvalue(self, gamma: MultiIndex) -> Fraction:
-        return apply_sigma(self.sigma, gamma).as_fraction()
-
-    def tensor_eigenvalue(self, tensor: Tensor) -> Fraction:
-        value = Fraction(1)
-        for alpha in tensor:
-            value *= apply_sigma(self.sigma, alpha).as_fraction()
-        return value
-
-    def eigen_decompose(self, chain: TensorChain) -> dict[Fraction, TensorChain]:
-        """Split a chain by the scaling eigenvalue of its basis tensors."""
-        parts: dict[Fraction, TensorChain] = {}
-        for tensor, value in chain.items():
-            if value:
-                parts.setdefault(self.tensor_eigenvalue(tensor), {})[tensor] = value
-        return parts
-
     # -- homology dimensions ----------------------------------------------------
 
     def natural_dims(self, gamma: MultiIndex, n_max: int) -> list[int]:
@@ -179,63 +141,42 @@ class HochschildComplex:
             dims.append(size - self._rank(n, gamma) - self._rank(n + 1, gamma))
         return dims
 
-    def invariant_and_quotient_dims(self, gamma: MultiIndex,
-                                    n_max: int) -> tuple[list[int], list[int]]:
-        """Dimensions of the invariant subcomplex and of the quotient by the
-        image of (1 - sigma).
-
-        A scaling twist acts on the whole multidegree component by one
-        scalar: the invariant selection keeps everything or nothing, and
-        (1 - sigma) is zero or invertible correspondingly, so both variants
-        coincide with the natural dimensions or vanish outright.
-        """
-        if self.eigenvalue(gamma) == 1:
-            dims = self.natural_dims(gamma, n_max)
-            return list(dims), list(dims)
-        zeros = [0] * (n_max + 1)
-        return list(zeros), list(zeros)
-
 
 # ---------------------------------------------------------------------------
 # comparison against the reduced complex
 
 @dataclass(frozen=True)
 class ComparisonCell:
+    """One (multidegree, degree) cell; natural_oracle is None when the cell
+    was skipped because a chain space exceeded the cap."""
+
     gamma: MultiIndex
     n: int
     natural_oracle: int | None
     natural_predicted: int
-    invariant_oracle: int | None
-    quotient_oracle: int | None
-    invariant_predicted: int
-    skipped: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.natural_oracle is None
 
     @property
     def match(self) -> bool:
-        if self.skipped:
-            return True
-        return (self.natural_oracle == self.natural_predicted
-                and self.invariant_oracle == self.invariant_predicted
-                and self.quotient_oracle == self.invariant_predicted)
+        return self.natural_oracle == self.natural_predicted
 
     def to_dict(self) -> dict:
         return {"gamma": list(self.gamma), "n": self.n,
                 "natural_oracle": self.natural_oracle,
                 "natural_predicted": self.natural_predicted,
-                "invariant_oracle": self.invariant_oracle,
-                "quotient_oracle": self.quotient_oracle,
-                "invariant_predicted": self.invariant_predicted,
                 "match": self.match, "skipped": self.skipped}
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     cells: tuple[ComparisonCell, ...]
-    bound: int
-    n_max: int
 
     @property
     def agreement(self) -> bool:
+        """Every cell was computed and matches; a skipped cell is no match."""
         return all(cell.match for cell in self.cells)
 
     @property
@@ -243,12 +184,8 @@ class ComparisonReport:
         return tuple(cell for cell in self.cells if cell.skipped)
 
     def mismatches(self) -> tuple[ComparisonCell, ...]:
-        return tuple(cell for cell in self.cells if not cell.match)
-
-    def to_dict(self) -> dict:
-        return {"agreement": self.agreement, "bound": self.bound,
-                "n_max": self.n_max,
-                "cells": [cell.to_dict() for cell in self.cells]}
+        return tuple(cell for cell in self.cells
+                     if not cell.skipped and not cell.match)
 
 
 def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
@@ -273,17 +210,9 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                 feasible_n = n
             else:
                 break
-        natural = complex_.natural_dims(gamma, feasible_n) if feasible_n >= 0 else []
-        invariant, quotient = (complex_.invariant_and_quotient_dims(gamma, feasible_n)
-                               if feasible_n >= 0 else ([], []))
+        natural = complex_.natural_dims(gamma, feasible_n)
         for n in range(n_max + 1):
-            predicted_nat, predicted_inv = predicted_dims(spec, sigma, gamma, n)
-            if n <= feasible_n:
-                cells.append(ComparisonCell(gamma, n, natural[n], predicted_nat,
-                                            invariant[n], quotient[n],
-                                            predicted_inv, skipped=False))
-            else:
-                cells.append(ComparisonCell(gamma, n, None, predicted_nat,
-                                            None, None, predicted_inv,
-                                            skipped=True))
-    return ComparisonReport(tuple(cells), bound, n_max)
+            cells.append(ComparisonCell(gamma, n,
+                                        natural[n] if n <= feasible_n else None,
+                                        predicted_dims(spec, sigma, gamma, n)))
+    return ComparisonReport(tuple(cells))

@@ -11,15 +11,14 @@ finite (brute force alone never can).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, SYMBOLIC,
-                         ScalingAutomorphism, apply_sigma, canonical_automorphism,
-                         degree, dominates, is_admissible, iter_exterior,
-                         iter_multidegrees, sub_index, support)
-from .qscalar import QCoefficient
+                         ScalingAutomorphism, canonical_automorphism, degree,
+                         exterior_under, is_admissible, iter_multidegrees,
+                         sub_index)
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -41,9 +40,6 @@ class AdmissibleSet:
     bound: int
     complete: bool
 
-    def __contains__(self, gamma: MultiIndex) -> bool:
-        return gamma in set(self.members)
-
     def to_dict(self) -> dict:
         return {"members": [list(g) for g in self.members],
                 "bound": self.bound, "complete": self.complete}
@@ -59,14 +55,14 @@ def scan_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
 
 
 def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                         bound: int, fast_path: bool = True) -> AdmissibleSet:
+                         bound: int) -> AdmissibleSet:
     """Admissible set up to the bound, with the best completeness verdict.
 
     Members always come from the exhaustive scan except on the one-parameter
     fast path, where the solver supplies them (tests pin the two routes to
     agree).
     """
-    if fast_path and spec.mode == NUMERIC and sigma == canonical_automorphism(spec):
+    if spec.mode == NUMERIC and sigma == canonical_automorphism(spec):
         q0 = spec.uniform_value()
         if q0 is not None and q0 not in (Fraction(1), Fraction(-1)):
             return one_parameter_admissible(spec.n, bound)
@@ -189,16 +185,12 @@ def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
 # ---------------------------------------------------------------------------
 # homology reports
 
-def generators_for_degree(admissible: Iterable[MultiIndex], n_generators: int,
+def generators_for_degree(admissible: Iterable[MultiIndex],
                           n: int) -> tuple[Generator, ...]:
     """All (alpha, beta) with beta of weight n sitting under an admissible
-    multidegree; alpha = gamma - beta must stay nonnegative."""
-    out = []
-    for gamma in admissible:
-        for beta in iter_exterior(n_generators, n):
-            if dominates(gamma, beta):
-                out.append((sub_index(gamma, beta), beta))
-    return tuple(sorted(out))
+    multidegree gamma, and alpha = gamma - beta."""
+    return tuple(sorted((sub_index(gamma, beta), beta)
+                        for gamma in admissible for beta in exterior_under(gamma, n)))
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,7 @@ def homology_basis(spec: AlgebraSpec, sigma: ScalingAutomorphism, n: int,
         raise ValueError(f"homological degree {n} outside 0..{spec.n}")
     if admissible is None:
         admissible = enumerate_admissible(spec, sigma, bound)
-    gens = generators_for_degree(admissible.members, spec.n, n)
+    gens = generators_for_degree(admissible.members, n)
     grading: dict[MultiIndex, int] = {}
     for alpha, beta in gens:
         gamma = tuple(x + y for x, y in zip(alpha, beta))
@@ -279,54 +271,9 @@ def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
 
 
 def predicted_dims(spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                   gamma: MultiIndex, n: int) -> tuple[int, int]:
-    """(natural, invariant) homology dimensions at one (multidegree, n) cell.
-
-    Natural: the count of exterior parts of weight n under gamma when gamma
-    is admissible.  Invariant: the same unless the whole component carries a
-    nonunit eigenvalue, in which case it is cut to zero.
-    """
+                   gamma: MultiIndex, n: int) -> int:
+    """Homology dimension at one (multidegree, n) cell: the count of exterior
+    parts of weight n under gamma when gamma is admissible, else zero."""
     if n < 0 or n > spec.n or not is_admissible(spec, sigma, gamma):
-        return (0, 0)
-    natural = sum(1 for beta in iter_exterior(spec.n, n) if dominates(gamma, beta))
-    invariant = natural if apply_sigma(sigma, gamma).is_one() else 0
-    return (natural, invariant)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue split of a fixed (n, gamma) component
-
-@dataclass(frozen=True)
-class EigenSplit:
-    """Direct-sum split of one multidegree component of the chain space.
-
-    A scaling automorphism acts on the whole component by one scalar, so the
-    component is either entirely invariant (eigenvalue 1) or entirely inside
-    the image of (1 - sigma); the two dimensions always add up to the size.
-    """
-
-    gamma: MultiIndex
-    n: int
-    size: int
-    eigenvalue: QCoefficient
-    invariant_dim: int
-    image_dim: int
-
-    @property
-    def dimensions_add_up(self) -> bool:
-        return self.invariant_dim + self.image_dim == self.size
-
-    def to_dict(self) -> dict:
-        return {"gamma": list(self.gamma), "n": self.n, "size": self.size,
-                "eigenvalue": str(self.eigenvalue),
-                "invariant_dim": self.invariant_dim,
-                "image_dim": self.image_dim}
-
-
-def invariant_quotient_split(spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                             n: int, gamma: MultiIndex) -> EigenSplit:
-    size = len(generators_for_degree([gamma], spec.n, n))
-    eigenvalue = apply_sigma(sigma, gamma)
-    if eigenvalue.is_one():
-        return EigenSplit(gamma, n, size, eigenvalue, size, 0)
-    return EigenSplit(gamma, n, size, eigenvalue, 0, size)
+        return 0
+    return len(exterior_under(gamma, n))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, QCoefficient
+from .qscalar import NumericAssignment, QCoefficient, all_pairs
 
 MultiIndex = tuple[int, ...]
 
@@ -50,10 +50,6 @@ def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return out
 
 
-def dominates(a: MultiIndex, b: MultiIndex) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 def support(alpha: MultiIndex) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(alpha) if v > 0)
 
@@ -72,14 +68,13 @@ def iter_multidegrees(n: int, max_total: int) -> Iterator[MultiIndex]:
         yield from sorted(fixed_total(total, n))
 
 
-def iter_exterior(n: int, weight: int | None = None) -> Iterator[MultiIndex]:
-    """All 0/1 multi-indices, optionally of fixed weight, in lex order."""
-    weights = range(n + 1) if weight is None else (weight,)
-    for w in weights:
-        if w < 0 or w > n:
-            continue
-        for chosen in combinations(range(n), w):
-            yield tuple(1 if k in chosen else 0 for k in range(n))
+def exterior_under(gamma: MultiIndex, weight: int | None = None) -> list[MultiIndex]:
+    """All 0/1 multi-indices beta <= gamma, optionally of fixed weight,
+    ordered by (weight, lex)."""
+    positions = support(gamma)
+    weights = range(len(positions) + 1) if weight is None else (weight,)
+    return [tuple(1 if k in chosen else 0 for k in range(1, len(gamma) + 1))
+            for w in weights for chosen in combinations(positions, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +130,6 @@ class AlgebraSpec:
             return cls(n, NUMERIC, NumericAssignment({}))
         return cls(n, NUMERIC, NumericAssignment.uniform(n, 1 / q))
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield (i, j)
-
     def q_power(self, i: int, j: int, e: int = 1) -> QCoefficient:
         """q_ij^e as a coefficient, honouring the mode."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -154,18 +144,12 @@ class AlgebraSpec:
         """The common value of all q_ij if there is one (numeric mode)."""
         if self.mode != NUMERIC:
             return None
-        values = {self.assignment.value(i, j) for (i, j) in self.pairs()}
+        values = {self.assignment.value(i, j) for i, j in all_pairs(self.n)}
         if len(values) == 1:
             return values.pop()
         if not values:          # N = 1 has no pairs
             return Fraction(1)
         return None
-
-    def specialized_at_primes(self) -> "AlgebraSpec":
-        """Numeric counterpart with distinct primes (identity on numeric specs)."""
-        if self.mode == NUMERIC:
-            return self
-        return AlgebraSpec.with_distinct_primes(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +230,6 @@ class ScalingAutomorphism:
     def n(self) -> int:
         return len(self.p)
 
-    def is_identity(self) -> bool:
-        return all(c.is_one() for c in self.p)
-
 
 def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> QCoefficient:
     """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}."""
@@ -261,16 +242,7 @@ def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> QCoefficient:
 
 def canonical_automorphism(spec: AlgebraSpec) -> ScalingAutomorphism:
     """p_i = prod_j q_ji, the choice with a surviving top homology class."""
-    ps = []
-    for i in range(1, spec.n + 1):
-        c = QCoefficient.one()
-        for j in range(1, spec.n + 1):
-            if j < i:
-                c = c * spec.q_power(j, i, 1)
-            elif j > i:
-                c = c * spec.q_power(i, j, -1)
-        ps.append(c)
-    return ScalingAutomorphism(tuple(ps))
+    return automorphism_for_top_class(spec, (0,) * spec.n)
 
 
 def automorphism_for_top_class(spec: AlgebraSpec, alpha: MultiIndex) -> ScalingAutomorphism:

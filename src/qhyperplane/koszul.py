@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
-                         degree, is_admissible, iter_exterior, iter_multidegrees,
-                         sigma_commutes_at, sub_index, dominates)
+                         exterior_under, iter_multidegrees, sigma_commutes_at,
+                         sub_index, unit)
 from .qscalar import QCoefficient, QFraction, QPolynomial
 
 BasisElement = tuple[MultiIndex, MultiIndex]      # (alpha, beta)
@@ -147,8 +147,7 @@ class ReducedComplex:
         if not failing or beta[i - 1] == 1 or alpha[i - 1] == 0 or i not in failing:
             return QFraction.zero()
         moved = self.differential_coefficient(
-            sub_index(alpha, _unit_like(alpha, i)),
-            add_index(beta, _unit_like(beta, i)), i)
+            sub_index(alpha, unit(spec.n, i)), add_index(beta, unit(spec.n, i)), i)
         if moved.is_zero():
             raise ArithmeticError(
                 f"homotopy weight at {(alpha, beta, i)} would invert zero")
@@ -165,8 +164,8 @@ class ReducedComplex:
                 w = self.differential_coefficient(alpha, beta, i)
                 if w.is_zero():
                     continue
-                key = (add_index(alpha, _unit_like(alpha, i)),
-                       sub_index(beta, _unit_like(beta, i)))
+                key = (add_index(alpha, unit(self.spec.n, i)),
+                       sub_index(beta, unit(self.spec.n, i)))
                 _accumulate(out, key, w * coeff)
         return out
 
@@ -182,10 +181,10 @@ class ReducedComplex:
                 w = self.homotopy_coefficient(alpha, beta, i)
                 if w.is_zero():
                     continue
-                new_beta = add_index(beta, _unit_like(beta, i))
+                new_beta = add_index(beta, unit(self.spec.n, i))
                 if new_beta[i - 1] > 1:
                     raise ArithmeticError("exterior slot escaped {0,1}")
-                key = (sub_index(alpha, _unit_like(alpha, i)), new_beta)
+                key = (sub_index(alpha, unit(self.spec.n, i)), new_beta)
                 _accumulate(out, key, (w * coeff).scale(norm))
         return out
 
@@ -194,9 +193,8 @@ class ReducedComplex:
     def basis_elements(self, bound: int) -> Iterator[BasisElement]:
         """All (alpha, beta) with |alpha+beta| <= bound, multidegree-major."""
         for gamma in iter_multidegrees(self.spec.n, bound):
-            for beta in iter_exterior(self.spec.n):
-                if dominates(gamma, beta):
-                    yield (sub_index(gamma, beta), beta)
+            for beta in exterior_under(gamma):
+                yield (sub_index(gamma, beta), beta)
 
     def check_differential_squared(self, bound: int) -> CheckReport:
         failures = []
@@ -228,10 +226,6 @@ class ReducedComplex:
                 failures.append(f"(dh+hd){element} != "
                                 + ("0" if admissible else "id"))
         return CheckReport(not failures, checked, tuple(failures), bound)
-
-
-def _unit_like(template: MultiIndex, i: int) -> MultiIndex:
-    return tuple(1 if k == i - 1 else 0 for k in range(len(template)))
 
 
 def _accumulate(out: Chain, key: BasisElement, value: QFraction) -> None:

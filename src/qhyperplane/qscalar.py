@@ -25,8 +25,10 @@ from typing import Iterable, Mapping
 
 Pair = tuple[int, int]
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+
+def all_pairs(n: int) -> list[Pair]:
+    """The parameter pairs (i, j) with 1 <= i < j <= n, lexicographic."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def _check_pair(pair: Pair) -> Pair:
@@ -230,18 +232,19 @@ class NumericAssignment:
         Distinct primes are multiplicatively independent over the rationals,
         so this numeric model reproduces the symbolic-generic regime exactly.
         """
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        if len(pairs) > len(_PRIMES):
-            raise ValueError(f"no prime table for N={n}")
-        return cls({pair: Fraction(p) for pair, p in zip(pairs, _PRIMES)})
+        pairs = all_pairs(n)
+        primes: list[int] = []
+        candidate = 2
+        while len(primes) < len(pairs):
+            if all(candidate % p for p in primes):
+                primes.append(candidate)
+            candidate += 1
+        return cls({pair: Fraction(p) for pair, p in zip(pairs, primes)})
 
     @classmethod
     def uniform(cls, n: int, value) -> "NumericAssignment":
         value = Fraction(value)
-        return cls({(i, j): value for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-
-    def pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self._values))
+        return cls({pair: value for pair in all_pairs(n)})
 
     def value(self, i: int, j: int) -> Fraction:
         """Value of q_ij for any i != j; q_ji is the reciprocal of q_ij."""
@@ -257,8 +260,7 @@ class NumericAssignment:
         return 1 / v if flip else v
 
     def covers(self, n: int) -> bool:
-        need = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        return need <= set(self._values)
+        return set(all_pairs(n)) <= set(self._values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumericAssignment) and self._values == other._values

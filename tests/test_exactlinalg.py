@@ -8,6 +8,43 @@ import sympy
 from qhyperplane.exactlinalg import SparseExactMatrix
 
 
+def kernel_basis(m: SparseExactMatrix) -> list[dict[int, Fraction]]:
+    """A basis of the right kernel, as sparse column vectors.
+
+    Dense reduced echelon computation, independent of the sparse rank it
+    checks.
+    """
+    rows, cols = m.n_rows, m.n_cols
+    dense = [[Fraction(0)] * cols for _ in range(rows)]
+    for (r, c), v in m.entries.items():
+        dense[r][c] = v
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        sel = next((i for i in range(r, rows) if dense[i][c] != 0), None)
+        if sel is None:
+            continue
+        dense[r], dense[sel] = dense[sel], dense[r]
+        inv = 1 / dense[r][c]
+        dense[r] = [v * inv for v in dense[r]]
+        for i in range(rows):
+            if i != r and dense[i][c] != 0:
+                f = dense[i][c]
+                dense[i] = [x - f * y for x, y in zip(dense[i], dense[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = {fc: Fraction(1)}
+        for prow, pc in enumerate(pivots):
+            if dense[prow][fc]:
+                vec[pc] = -dense[prow][fc]
+        basis.append(vec)
+    return basis
+
+
 def test_rank_zero_matrix():
     assert SparseExactMatrix(3, 4).rank() == 0
 
@@ -15,7 +52,6 @@ def test_rank_zero_matrix():
 def test_rank_identity():
     m = SparseExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.rank() == 3
-    assert m.kernel_dimension() == 0
 
 
 def test_rank_proportional_rows():
@@ -24,8 +60,9 @@ def test_rank_proportional_rows():
 
 
 def test_kernel_dimension_trivial_cases():
-    assert SparseExactMatrix(2, 3).kernel_dimension() == 3
-    assert SparseExactMatrix.from_rows([[1, 1]]).kernel_dimension() == 1
+    for m, nullity in ((SparseExactMatrix(2, 3), 3),
+                       (SparseExactMatrix.from_rows([[1, 1]]), 1)):
+        assert m.n_cols - m.rank() == len(kernel_basis(m)) == nullity
 
 
 small_matrices = st.lists(
@@ -55,13 +92,6 @@ def test_rank_invariant_under_permutation(rows, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
-def test_pivot_strategies_agree(rows):
-    m = SparseExactMatrix.from_rows(rows)
-    assert m.rank("shortest") == m.rank("first")
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
 def test_rank_bounded_by_shape(rows):
     m = SparseExactMatrix.from_rows(rows)
     assert m.rank() <= min(m.n_rows, m.n_cols)
@@ -71,8 +101,8 @@ def test_rank_bounded_by_shape(rows):
 @given(small_matrices)
 def test_kernel_basis_spans_the_kernel(rows):
     m = SparseExactMatrix.from_rows(rows)
-    basis = m.kernel_basis()
-    assert len(basis) == m.kernel_dimension()
+    basis = kernel_basis(m)
+    assert len(basis) == m.n_cols - m.rank()
     row_dicts = m.row_dicts()
     for vec in basis:
         for row in row_dicts:

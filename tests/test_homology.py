@@ -1,14 +1,10 @@
-"""Admissible-set enumeration, homology bases, the one-parameter solver,
-and the eigenvalue split of chain components."""
-
-from fractions import Fraction
+"""Admissible-set enumeration, homology bases and the one-parameter solver."""
 
 import pytest
 
 from qhyperplane.homology import (build_report, enumerate_admissible,
-                                  homology_basis, invariant_quotient_split,
-                                  one_parameter_admissible, predicted_dims,
-                                  scan_admissible)
+                                  homology_basis, one_parameter_admissible,
+                                  predicted_dims, scan_admissible)
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
                                     canonical_automorphism, unit)
@@ -208,32 +204,7 @@ def test_report_metadata():
 def test_predicted_dims_track_the_basis():
     spec = AlgebraSpec.one_parameter(3, 3)
     sigma = canonical_automorphism(spec)
-    assert predicted_dims(spec, sigma, (1, 1, 1), 3) == (1, 1)
-    assert predicted_dims(spec, sigma, (1, 1, 1), 1) == (3, 3)
-    assert predicted_dims(spec, sigma, (1, 0, 0), 0) == (0, 0)
-    assert predicted_dims(spec, sigma, (0, 2, 0), 1) == (1, 1)
-
-
-# -- eigenvalue split -----------------------------------------------------------------
-
-def test_split_fully_invariant_component():
-    sigma = canonical_automorphism(Q2)
-    split = invariant_quotient_split(Q2, sigma, 0, (1, 1))
-    assert split.size == 1 and split.invariant_dim == 1 and split.image_dim == 0
-    assert split.eigenvalue.is_one()
-    assert split.dimensions_add_up
-
-
-def test_split_nonunit_component_is_all_image():
-    sigma = canonical_automorphism(Q2)
-    split = invariant_quotient_split(Q2, sigma, 1, (1, 0))
-    assert split.invariant_dim == 0 and split.image_dim == split.size == 1
-    assert not split.eigenvalue.is_one()
-    assert split.dimensions_add_up
-
-
-def test_split_identity_twist_everything_invariant():
-    ident = ScalingAutomorphism.identity(2)
-    split = invariant_quotient_split(Q2, ident, 1, (2, 1))
-    assert split.image_dim == 0 and split.invariant_dim == split.size == 2
-    assert split.dimensions_add_up
+    assert predicted_dims(spec, sigma, (1, 1, 1), 3) == 1
+    assert predicted_dims(spec, sigma, (1, 1, 1), 1) == 3
+    assert predicted_dims(spec, sigma, (1, 0, 0), 0) == 0
+    assert predicted_dims(spec, sigma, (0, 2, 0), 1) == 1

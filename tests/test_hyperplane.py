@@ -144,11 +144,6 @@ def test_canonical_fixes_admissible_multidegrees():
                 assert apply_sigma(sigma, gamma).is_one()
 
 
-def test_top_class_automorphism_at_zero_is_canonical():
-    for spec in (Q2, Q3):
-        assert automorphism_for_top_class(spec, (0,) * spec.n) == canonical_automorphism(spec)
-
-
 def test_top_class_automorphism_quantum_plane():
     sigma = automorphism_for_top_class(Q2, (1, 0))
     assert sigma.p == (q(1, 2, -1), q(1, 2, 2))
