@@ -24,8 +24,8 @@ from math import comb
 from .exactlinalg import SparseExactMatrix
 from .homology import predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, iter_multidegrees, monomial_product,
-                         specialize_automorphism)
+                         apply_sigma, compositions, iter_multidegrees,
+                         monomial_product, specialize_automorphism)
 
 Tensor = tuple[MultiIndex, ...]
 
@@ -36,23 +36,13 @@ class CellTooLarge(Exception):
     """A chain space exceeded the configured basis cap."""
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
-
-
 class HochschildComplex:
     """Twisted Hochschild chains of one numeric algebra and scaling twist."""
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism,
                  cap: int = DEFAULT_CELL_CAP):
-        if spec.mode != NUMERIC:
-            raise ValueError("the oracle needs numeric parameters; "
+        if spec.mode != NUMERIC or not all(isinstance(c, Fraction) for c in sigma.p):
+            raise ValueError("the oracle needs numeric parameters and twist; "
                              "specialize symbolic input at distinct primes first")
         if sigma.n != spec.n:
             raise ValueError("automorphism size disagrees with the algebra")
@@ -78,7 +68,7 @@ class HochschildComplex:
             return cached
         if self.basis_size(n, gamma) > self.cap:
             raise CellTooLarge(f"basis of C_{n}{gamma} exceeds cap {self.cap}")
-        per_coordinate = [_compositions(g, n + 1) for g in gamma]
+        per_coordinate = [compositions(g, n + 1) for g in gamma]
         tensors = []
         for combo in product(*per_coordinate):
             tensors.append(tuple(tuple(coord[slot] for coord in combo)
@@ -100,11 +90,11 @@ class HochschildComplex:
         for i in range(n):
             coeff, merged = monomial_product(spec, tensor[i], tensor[i + 1])
             faces.append((tensor[:i] + (merged,) + tensor[i + 2:],
-                          sign * coeff.as_fraction()))
+                          sign * coeff))
             sign = -sign
-        twist = apply_sigma(self.sigma, tensor[n]).as_fraction()
+        twist = apply_sigma(self.sigma, tensor[n])
         coeff, merged = monomial_product(spec, tensor[n], tensor[0])
-        faces.append(((merged,) + tensor[1:n], sign * twist * coeff.as_fraction()))
+        faces.append(((merged,) + tensor[1:n], sign * twist * coeff))
         return faces
 
     def boundary_matrix(self, n: int, gamma: MultiIndex) -> SparseExactMatrix:

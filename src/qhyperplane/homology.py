@@ -16,9 +16,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, SYMBOLIC,
-                         ScalingAutomorphism, canonical_automorphism, degree,
-                         exterior_under, is_admissible, iter_multidegrees,
-                         sub_index)
+                         ScalingAutomorphism, add_index, canonical_automorphism,
+                         degree, exterior_under, is_admissible,
+                         iter_multidegrees, sub_index)
+from .qscalar import QCoefficient
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -88,11 +89,13 @@ def _symbolic_complete(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     pinned: dict[int, list[int] | None] = {}
     for i in range(1, spec.n + 1):
         p = sigma.p[i - 1]
-        if p.scalar != 1:
+        scalar, exponent = ((p.scalar, p.exponent.items()) if isinstance(p, QCoefficient)
+                            else (p, ()))
+        if scalar != 1:
             pinned[i] = None
             continue
         row: list[int] | None = [0] * spec.n
-        for (a, b), e in p.exponent.items():
+        for (a, b), e in exponent:
             if b == i:
                 row[a - 1] = e
             elif a == i:
@@ -104,7 +107,7 @@ def _symbolic_complete(spec: AlgebraSpec, sigma: ScalingAutomorphism,
             row = None
         pinned[i] = row
     for i in range(1, spec.n + 1):
-        if pinned[i] is not None and sigma.p[i - 1].is_one():
+        if pinned[i] is not None and sigma.p[i - 1] == 1:
             return False        # the whole ray through unit(i) qualifies
     for i in range(1, spec.n + 1):
         if pinned[i] is None:
@@ -254,7 +257,7 @@ def homology_basis(spec: AlgebraSpec, sigma: ScalingAutomorphism, n: int,
     gens = generators_for_degree(admissible.members, n)
     grading: dict[MultiIndex, int] = {}
     for alpha, beta in gens:
-        gamma = tuple(x + y for x, y in zip(alpha, beta))
+        gamma = add_index(alpha, beta)
         grading[gamma] = grading.get(gamma, 0) + 1
     graded = tuple(sorted(grading.items(), key=lambda kv: (degree(kv[0]), kv[0])))
     return DegreeSlice(n, gens, graded)

@@ -3,7 +3,9 @@
 The algebra has N generators x_1, ..., x_N subject to x_i x_j = q_ij x_j x_i
 for i < j, with q_ii = 1 and q_ji = q_ij^{-1}.  Monomials are written in the
 normal form x_1^{a_1} ... x_N^{a_N}, so a monomial is just a multi-index
-(a tuple of nonnegative ints) together with a QCoefficient.
+(a tuple of nonnegative ints) together with a scalar coefficient: a
+Fraction, or a QCoefficient when a symbolic q_ij survives.  Numeric mode
+therefore computes with Fractions only.
 
 A scaling automorphism acts diagonally on the generators, sigma(x_i) = p_i x_i
 with p_i nonzero; the canonical one is p_i = prod_j q_ji, which is exactly the
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, QCoefficient, all_pairs
+from .qscalar import NumericAssignment, QCoefficient, Scalar, all_pairs, specialize
 
 MultiIndex = tuple[int, ...]
 
@@ -54,18 +56,20 @@ def support(alpha: MultiIndex) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(alpha) if v > 0)
 
 
+def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+    """All multi-indices of the given length and total, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def iter_multidegrees(n: int, max_total: int) -> Iterator[MultiIndex]:
     """All multi-indices with total degree <= max_total, by (total, lex)."""
-    def fixed_total(total: int, length: int):
-        if length == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in fixed_total(total - head, length - 1):
-                yield (head,) + tail
-
     for total in range(max_total + 1):
-        yield from sorted(fixed_total(total, n))
+        yield from compositions(total, n)
 
 
 def exterior_under(gamma: MultiIndex, weight: int | None = None) -> list[MultiIndex]:
@@ -130,15 +134,16 @@ class AlgebraSpec:
             return cls(n, NUMERIC, NumericAssignment({}))
         return cls(n, NUMERIC, NumericAssignment.uniform(n, 1 / q))
 
-    def q_power(self, i: int, j: int, e: int = 1) -> QCoefficient:
-        """q_ij^e as a coefficient, honouring the mode."""
+    def q_power(self, i: int, j: int, e: int = 1) -> Scalar:
+        """q_ij^e: a QCoefficient in symbolic mode, a Fraction in numeric
+        mode; the one place that picks the scalar type from the mode."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"generator pair ({i},{j}) out of range")
         if i == j or e == 0:
-            return QCoefficient.one()
+            return Fraction(1)
         if self.mode == SYMBOLIC:
             return QCoefficient.q_power(i, j, e)
-        return QCoefficient.rational(self.assignment.value(i, j) ** e)
+        return self.assignment.value(i, j) ** e
 
     def uniform_value(self) -> Fraction | None:
         """The common value of all q_ij if there is one (numeric mode)."""
@@ -155,7 +160,7 @@ class AlgebraSpec:
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> QCoefficient:
+def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> Scalar:
     """The unique c with x^gamma x_i = c * x_i x^gamma.
 
     Moving x_i leftwards through the normal-ordered word, each letter x_k
@@ -164,7 +169,7 @@ def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> QCoeffic
     """
     if not 1 <= i <= spec.n:
         raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-    c = QCoefficient.one()
+    c = Fraction(1)
     for k, g in enumerate(gamma, start=1):
         if g == 0 or k == i:
             continue
@@ -175,14 +180,14 @@ def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> QCoeffic
     return c
 
 
-def normal_order(spec: AlgebraSpec, word: Sequence[int]) -> tuple[QCoefficient, MultiIndex]:
+def normal_order(spec: AlgebraSpec, word: Sequence[int]) -> tuple[Scalar, MultiIndex]:
     """Normal form of a product of generators given by index.
 
     Letters are appended one at a time; appending x_i behind a prefix of
     multidegree gamma costs prod_{k>i} q_ik^{-gamma(k)}.
     """
     counts = [0] * spec.n
-    coeff = QCoefficient.one()
+    coeff = Fraction(1)
     for i in word:
         if not 1 <= i <= spec.n:
             raise IndexError(f"generator index {i} out of range 1..{spec.n}")
@@ -193,9 +198,9 @@ def normal_order(spec: AlgebraSpec, word: Sequence[int]) -> tuple[QCoefficient, 
     return coeff, tuple(counts)
 
 
-def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[QCoefficient, MultiIndex]:
+def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[Scalar, MultiIndex]:
     """x^a * x^b = c * x^{a+b}; c collects one q_jk^{-1} per inversion."""
-    coeff = QCoefficient.one()
+    coeff = Fraction(1)
     for j in range(1, spec.n + 1):
         if b[j - 1] == 0:
             continue
@@ -212,28 +217,28 @@ def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[Q
 class ScalingAutomorphism:
     """sigma(x_i) = p_i x_i with every p_i nonzero."""
 
-    p: tuple[QCoefficient, ...]
+    p: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if any(c.is_zero() for c in self.p):
+        if not all(self.p):
             raise ValueError("scaling coefficients must be nonzero")
 
     @classmethod
     def identity(cls, n: int) -> "ScalingAutomorphism":
-        return cls(tuple(QCoefficient.one() for _ in range(n)))
+        return cls((Fraction(1),) * n)
 
     @classmethod
     def from_rationals(cls, values: Sequence) -> "ScalingAutomorphism":
-        return cls(tuple(QCoefficient.rational(v) for v in values))
+        return cls(tuple(Fraction(v) for v in values))
 
     @property
     def n(self) -> int:
         return len(self.p)
 
 
-def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> QCoefficient:
+def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> Scalar:
     """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}."""
-    out = QCoefficient.one()
+    out = Fraction(1)
     for c, a in zip(sigma.p, alpha):
         if a:
             out = out * c ** a
@@ -254,7 +259,7 @@ def automorphism_for_top_class(spec: AlgebraSpec, alpha: MultiIndex) -> ScalingA
         raise ValueError("alpha must have one entry per generator")
     ps = []
     for i in range(1, spec.n + 1):
-        c = QCoefficient.one()
+        c = Fraction(1)
         for j in range(1, spec.n + 1):
             e = alpha[j - 1] + 1
             if j < i:
@@ -267,8 +272,7 @@ def automorphism_for_top_class(spec: AlgebraSpec, alpha: MultiIndex) -> ScalingA
 
 def specialize_automorphism(sigma: ScalingAutomorphism,
                             assignment: NumericAssignment) -> ScalingAutomorphism:
-    return ScalingAutomorphism(tuple(
-        QCoefficient.rational(c.specialize(assignment)) for c in sigma.p))
+    return ScalingAutomorphism(tuple(specialize(c, assignment) for c in sigma.p))
 
 
 def sigma_commutes_at(spec: AlgebraSpec, sigma: ScalingAutomorphism,

@@ -7,8 +7,8 @@ exterior slot into the symmetric part, weighted by an explicit coefficient;
 the contracting homotopy moves a slot back and exhibits the part of the
 complex sitting over non-admissible multidegrees as acyclic.
 
-Coefficients are exact symbolic fractions (QFraction); in numeric mode they
-collapse to plain rationals.
+Coefficients are exact and use the ordinary operators only: a weight with
+no q in it (every weight in numeric mode) is a Fraction, any other a QFraction.
 """
 
 from __future__ import annotations
@@ -20,32 +20,20 @@ from typing import Iterator
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          exterior_under, iter_multidegrees, sigma_commutes_at,
                          sub_index, unit)
-from .qscalar import QCoefficient, QFraction, QPolynomial
+from .qscalar import QFraction, Scalar
 
 BasisElement = tuple[MultiIndex, MultiIndex]      # (alpha, beta)
-Chain = dict[BasisElement, QFraction]
+Chain = dict[BasisElement, Scalar | QFraction]
 
 
-def chain(terms: dict[BasisElement, QFraction | QCoefficient | int | Fraction]) -> Chain:
-    out: Chain = {}
-    for key, c in terms.items():
-        if isinstance(c, QCoefficient):
-            c = QFraction.from_coefficient(c)
-        elif not isinstance(c, QFraction):
-            c = QFraction.rational(c)
-        if not c.is_zero():
-            out[key] = c
-    return out
+def chain(terms: dict[BasisElement, Scalar | QFraction | int]) -> Chain:
+    return {key: c for key, c in terms.items() if c}
 
 
 def chain_add(a: Chain, b: Chain) -> Chain:
     out = dict(a)
     for key, c in b.items():
-        merged = out.get(key, QFraction.zero()) + c
-        if merged.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = merged
+        _accumulate(out, key, c)
     return out
 
 
@@ -54,7 +42,7 @@ def chain_sub(a: Chain, b: Chain) -> Chain:
 
 
 def chain_is_zero(a: Chain) -> bool:
-    return all(c.is_zero() for c in a.values())
+    return not any(a.values())
 
 
 def chains_equal(a: Chain, b: Chain) -> bool:
@@ -86,7 +74,7 @@ class ReducedComplex:
     # -- coefficients -------------------------------------------------------
 
     def differential_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
-                                 i: int) -> QFraction:
+                                 i: int) -> Fraction | QFraction:
         """Weight of the move of exterior slot i into the symmetric part.
 
         sign * (q_{si}^{beta(s)} products * q_{ir}^{-alpha(r)} products
@@ -97,7 +85,7 @@ class ReducedComplex:
         spec = self.spec
         if not 1 <= i <= spec.n:
             raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-        first = QCoefficient.one()
+        first = Fraction(1)
         for s in range(1, i):
             if beta[s - 1]:
                 first = first * spec.q_power(s, i, beta[s - 1])
@@ -113,8 +101,7 @@ class ReducedComplex:
                 second = second * spec.q_power(r, i, -alpha[r - 1])
         if sum(beta[: i - 1]) % 2:
             first, second = -first, -second
-        value = QPolynomial.from_coefficient(first) - QPolynomial.from_coefficient(second)
-        return QFraction(value)
+        return first - second
 
     def failing_indices(self, gamma: MultiIndex) -> tuple[int, ...]:
         """Support positions where the sigma-commutation condition fails.
@@ -130,7 +117,7 @@ class ReducedComplex:
         return cached
 
     def homotopy_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
-                             i: int) -> QFraction:
+                             i: int) -> Fraction | QFraction:
         """Inverse differential weight, zero on the four degenerate cases.
 
         Zero when the multidegree is admissible, when the exterior slot i is
@@ -145,13 +132,13 @@ class ReducedComplex:
         gamma = add_index(alpha, beta)
         failing = self.failing_indices(gamma)
         if not failing or beta[i - 1] == 1 or alpha[i - 1] == 0 or i not in failing:
-            return QFraction.zero()
+            return Fraction(0)
         moved = self.differential_coefficient(
             sub_index(alpha, unit(spec.n, i)), add_index(beta, unit(spec.n, i)), i)
-        if moved.is_zero():
+        if not moved:
             raise ArithmeticError(
                 f"homotopy weight at {(alpha, beta, i)} would invert zero")
-        return moved.inverse()
+        return 1 / moved
 
     # -- chain maps ---------------------------------------------------------
 
@@ -162,7 +149,7 @@ class ReducedComplex:
                 if beta[i - 1] != 1:
                     continue
                 w = self.differential_coefficient(alpha, beta, i)
-                if w.is_zero():
+                if not w:
                     continue
                 key = (add_index(alpha, unit(self.spec.n, i)),
                        sub_index(beta, unit(self.spec.n, i)))
@@ -179,13 +166,13 @@ class ReducedComplex:
             norm = Fraction(1, len(failing))
             for i in range(1, self.spec.n + 1):
                 w = self.homotopy_coefficient(alpha, beta, i)
-                if w.is_zero():
+                if not w:
                     continue
                 new_beta = add_index(beta, unit(self.spec.n, i))
                 if new_beta[i - 1] > 1:
                     raise ArithmeticError("exterior slot escaped {0,1}")
                 key = (sub_index(alpha, unit(self.spec.n, i)), new_beta)
-                _accumulate(out, key, (w * coeff).scale(norm))
+                _accumulate(out, key, w * coeff * norm)
         return out
 
     # -- basis and exhaustive checks -----------------------------------------
@@ -201,7 +188,7 @@ class ReducedComplex:
         checked = 0
         for element in self.basis_elements(bound):
             checked += 1
-            twice = self.differential(self.differential({element: QFraction.one()}))
+            twice = self.differential(self.differential({element: Fraction(1)}))
             if not chain_is_zero(twice):
                 failures.append(f"d(d{element}) != 0")
         return CheckReport(not failures, checked, tuple(failures), bound)
@@ -217,7 +204,7 @@ class ReducedComplex:
         checked = 0
         for element in self.basis_elements(bound):
             checked += 1
-            one = {element: QFraction.one()}
+            one = {element: Fraction(1)}
             total = chain_add(self.differential(self.homotopy(one)),
                               self.homotopy(self.differential(one)))
             admissible = not self.failing_indices(add_index(*element))
@@ -228,9 +215,9 @@ class ReducedComplex:
         return CheckReport(not failures, checked, tuple(failures), bound)
 
 
-def _accumulate(out: Chain, key: BasisElement, value: QFraction) -> None:
-    merged = out.get(key, QFraction.zero()) + value
-    if merged.is_zero():
+def _accumulate(out: Chain, key: BasisElement, value) -> None:
+    merged = out.get(key, 0) + value
+    if not merged:
         out.pop(key, None)
     else:
         out[key] = merged

@@ -1,18 +1,22 @@
 """Exact coefficient arithmetic for the deformation parameters.
 
-All coefficients are exact.  The basic scalar is a rational number times a
-Laurent monomial in the deformation parameters ``q_ij`` (one symbol per pair
-``i < j``); the reduced Koszul complex additionally needs sums of such terms
-and quotients of the sums, so this module provides a small tower
+All coefficients are exact.  A scalar with no q in it is a plain
+``fractions.Fraction``, in symbolic and numeric mode alike; a rational times
+a Laurent monomial in the ``q_ij`` (one symbol per pair ``i < j``) is a
+QCoefficient.  The reduced Koszul complex additionally needs sums of such
+terms and quotients of the sums, so this module provides a small tower
 
-    QCoefficient  (rational * monomial, a multiplicative group)
-    QPolynomial   (finite sums of QCoefficient terms)
+    QCoefficient  (nonzero rational * nontrivial Laurent monomial)
+    QPolynomial   (finite sums of rational multiples of monomials)
     QFraction     (quotients of QPolynomials, no normal form beyond
                    clearing monomial denominators)
 
 together with ``NumericAssignment`` which evaluates everything at concrete
-nonzero rationals.  The conventions ``q_ii = 1`` and ``q_ji = q_ij^{-1}``
-are baked in: only pairs with ``i < j`` are ever stored.
+nonzero rationals.  ``coefficient`` is the one factory for monomial terms and
+returns a Fraction whenever the monomial cancels, so a QCoefficient never
+equals a rational.  All of them mix under the ordinary operators.
+The conventions ``q_ii = 1`` and ``q_ji = q_ij^{-1}`` are baked in: only
+pairs with ``i < j`` are ever stored.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -118,90 +122,76 @@ class QExponent:
         return f"QExponent({dict(self._items)!r})"
 
 
-class QCoefficient:
-    """Exact scalar: rational number times a Laurent monomial in the q_ij.
+def coefficient(scalar, exponent: QExponent) -> "Scalar":
+    """scalar * q^exponent: a plain Fraction when no q survives."""
+    if not scalar or exponent.is_trivial():
+        return Fraction(scalar)
+    return QCoefficient(scalar, exponent)
 
-    The zero coefficient is canonical (zero scalar, trivial monomial), so
-    equality is structural.  Nonzero coefficients form a commutative group
-    under multiplication.
+
+class QCoefficient:
+    """Exact scalar: nonzero rational number times a nontrivial Laurent
+    monomial in the q_ij.
+
+    Products, powers and inverses that cancel the monomial come back as
+    Fractions through ``coefficient``; sums and differences are QFractions.
     """
 
     __slots__ = ("scalar", "exponent")
 
-    def __init__(self, scalar, exponent: QExponent | None = None):
-        scalar = Fraction(scalar)
-        exponent = exponent if exponent is not None else QExponent()
-        if scalar == 0:
-            exponent = QExponent()
-        self.scalar = scalar
+    def __init__(self, scalar, exponent: QExponent):
+        if not scalar or exponent.is_trivial():
+            raise ValueError("a QCoefficient needs a nonzero scalar and a "
+                             "nontrivial monomial; use coefficient()")
+        self.scalar = Fraction(scalar)
         self.exponent = exponent
 
     @classmethod
-    def one(cls) -> "QCoefficient":
-        return cls(1)
+    def q_power(cls, i: int, j: int, e: int = 1) -> "Scalar":
+        return coefficient(1, QExponent.of(i, j, e))
 
-    @classmethod
-    def zero(cls) -> "QCoefficient":
-        return cls(0)
+    def __mul__(self, other):
+        if isinstance(other, QCoefficient):
+            return coefficient(self.scalar * other.scalar, self.exponent * other.exponent)
+        if isinstance(other, (Fraction, int)):
+            return coefficient(self.scalar * other, self.exponent)
+        return NotImplemented
 
-    @classmethod
-    def rational(cls, value) -> "QCoefficient":
-        return cls(Fraction(value))
-
-    @classmethod
-    def q_power(cls, i: int, j: int, e: int = 1) -> "QCoefficient":
-        return cls(1, QExponent.of(i, j, e))
-
-    def is_zero(self) -> bool:
-        return self.scalar == 0
-
-    def is_one(self) -> bool:
-        return self.scalar == 1 and self.exponent.is_trivial()
-
-    def __mul__(self, other: "QCoefficient") -> "QCoefficient":
-        if self.is_zero() or other.is_zero():
-            return QCoefficient.zero()
-        return QCoefficient(self.scalar * other.scalar, self.exponent * other.exponent)
+    __rmul__ = __mul__
 
     def __neg__(self) -> "QCoefficient":
         return QCoefficient(-self.scalar, self.exponent)
 
+    def __add__(self, other) -> "QFraction":
+        return _lift(self) + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "QFraction":
+        return _lift(self) - other
+
+    def __rsub__(self, other) -> "QFraction":
+        return other - _lift(self)
+
     def inverse(self) -> "QCoefficient":
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of the zero coefficient")
         return QCoefficient(1 / self.scalar, self.exponent.inverse())
 
-    def __pow__(self, n: int) -> "QCoefficient":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QCoefficient.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def __pow__(self, n: int) -> "Scalar":
+        return coefficient(self.scalar ** n, self.exponent ** n)
 
     def specialize(self, assignment: "NumericAssignment") -> Fraction:
         """Evaluate at the assignment; exact rational result."""
         return self.scalar * self.exponent.specialize(assignment)
 
-    def as_fraction(self) -> Fraction:
-        """The value of a coefficient with trivial monomial part."""
-        if not self.exponent.is_trivial():
-            raise ValueError(f"coefficient {self} is not a plain rational")
-        return self.scalar
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QCoefficient)
-                and self.scalar == other.scalar
-                and self.exponent == other.exponent)
+        if not isinstance(other, QCoefficient):
+            return NotImplemented
+        return self.scalar == other.scalar and self.exponent == other.exponent
 
     def __hash__(self) -> int:
         return hash((self.scalar, self.exponent))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.exponent.is_trivial():
-            return str(self.scalar)
         if self.scalar == 1:
             return str(self.exponent)
         if self.scalar == -1:
@@ -210,6 +200,16 @@ class QCoefficient:
 
     def __repr__(self) -> str:
         return f"QCoefficient({self.scalar!r}, {self.exponent!r})"
+
+
+Scalar = Fraction | QCoefficient
+
+
+def specialize(value, assignment: "NumericAssignment") -> Fraction:
+    """Evaluate any scalar at the assignment; a rational is its own value."""
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    return value.specialize(assignment)
 
 
 class NumericAssignment:
@@ -279,33 +279,21 @@ class QPolynomial:
         self._terms = cleaned
 
     @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QPolynomial":
         return cls({QExponent(): Fraction(1)})
 
     @classmethod
-    def from_coefficient(cls, c: QCoefficient) -> "QPolynomial":
-        if c.is_zero():
-            return cls()
-        return cls({c.exponent: c.scalar})
+    def from_coefficient(cls, c: "Scalar | int") -> "QPolynomial":
+        """The one lift of a scalar into the polynomials."""
+        if isinstance(c, QCoefficient):
+            return cls({c.exponent: c.scalar})
+        return cls({QExponent(): c})
 
     def terms(self) -> tuple[tuple[QExponent, Fraction], ...]:
         return tuple(sorted(self._terms.items(), key=lambda kv: str(kv[0])))
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def monomial_term(self) -> QCoefficient | None:
-        """The sole term if this is a monomial (or zero), else None."""
-        if not self._terms:
-            return QCoefficient.zero()
-        if len(self._terms) == 1:
-            ((m, c),) = self._terms.items()
-            return QCoefficient(c, m)
-        return None
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         merged = dict(self._terms)
@@ -327,10 +315,6 @@ class QPolynomial:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return QPolynomial(out)
 
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        return QPolynomial({m: c * v for m, v in self._terms.items()})
-
     def specialize(self, assignment: NumericAssignment | None) -> Fraction:
         total = Fraction(0)
         for m, c in self._terms.items():
@@ -345,17 +329,16 @@ class QPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(((m, c) for m, c in self._terms.items()),
-                                 key=lambda kv: str(kv[0]))))
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(str(QCoefficient(c, m)) for m, c in self.terms())
+        return " + ".join(str(coefficient(c, m)) for m, c in self.terms())
 
     def __repr__(self) -> str:
         return f"QPolynomial({self._terms!r})"
+
+
+_ONE = QPolynomial.one()
 
 
 class QFraction:
@@ -363,75 +346,70 @@ class QFraction:
 
     There is no gcd-based normal form; instead a denominator that happens to
     be a single monomial is cleared into the numerator (Laurent monomials are
-    units), which keeps every purely numeric computation in lowest form and
-    makes zero tests trivial.  Equality is decided by cross multiplication.
+    units), which makes zero tests trivial.  Equality is decided by cross
+    multiplication.  Operands may be QFractions, QCoefficients, Fractions or
+    ints; a rational factor scales the numerator without a polynomial
+    product.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPolynomial, den: QPolynomial | None = None):
-        den = den if den is not None else QPolynomial.one()
+    def __init__(self, num: QPolynomial, den: QPolynomial = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = QPolynomial.one()
-        else:
-            unit = den.monomial_term()
-            if unit is not None:
-                num = num * QPolynomial.from_coefficient(unit.inverse())
-                den = QPolynomial.one()
+            den = _ONE
+        elif len(den._terms) == 1 and den != _ONE:
+            ((m, c),) = den._terms.items()
+            num = num * QPolynomial({m.inverse(): 1 / c})
+            den = _ONE
         self.num = num
         self.den = den
 
-    @classmethod
-    def zero(cls) -> "QFraction":
-        return cls(QPolynomial.zero())
-
-    @classmethod
-    def one(cls) -> "QFraction":
-        return cls(QPolynomial.one())
-
-    @classmethod
-    def from_coefficient(cls, c: QCoefficient) -> "QFraction":
-        return cls(QPolynomial.from_coefficient(c))
-
-    @classmethod
-    def rational(cls, value) -> "QFraction":
-        return cls(QPolynomial.from_coefficient(QCoefficient.rational(value)))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "QFraction") -> "QFraction":
+    def __add__(self, other) -> "QFraction":
+        other = _lift(other)
+        if self.den == other.den:
+            return QFraction(self.num + other.num, self.den)
         return QFraction(self.num * other.den + other.num * self.den,
                          self.den * other.den)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "QFraction":
         return QFraction(-self.num, self.den)
 
-    def __sub__(self, other: "QFraction") -> "QFraction":
+    def __sub__(self, other) -> "QFraction":
         return self + (-other)
 
-    def __mul__(self, other: "QFraction") -> "QFraction":
+    def __rsub__(self, other) -> "QFraction":
+        return -self + other
+
+    def __mul__(self, other) -> "QFraction":
+        if isinstance(other, (Fraction, int)):
+            return QFraction(QPolynomial({m: c * other for m, c in self.num._terms.items()}),
+                             self.den)
+        other = _lift(other)
         return QFraction(self.num * other.num, self.den * other.den)
 
-    def scale(self, c) -> "QFraction":
-        return QFraction(self.num.scale(c), self.den)
+    __rmul__ = __mul__
 
-    def inverse(self) -> "QFraction":
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero")
-        return QFraction(self.den, self.num)
+    def __truediv__(self, other) -> "QFraction":
+        other = _lift(other)
+        return QFraction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other) -> "QFraction":
+        return _lift(other) / self
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def specialize(self, assignment: NumericAssignment | None) -> Fraction:
         return self.num.specialize(assignment) / self.den.specialize(assignment)
 
-    def as_fraction(self) -> Fraction:
-        return self.specialize(None)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QFraction):
+        if not isinstance(other, (QFraction, QCoefficient, Fraction, int)):
             return NotImplemented
+        other = _lift(other)
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self) -> int:
@@ -439,9 +417,15 @@ class QFraction:
         raise TypeError("QFraction is unhashable")
 
     def __str__(self) -> str:
-        if self.den == QPolynomial.one():
+        if self.den == _ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
         return f"QFraction({self.num!r}, {self.den!r})"
+
+
+def _lift(value: "QFraction | QCoefficient | Fraction | int") -> QFraction:
+    if isinstance(value, QFraction):
+        return value
+    return QFraction(QPolynomial.from_coefficient(value))

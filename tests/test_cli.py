@@ -12,6 +12,7 @@ import pytest
 
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
+from qhyperplane.qscalar import QCoefficient, QFraction, QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,9 +45,29 @@ def test_golden_report_is_byte_identical(name, tmp_path):
     (["verify", "--n", "2", "--bound", "5", "--cap", "5"], EXIT_MISMATCH),
     (["homology", "--n", "3", "--q", "x,2,3"], EXIT_BAD_CONFIG),
     (["homology", "--n", "3", "--auto-primes", "--bound", "6"], EXIT_TRUNCATED),
+    # the identity twist promises no top class unless --expect-top asks for it
+    (["verify", "--symbolic", "--n", "2", "--bound", "3", "--automorphism", "identity",
+      "--expect-top"], EXIT_MISMATCH),
+    (["verify", "--symbolic", "--n", "2", "--bound", "3", "--automorphism", "identity"],
+     EXIT_OK),
 ])
 def test_exit_codes(argv, code):
     assert main(argv) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--bound", "4", "--auto-primes"],
+    ["homology", "--n", "3", "--q", "1,2,1/3", "--q", "1,3,1/3", "--q", "2,3,1/3",
+     "--bound", "6", "--allow-truncated"],
+])
+def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
+    # numeric mode computes with Fractions only
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"numeric mode built a {type(self).__name__}")
+
+    for cls in (QCoefficient, QPolynomial, QFraction):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv", [

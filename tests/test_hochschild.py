@@ -61,6 +61,13 @@ def test_basis_over_the_cap_raises():
         complex_.basis(2, (1, 1))          # 9 tensors
 
 
+def test_oracle_rejects_symbolic_input():
+    with pytest.raises(ValueError):
+        HochschildComplex(AlgebraSpec.symbolic(2), ScalingAutomorphism.identity(2))
+    with pytest.raises(ValueError):
+        HochschildComplex(PLANE, canonical_automorphism(AlgebraSpec.symbolic(2)))
+
+
 @pytest.mark.parametrize("spec", [AlgebraSpec.symbolic(2), PLANE])
 def test_compare_with_koszul_agrees(spec):
     report = compare_with_koszul(spec, canonical_automorphism(spec), 2, 4)

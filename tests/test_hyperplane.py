@@ -29,7 +29,7 @@ indices3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 
 def test_commutation_factor_empty_word():
     for i in (1, 2, 3):
-        assert commutation_factor(Q3, (0, 0, 0), i) == QCoefficient.one()
+        assert commutation_factor(Q3, (0, 0, 0), i) == 1
 
 
 def test_commutation_factor_quantum_plane():
@@ -39,7 +39,7 @@ def test_commutation_factor_quantum_plane():
 
 def test_commutation_factor_self_commutes():
     for i in (1, 2, 3):
-        assert commutation_factor(Q3, unit(3, i), i) == QCoefficient.one()
+        assert commutation_factor(Q3, unit(3, i), i) == 1
 
 
 def test_commutation_factor_index_range():
@@ -57,7 +57,7 @@ def test_normal_order_single_swap():
 
 def test_normal_order_sorted_word():
     coeff, alpha = normal_order(Q3, (1, 1, 2, 3, 3))
-    assert coeff == QCoefficient.one()
+    assert coeff == 1
     assert alpha == (2, 1, 2)
 
 
@@ -90,15 +90,16 @@ def test_commutation_factor_matches_normal_order(gamma, i):
 
 def test_apply_sigma_trivial_cases():
     sigma = canonical_automorphism(Q2)
-    assert apply_sigma(sigma, (0, 0)) == QCoefficient.one()
+    assert apply_sigma(sigma, (0, 0)) == 1
     ident = ScalingAutomorphism.identity(2)
-    assert apply_sigma(ident, (5, 7)) == QCoefficient.one()
+    assert apply_sigma(ident, (5, 7)) == 1
 
 
 def test_apply_sigma_quantum_plane_top_degree():
     # p_1 p_2 = q_21 q_12 = 1
     sigma = canonical_automorphism(Q2)
-    assert apply_sigma(sigma, (1, 1)) == QCoefficient.one()
+    assert apply_sigma(sigma, (1, 1)) == 1
+    assert type(apply_sigma(sigma, (1, 1))) is Fraction
 
 
 @given(indices3, indices3)
@@ -128,12 +129,13 @@ def test_canonical_automorphism_one_parameter(n):
     spec = AlgebraSpec.one_parameter(n, base)
     sigma = canonical_automorphism(spec)
     for i in range(1, n + 1):
-        assert sigma.p[i - 1] == QCoefficient.rational(base ** (n - 2 * i + 1))
+        assert sigma.p[i - 1] == base ** (n - 2 * i + 1)
+        assert type(sigma.p[i - 1]) is Fraction
 
 
 def test_canonical_automorphism_single_generator():
     sigma = canonical_automorphism(AlgebraSpec.symbolic(1))
-    assert sigma.p == (QCoefficient.one(),)
+    assert sigma.p == (Fraction(1),)
 
 
 def test_canonical_fixes_admissible_multidegrees():
@@ -141,7 +143,7 @@ def test_canonical_fixes_admissible_multidegrees():
         sigma = canonical_automorphism(spec)
         for gamma in iter_multidegrees(spec.n, 5):
             if is_admissible(spec, sigma, gamma):
-                assert apply_sigma(sigma, gamma).is_one()
+                assert apply_sigma(sigma, gamma) == 1
 
 
 def test_top_class_automorphism_quantum_plane():
@@ -150,7 +152,7 @@ def test_top_class_automorphism_quantum_plane():
 
 
 def test_top_class_automorphism_single_generator():
-    assert automorphism_for_top_class(AlgebraSpec.symbolic(1), (4,)).p == (QCoefficient.one(),)
+    assert automorphism_for_top_class(AlgebraSpec.symbolic(1), (4,)).p == (Fraction(1),)
 
 
 @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (2, 3)])

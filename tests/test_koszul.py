@@ -7,42 +7,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
-                                    apply_sigma, canonical_automorphism, degree,
-                                    is_admissible)
+                                    apply_sigma, automorphism_for_top_class,
+                                    canonical_automorphism, degree, is_admissible,
+                                    specialize_automorphism)
 from qhyperplane.koszul import (ReducedComplex, chain, chain_add, chain_is_zero,
                                 chains_equal, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import QCoefficient, QFraction, QPolynomial
+from qhyperplane.qscalar import QCoefficient, QFraction, specialize
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
-
-
-def binomial(a: QCoefficient, b: QCoefficient) -> QFraction:
-    return QFraction(QPolynomial.from_coefficient(a) - QPolynomial.from_coefficient(b))
 
 
 # -- differential coefficient ----------------------------------------------------
 
 def test_differential_coefficient_vanishes_on_admissible_top():
     # (1, 1) is admissible for the canonical twist of the quantum plane
-    assert CANONICAL2.differential_coefficient((0, 0), (1, 1), 1).is_zero()
-    assert CANONICAL2.differential_coefficient((0, 0), (1, 1), 2).is_zero()
+    assert not CANONICAL2.differential_coefficient((0, 0), (1, 1), 1)
+    assert not CANONICAL2.differential_coefficient((0, 0), (1, 1), 2)
 
 
 def test_differential_coefficient_single_commuting_generator():
     spec = AlgebraSpec.symbolic(1)
     complex_ = ReducedComplex(spec, ScalingAutomorphism.identity(1))
     for alpha in ((0,), (3,)):
-        assert complex_.differential_coefficient(alpha, (1,), 1).is_zero()
+        assert not complex_.differential_coefficient(alpha, (1,), 1)
 
 
 def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
     value = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    expected = binomial(QCoefficient.one(), QCoefficient.q_power(1, 2, -1))
+    expected = 1 - QCoefficient.q_power(1, 2, -1)
+    assert isinstance(expected, QFraction)
     assert value == expected
-    assert not value.is_zero()
+    assert value
 
 
 def test_differential_coefficient_zero_iff_commutation_holds():
@@ -53,8 +51,8 @@ def test_differential_coefficient_zero_iff_commutation_holds():
     for alpha, beta in complex_.basis_elements(4):
         gamma = add_index(alpha, beta)
         for i in (1, 2):
-            assert (complex_.differential_coefficient(alpha, beta, i).is_zero()
-                    == sigma_commutes_at(spec, sigma, gamma, i))
+            weight = complex_.differential_coefficient(alpha, beta, i)
+            assert (not weight) == sigma_commutes_at(spec, sigma, gamma, i)
 
 
 def test_differential_coefficient_index_range():
@@ -76,7 +74,7 @@ def test_differential_vanishes_on_admissible_multidegrees():
 
 def test_differential_single_term():
     out = CANONICAL2.differential(chain({((0, 0), (1, 0)): 1}))
-    expected_coeff = binomial(QCoefficient.one(), QCoefficient.q_power(1, 2, -1))
+    expected_coeff = 1 - QCoefficient.q_power(1, 2, -1)
     assert set(out) == {((1, 0), (0, 0))}
     assert out[((1, 0), (0, 0))] == expected_coeff
 
@@ -94,24 +92,44 @@ def test_differential_lowers_degree_and_preserves_multidegree():
 def test_homotopy_coefficient_zero_cases():
     sigma = CANONICAL2.sigma
     # admissible multidegree
-    assert CANONICAL2.homotopy_coefficient((1, 1), (0, 0), 1).is_zero()
+    assert not CANONICAL2.homotopy_coefficient((1, 1), (0, 0), 1)
     # occupied exterior slot
-    assert CANONICAL2.homotopy_coefficient((1, 0), (1, 0), 1).is_zero()
+    assert not CANONICAL2.homotopy_coefficient((1, 0), (1, 0), 1)
     # no symmetric letter to move
-    assert CANONICAL2.homotopy_coefficient((0, 1), (0, 0), 1).is_zero()
+    assert not CANONICAL2.homotopy_coefficient((0, 1), (0, 0), 1)
 
 
 def test_homotopy_coefficient_inverts_differential_weight():
     w = CANONICAL2.homotopy_coefficient((1, 0), (0, 0), 1)
     back = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    assert w * back == QFraction.one()
+    assert w * back == 1
 
 
 def test_homotopy_coefficient_skips_commuting_positions():
     # gamma = (1, 2): generator 2 sigma-commutes, so slot 2 contributes nothing
     # (the literal inverse there would divide by zero)
-    assert CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 2).is_zero()
-    assert not CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 1).is_zero()
+    assert not CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 2)
+    assert CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 1)
+
+
+Q3 = AlgebraSpec.symbolic(3)
+PRIMES3 = AlgebraSpec.with_distinct_primes(3)
+SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
+                    automorphism_for_top_class(Q3, (1, 0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYMBOLIC_TWISTS3), st.tuples(*[st.integers(0, 3)] * 3),
+       st.tuples(*[st.integers(0, 1)] * 3), st.integers(1, 3))
+def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
+    # distinct primes are generic, so the two scalar types must agree
+    symbolic = ReducedComplex(Q3, sigma)
+    numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.assignment))
+    for name in ("differential_coefficient", "homotopy_coefficient"):
+        expected = getattr(numeric, name)(alpha, beta, i)
+        assert type(expected) is Fraction
+        value = getattr(symbolic, name)(alpha, beta, i)
+        assert specialize(value, PRIMES3.assignment) == expected
 
 
 # -- homotopy ---------------------------------------------------------------------------
@@ -173,7 +191,7 @@ def sigma_scale(complex_: ReducedComplex, c):
     out = {}
     for (alpha, beta), coeff in c.items():
         scalar = apply_sigma(complex_.sigma, add_index(alpha, beta))
-        out[(alpha, beta)] = coeff * QFraction.from_coefficient(scalar)
+        out[(alpha, beta)] = coeff * scalar
     return out
 
 

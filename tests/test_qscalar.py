@@ -1,4 +1,5 @@
-"""Coefficient arithmetic: group laws, specialization, exactness."""
+"""Coefficient arithmetic: group laws, specialization, exactness, and the
+rule that a scalar with no q in it is a plain Fraction."""
 
 from fractions import Fraction
 
@@ -6,17 +7,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhyperplane.qscalar import (NumericAssignment, QCoefficient, QExponent,
-                                 QFraction, QPolynomial)
+                                 QFraction, QPolynomial, coefficient, specialize)
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def qc(scalar, exps=()):
-    return QCoefficient(Fraction(scalar), QExponent(dict(exps)))
+    """scalar * monomial through the factory: a Fraction when no q is left."""
+    return coefficient(Fraction(scalar), QExponent(dict(exps)))
+
+
+def inverse(a):
+    return a.inverse() if isinstance(a, QCoefficient) else 1 / a
+
+
+def lift(a):
+    return QFraction(QPolynomial.from_coefficient(a))
 
 
 nonzero_scalars = st.fractions(min_value=-8, max_value=8).filter(lambda f: f != 0)
 exponent_maps = st.dictionaries(st.sampled_from(PAIRS), st.integers(-4, 4), max_size=4)
+# a trivial exponent map gives a Fraction, so this draws from both scalar types
 coefficients = st.builds(lambda s, e: qc(s, e.items()), nonzero_scalars, exponent_maps)
 
 
@@ -29,7 +40,8 @@ def prime_assignment():
 def test_mul_inverse_pair_cancels():
     a = qc(1, {(1, 2): 1}.items())
     b = qc(1, {(1, 2): -1}.items())
-    assert a * b == QCoefficient.one()
+    assert a * b == 1
+    assert type(a * b) is Fraction
 
 
 def test_mul_disjoint_monomials():
@@ -39,18 +51,21 @@ def test_mul_disjoint_monomials():
 
 
 def test_mul_zero_absorbs():
-    assert QCoefficient.zero() * qc(5, {(1, 2): 3}.items()) == QCoefficient.zero()
+    assert Fraction(0) * qc(5, {(1, 2): 3}.items()) == 0
+    assert type(qc(5, {(1, 2): 3}.items()) * 0) is Fraction
 
 
 def test_inverse_componentwise():
     assert qc(2, {(1, 2): 1}.items()).inverse() == qc(Fraction(1, 2), {(1, 2): -1}.items())
-    assert QCoefficient.one().inverse() == QCoefficient.one()
+    assert qc(1, {(1, 2): 1}.items()) ** -1 == qc(1, {(1, 2): -1}.items())
     assert qc(-3, {(2, 3): -2}.items()).inverse() == qc(Fraction(-1, 3), {(2, 3): 2}.items())
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        QCoefficient.zero().inverse()
+        inverse(qc(0, {(1, 2): 1}.items()))
+    with pytest.raises(ValueError):
+        QCoefficient(0, QExponent.of(1, 2))
 
 
 def test_specialize_direct():
@@ -58,7 +73,7 @@ def test_specialize_direct():
     assert qc(1, {(1, 2): 2}.items()).specialize(nu) == 9
     nu2 = NumericAssignment({(1, 2): Fraction(2)})
     assert qc(Fraction(1, 2), {(1, 2): -1}.items()).specialize(nu2) == Fraction(1, 4)
-    assert QCoefficient.one().specialize(nu) == 1
+    assert specialize(qc(1), nu) == 1
 
 
 def test_specialize_missing_pair_raises():
@@ -75,9 +90,9 @@ def test_exponent_orientation():
 
 
 def test_zero_is_canonical():
-    z = QCoefficient(0, QExponent({(1, 2): 5}))
-    assert z == QCoefficient.zero()
-    assert z.exponent.is_trivial()
+    z = qc(0, {(1, 2): 5}.items())
+    assert z == 0
+    assert type(z) is Fraction
 
 
 # -- group and homomorphism properties ---------------------------------------
@@ -85,28 +100,28 @@ def test_zero_is_canonical():
 @given(coefficients, coefficients, coefficients)
 def test_multiplication_group_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
-    assert a * QCoefficient.one() == a
-    assert a * a.inverse() == QCoefficient.one()
+    assert a * Fraction(1) == a
+    assert a * inverse(a) == 1
     assert a * b == b * a
 
 
 @given(coefficients, coefficients)
 def test_specialize_is_a_homomorphism(a, b):
     nu = prime_assignment()
-    assert (a * b).specialize(nu) == a.specialize(nu) * b.specialize(nu)
+    assert specialize(a * b, nu) == specialize(a, nu) * specialize(b, nu)
 
 
 @given(coefficients)
 def test_is_one_iff_prime_specialization_is_one(a):
     # distinct primes are multiplicatively independent over the rationals
     nu = prime_assignment()
-    assert a.is_one() == (a.specialize(nu) == 1)
+    assert (a == 1) == (specialize(a, nu) == 1)
 
 
 @given(coefficients, st.integers(-3, 3))
 def test_power_matches_repeated_product(a, n):
-    expected = QCoefficient.one()
-    step = a if n >= 0 else a.inverse()
+    expected = Fraction(1)
+    step = a if n >= 0 else inverse(a)
     for _ in range(abs(n)):
         expected = expected * step
     assert a ** n == expected
@@ -115,7 +130,7 @@ def test_power_matches_repeated_product(a, n):
 # -- polynomial and fraction layers -------------------------------------------
 
 def poly(*cs):
-    out = QPolynomial.zero()
+    out = QPolynomial()
     for c in cs:
         out = out + QPolynomial.from_coefficient(c)
     return out
@@ -129,38 +144,73 @@ def test_polynomial_cancellation():
 
 def test_polynomial_product_expands():
     a = qc(1, {(1, 2): 1}.items())
-    p = poly(QCoefficient.one(), -a)          # 1 - q12
-    q = poly(QCoefficient.one(), a)           # 1 + q12
-    assert p * q == poly(QCoefficient.one(), -(a * a))
+    p = poly(Fraction(1), -a)                 # 1 - q12
+    q = poly(Fraction(1), a)                  # 1 + q12
+    assert p * q == poly(Fraction(1), -(a * a))
 
 
 def test_fraction_clears_monomial_denominators():
     a = qc(2, {(1, 2): 3}.items())
     f = QFraction(QPolynomial.one(), QPolynomial.from_coefficient(a))
-    assert f == QFraction.from_coefficient(a.inverse())
+    assert f == a.inverse()
     assert f.den == QPolynomial.one()
 
 
 def test_fraction_field_laws_on_binomials():
-    a = QFraction.from_coefficient(qc(1, {(1, 2): 1}.items()))
-    one = QFraction.one()
-    binom = one - a                            # 1 - q12
-    assert not binom.is_zero()
-    assert binom * binom.inverse() == one
-    assert (binom + a * binom.inverse()).specialize(
+    a = qc(1, {(1, 2): 1}.items())
+    binom = 1 - a                              # 1 - q12
+    assert binom
+    assert binom * (1 / binom) == 1
+    assert (binom + a / binom).specialize(
         NumericAssignment({(1, 2): Fraction(3)})) == (1 - 3) + Fraction(3, 1 - 3)
 
 
 def test_fraction_zero_division_guards():
     with pytest.raises(ZeroDivisionError):
-        QFraction(QPolynomial.one(), QPolynomial.zero())
+        QFraction(QPolynomial.one(), QPolynomial())
     with pytest.raises(ZeroDivisionError):
-        QFraction.zero().inverse()
+        1 / (1 - lift(Fraction(1)))
 
 
 @given(coefficients, coefficients)
 def test_fraction_equality_by_cross_multiplication(a, b):
-    fa, fb = QFraction.from_coefficient(a), QFraction.from_coefficient(b)
-    quotient = fa * fb.inverse()
+    fa, fb = lift(a), lift(b)
+    quotient = fa / fb
     assert quotient * fb == fa
-    assert (quotient == QFraction.one()) == (a == b)
+    assert (quotient == 1) == (a == b)
+
+
+# -- the Fraction rule -----------------------------------------------------------
+
+@given(coefficients, coefficients)
+def test_cancelling_product_is_a_fraction(a, b):
+    # a * (b / a) cancels every q that a carries; b's own q survive
+    product = a * (b * inverse(a))
+    assert product == b and hash(product) == hash(b)
+    cancelled = a * inverse(a)
+    assert type(cancelled) is Fraction
+    assert cancelled == 1 and hash(cancelled) == hash(Fraction(1))
+    assert type(a ** 0) is Fraction
+    # a QCoefficient always keeps a monomial, so it equals no rational
+    if isinstance(a, QCoefficient):
+        assert a != a.scalar and not a.exponent.is_trivial()
+    else:
+        assert type(a) is Fraction
+
+
+@given(coefficients, nonzero_scalars, st.integers(-3, 3))
+def test_fraction_arithmetic_with_mixed_operands(a, r, k):
+    nu = prime_assignment()
+    f = 1 - lift(qc(1, {(1, 2): 1}.items()))          # 1 - q12, never zero
+    value = specialize(f, nu)
+    for combined, expected in (
+            (f * r, value * r), (r * f, r * value), (f * a, value * specialize(a, nu)),
+            (a * f, specialize(a, nu) * value), (f + a, value + specialize(a, nu)),
+            (a + f, specialize(a, nu) + value), (r - f, r - value),
+            (f - a, value - specialize(a, nu)), (f / r, value / r),
+            (k / f, k / value), (a / f, specialize(a, nu) / value)):
+        assert isinstance(combined, QFraction)
+        assert combined.specialize(nu) == expected
+    assert f * r * (1 / r) == f
+    assert not (f - f) and bool(f)
+    assert f * 0 == 0 and not f * 0
