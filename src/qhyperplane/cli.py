@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expect-top", action="store_true",
                        help="fail verification if the top class is absent")
         p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP,
-                       help="largest chain-space basis the oracle will build")
+                       help="largest normalized chain basis the oracle will build")
         p.add_argument("--config", default=None, help="JSON config file")
     return parser
 

@@ -1,13 +1,16 @@
-"""Ground truth: the genuine twisted Hochschild chain complex, truncated by
+"""Ground truth: the normalized twisted Hochschild complex, truncated by
 multidegree.
 
-Chain spaces in degree n are spanned by (n+1)-tuples of monomials; the
-boundary multiplies adjacent tensor slots and wraps the last slot around
-through the twist, sigma acting before the wrap-around product.  Every face
-preserves the total multidegree, so restricting to one multidegree gives a
-finite complex whose homology dimensions are exact, and they are compared
-cell by cell against the combinatorial count coming from the reduced Koszul
-complex.
+Chain spaces in degree n are spanned by (n+1)-tuples of monomials with no
+unit in slots 1..n; the boundary multiplies adjacent slots and wraps the
+last slot around through the twist, sigma acting before the wrap-around
+product.  A product of nonunit monomials is never the unit, so this span is
+a subcomplex of the full bar complex, isomorphic to its quotient by the
+degenerate tensors and hence quasi-isomorphic to it for any bimodule, twisted
+ones included (Loday, Cyclic Homology, 1.1.14-1.1.15); it vanishes above the
+total degree.  Faces preserve the multidegree, so each multidegree gives a
+finite complex with exact homology dimensions, compared cell by cell with
+the count from the reduced Koszul complex.
 
 Rank computations need decidable zero, so this module insists on numeric
 mode; symbolic input is specialized at distinct primes, which is faithful to
@@ -19,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
+from typing import Iterator
 
 from .exactlinalg import SparseExactMatrix
 from .homology import predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, compositions, iter_multidegrees,
+                         apply_sigma, iter_multidegrees,
                          monomial_product, specialize_automorphism)
 
 Tensor = tuple[MultiIndex, ...]
@@ -55,10 +59,10 @@ class HochschildComplex:
     # -- bases ----------------------------------------------------------------
 
     def basis_size(self, n: int, gamma: MultiIndex) -> int:
-        size = 1
-        for g in gamma:
-            size *= comb(g + n, n)
-        return size
+        """len(basis(n, gamma)), by inclusion-exclusion over the k slots
+        among 1..n forced to be the unit."""
+        return sum((-1) ** k * comb(n, k) * prod(comb(g + n - k, n - k) for g in gamma)
+                   for k in range(n + 1))
 
     def basis(self, n: int, gamma: MultiIndex) -> list[Tensor]:
         """Basis tensors of degree n and multidegree gamma, lexicographic."""
@@ -68,12 +72,9 @@ class HochschildComplex:
             return cached
         if self.basis_size(n, gamma) > self.cap:
             raise CellTooLarge(f"basis of C_{n}{gamma} exceeds cap {self.cap}")
-        per_coordinate = [compositions(g, n + 1) for g in gamma]
-        tensors = []
-        for combo in product(*per_coordinate):
-            tensors.append(tuple(tuple(coord[slot] for coord in combo)
-                                 for slot in range(n + 1)))
-        tensors.sort()
+        tensors = [(head,) + tail
+                   for head in product(*(range(g + 1) for g in gamma))
+                   for tail in _tensors(_minus(gamma, head), n)]
         self._basis_cache[key] = tensors
         return tensors
 
@@ -130,6 +131,22 @@ class HochschildComplex:
             size = len(self.basis(n, gamma))
             dims.append(size - self._rank(n, gamma) - self._rank(n + 1, gamma))
         return dims
+
+
+def _tensors(gamma: MultiIndex, slots: int) -> Iterator[Tensor]:
+    """Tuples of `slots` nonunit monomials with total gamma, lexicographic."""
+    if slots == 0:
+        if not any(gamma):
+            yield ()
+        return
+    for head in product(*(range(g + 1) for g in gamma)):
+        if any(head):
+            for tail in _tensors(_minus(gamma, head), slots - 1):
+                yield (head,) + tail
+
+
+def _minus(gamma: MultiIndex, head: MultiIndex) -> MultiIndex:
+    return tuple(g - h for g, h in zip(gamma, head))
 
 
 # ---------------------------------------------------------------------------

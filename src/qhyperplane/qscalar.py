@@ -275,7 +275,8 @@ class QPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[QExponent, Fraction] = ()):
-        cleaned = {m: Fraction(c) for m, c in dict(terms).items() if c != 0}
+        cleaned = {m: c if type(c) is Fraction else Fraction(c)
+                   for m, c in dict(terms).items() if c != 0}
         self._terms = cleaned
 
     @classmethod

@@ -1,14 +1,19 @@
-"""The bar-complex oracle: chain bases, d o d = 0, hand-computed homology,
-the basis cap, and agreement with the reduced Koszul complex."""
+"""The bar-complex oracle: normalized chain bases, d o d = 0, agreement
+with the full bar complex, hand-computed homology, the basis cap, and
+agreement with the reduced Koszul complex."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
                                     compare_with_koszul)
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
-                                    canonical_automorphism)
+                                    canonical_automorphism, compositions,
+                                    iter_multidegrees)
 
 PLANE = AlgebraSpec.numeric(2, {(1, 2): Fraction(2)})
 PRIMES3 = AlgebraSpec.with_distinct_primes(3)
@@ -33,6 +38,40 @@ def test_basis_has_the_counted_size(complex_):
             assert len(complex_.basis(n, gamma)) == complex_.basis_size(n, gamma)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    .filter(lambda g: sum(g) <= 4)), st.integers(0, 5))
+def test_basis_is_sorted_normalized_and_counted(gamma, n):
+    gamma = tuple(gamma)
+    spec = AlgebraSpec.with_distinct_primes(len(gamma))
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec))
+    basis = complex_.basis(n, gamma)
+    assert len(basis) == complex_.basis_size(n, gamma)
+    assert basis == sorted(set(basis))
+    for tensor in basis:
+        assert len(tensor) == n + 1
+        assert tuple(map(sum, zip(*tensor))) == gamma
+        assert all(any(monomial) for monomial in tensor[1:])
+    if n > sum(gamma):
+        assert basis == []
+
+
+def test_normalized_basis_sizes():
+    # full bar complex: 3,375 and 15,876 tensors
+    spec = AlgebraSpec.with_distinct_primes(4)
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec))
+    assert complex_.basis_size(4, (2, 2, 2)) == 564
+    assert len(complex_.basis(5, (2, 2, 1, 1))) == 690
+
+
+def test_no_homology_above_the_total_degree():
+    complex_ = COMPLEXES[2]
+    for gamma in ((0, 0, 0), (1, 1, 0), (2, 0, 1)):
+        total = sum(gamma)
+        assert complex_.natural_dims(gamma, total + 2)[total + 1:] == [0, 0]
+
+
 @pytest.mark.parametrize("complex_", COMPLEXES)
 def test_boundary_squares_to_zero(complex_):
     # holds for every scaling twist, canonical or not
@@ -41,6 +80,50 @@ def test_boundary_squares_to_zero(complex_):
             d_n = complex_.boundary_matrix(n, gamma)
             d_next = complex_.boundary_matrix(n + 1, gamma)
             assert d_n.matmul(d_next).is_zero()
+
+
+# -- the full bar complex, as a reference ----------------------------------------
+
+def _full_basis(n, gamma):
+    """Every (n+1)-tuple of monomials of total gamma, units anywhere."""
+    return sorted(tuple(tuple(coord[slot] for coord in combo) for slot in range(n + 1))
+                  for combo in product(*(compositions(g, n + 1) for g in gamma)))
+
+
+def _full_natural_dims(complex_, gamma, n_max):
+    def rank(n):
+        if n < 1:
+            return 0
+        rows = {t: r for r, t in enumerate(_full_basis(n - 1, gamma))}
+        cols = _full_basis(n, gamma)
+        entries = {}
+        for c, tensor in enumerate(cols):
+            for face, coeff in complex_.boundary_faces(tensor):
+                key = (rows[face], c)
+                entries[key] = entries.get(key, 0) + coeff
+        return SparseExactMatrix(len(rows), len(cols), entries).rank()
+
+    return [len(_full_basis(n, gamma)) - rank(n) - rank(n + 1)
+            for n in range(n_max + 1)]
+
+
+def _twisted_complexes(n):
+    primes = AlgebraSpec.with_distinct_primes(n)
+    minus_one = AlgebraSpec.numeric(n, {(i, j): Fraction(-1) for i in range(1, n + 1)
+                                        for j in range(i + 1, n + 1)})
+    explicit = ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)][:n])
+    return [HochschildComplex(primes, canonical_automorphism(primes)),
+            HochschildComplex(primes, ScalingAutomorphism.identity(n)),
+            HochschildComplex(primes, explicit),
+            HochschildComplex(minus_one, canonical_automorphism(minus_one))]
+
+
+@pytest.mark.parametrize("n_generators", [1, 2, 3])
+def test_normalized_complex_has_the_full_homology(n_generators):
+    # the normalized complex is quasi-isomorphic to the full bar complex
+    for complex_ in _twisted_complexes(n_generators):
+        for gamma in iter_multidegrees(n_generators, 3):
+            assert complex_.natural_dims(gamma, 3) == _full_natural_dims(complex_, gamma, 3)
 
 
 def test_natural_dims_quantum_plane_canonical_twist():
@@ -56,9 +139,9 @@ def test_natural_dims_quantum_plane_canonical_twist():
 
 def test_basis_over_the_cap_raises():
     complex_ = HochschildComplex(PLANE, canonical_automorphism(PLANE), cap=5)
-    assert len(complex_.basis(1, (1, 1))) == 4
+    assert len(complex_.basis(1, (2, 1))) == 5
     with pytest.raises(CellTooLarge):
-        complex_.basis(2, (1, 1))          # 9 tensors
+        complex_.basis(2, (2, 1))          # 7 tensors
 
 
 def test_oracle_rejects_symbolic_input():

@@ -142,6 +142,13 @@ def test_polynomial_cancellation():
     assert poly(a, -a).is_zero()
 
 
+def test_polynomial_stores_fractions():
+    # an int coefficient is stored as a Fraction, so reports print it alike
+    p = QPolynomial({QExponent(): 3, QExponent.of(1, 2): Fraction(1, 2)})
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert dict(p.terms())[QExponent()] == 3
+
+
 def test_polynomial_product_expands():
     a = qc(1, {(1, 2): 1}.items())
     p = poly(Fraction(1), -a)                 # 1 - q12
