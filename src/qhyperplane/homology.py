@@ -1,25 +1,27 @@
-"""Twisted homology bases, Betti numbers and the admissible-set machinery.
+"""Twisted homology bases, Betti numbers and the admissible-set solver.
 
 The homology of the reduced complex is spanned by the symbols
 x^alpha (x) x^beta whose multidegree alpha+beta is admissible for sigma, so
 everything reduces to enumerating admissible multidegrees up to a total
-degree bound.  Enumeration always routes through the membership predicate;
-the one-parameter hyperplane additionally gets a closed-form solver for its
-projected integer linear systems, which also settles whether the set is
-finite (brute force alone never can).
+degree bound.  One exact solver does this for every mode and twist.  On a
+support S, gamma is admissible when prod_{k in S, k != i} q_ki^{gamma(k)}
+= p_i for each i in S; over a coprime base of the rationals involved (and
+the symbols q_ij) this is an integer linear system blind only to signs,
+which the membership predicate then decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, inf, lcm
 from typing import Iterable
 
-from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, SYMBOLIC,
-                         ScalingAutomorphism, add_index, canonical_automorphism,
-                         degree, exterior_under, is_admissible,
-                         iter_multidegrees, sub_index)
-from .qscalar import QCoefficient
+from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
+                         canonical_automorphism, degree, exterior_under,
+                         is_admissible, iter_multidegrees, sub_index)
+from .qscalar import QCoefficient, Scalar
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -33,8 +35,8 @@ class AdmissibleSet:
     """Admissible multidegrees up to a bound.
 
     complete means the listed members are provably all of them, not just all
-    below the bound; it is established structurally (one-parameter solver or
-    symbolic pinning), never by the scan itself.
+    below the bound.  The solver decides it on every support with at most
+    one free variable and never claims it otherwise.
     """
 
     members: tuple[MultiIndex, ...]
@@ -57,132 +59,149 @@ def scan_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
 
 def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                          bound: int) -> AdmissibleSet:
-    """Admissible set up to the bound, with the best completeness verdict.
-
-    Members always come from the exhaustive scan except on the one-parameter
-    fast path, where the solver supplies them (tests pin the two routes to
-    agree).
-    """
-    if spec.mode == NUMERIC and sigma == canonical_automorphism(spec):
-        q0 = spec.uniform_value()
-        if q0 is not None and q0 not in (Fraction(1), Fraction(-1)):
-            return one_parameter_admissible(spec.n, bound)
-        if spec.n == 1:
-            return one_parameter_admissible(1, bound)
-    members = scan_admissible(spec, sigma, bound)
-    complete = False
-    if spec.mode == SYMBOLIC:
-        complete = _symbolic_complete(spec, sigma, bound)
-    return AdmissibleSet(members, bound, complete)
-
-
-def _symbolic_complete(spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                       bound: int) -> bool:
-    """Finiteness analysis for independent symbols.
-
-    The condition at a support position i equates independent symbols
-    pairwise, so it pins gamma(k) for every k != i.  Hence any member
-    supported on two or more positions is one of finitely many candidates,
-    and infinite families occur exactly at positions with p_i = 1 (where
-    every multiple of that unit multidegree qualifies).
-    """
-    pinned: dict[int, list[int] | None] = {}
-    for i in range(1, spec.n + 1):
-        p = sigma.p[i - 1]
-        scalar, exponent = ((p.scalar, p.exponent.items()) if isinstance(p, QCoefficient)
-                            else (p, ()))
-        if scalar != 1:
-            pinned[i] = None
-            continue
-        row: list[int] | None = [0] * spec.n
-        for (a, b), e in exponent:
-            if b == i:
-                row[a - 1] = e
-            elif a == i:
-                row[b - 1] = -e
-            else:
-                row = None
-                break
-        if row is not None and any(v < 0 for k, v in enumerate(row) if k != i - 1):
-            row = None
-        pinned[i] = row
-    for i in range(1, spec.n + 1):
-        if pinned[i] is not None and sigma.p[i - 1] == 1:
-            return False        # the whole ray through unit(i) qualifies
-    for i in range(1, spec.n + 1):
-        if pinned[i] is None:
-            continue
-        for j in range(1, spec.n + 1):
-            if j == i or pinned[j] is None:
-                continue
-            candidate = list(pinned[i])
-            candidate[i - 1] = pinned[j][i - 1]
-            gamma = tuple(candidate)
-            if gamma[i - 1] <= 0 or gamma[j - 1] <= 0:
-                continue
-            if is_admissible(spec, sigma, gamma) and degree(gamma) > bound:
-                return False
-    return True
+    """Admissible set up to the bound, solved one support at a time."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    q = {ki: spec.q_power(*ki) for ki in permutations(range(1, spec.n + 1), 2)}
+    base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
+                         for x in _rational(c).as_integer_ratio())
+    q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
+    p_vec = [_exponents(c, base) for c in sigma.p]
+    members: list[MultiIndex] = []
+    complete = True
+    for mask in range(1 << spec.n):
+        s = [i for i in range(1, spec.n + 1) if mask >> (i - 1) & 1]
+        rows = []
+        for i in s:
+            for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in s if k != i)):
+                rows.append([q_vec[k, i].get(coord, 0) if k != i else 0 for k in s]
+                            + [p_vec[i - 1].get(coord, 0)])
+        pivots = _gauss_jordan(rows, len(s))
+        if pivots is not None:
+            complete &= _solve_support(spec, sigma, s, pivots, bound, members)
+    return AdmissibleSet(_sort_degrees(members), bound, complete)
 
 
 def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
-    """Admissible set of the one-parameter hyperplane, canonical twist.
+    """Admissible set of the one-parameter hyperplane (q = 2), canonical twist."""
+    spec = AlgebraSpec.one_parameter(n, 2)
+    return enumerate_admissible(spec, canonical_automorphism(spec), bound)
 
-    For a support S = {s_1 < ... < s_k} the defining conditions project to
-    the linear system with the all-ones-above-the-diagonal antisymmetric
-    matrix; consecutive rows give T_m + T_{m+1} = 2(s_{m+1} - s_m) and the
-    first row pins the remaining freedom.  Valid for any q that is not a
-    root of unity, hence for any rational q other than +-1.
-    """
-    if n < 1:
-        raise ValueError("need at least one generator")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    members: set[MultiIndex] = {(0,) * n}
-    complete = True
 
-    def record(values: dict[int, int]) -> None:
-        nonlocal complete
-        gamma = tuple(values.get(i, 0) for i in range(1, n + 1))
-        if degree(gamma) <= bound:
-            members.add(gamma)
-        else:
-            complete = False
+def _rational(c: Scalar) -> Fraction:
+    return c.scalar if isinstance(c, QCoefficient) else Fraction(c)
 
-    for mask in range(1, 1 << n):
-        s = [i + 1 for i in range(n) if mask >> i & 1]
-        k = len(s)
-        # T_m = offset_m + flip_m * T_1 solves the consecutive differences
-        offsets = [0]
-        flips = [1]
-        for m in range(1, k):
-            offsets.append(2 * (s[m] - s[m - 1]) - offsets[-1])
-            flips.append(-flips[-1])
-        rhs = n - 2 * s[0] + 1
-        const = sum(offsets[1:])
-        slope = sum(flips[1:])
-        if slope != 0:
-            num = rhs - const
-            if num % slope:
-                continue
-            t1 = num // slope
-            values = {s[m]: offsets[m] + flips[m] * t1 for m in range(k)}
-            if all(v >= 1 for v in values.values()):
-                record(values)
-        elif const == rhs:
-            if k == 1:
-                complete = False        # free ray: every positive T_1 works
-                for t1 in range(1, bound + 1):
-                    record({s[0]: t1})
-            else:
-                # flips alternate, so T_1 is caged by the even positions
-                lows = [1 - offsets[m] for m in range(k) if flips[m] == 1]
-                highs = [offsets[m] - 1 for m in range(k) if flips[m] == -1]
-                lo = max(lows)
-                hi = min(highs)
-                for t1 in range(lo, hi + 1):
-                    record({s[m]: offsets[m] + flips[m] * t1 for m in range(k)})
-    return AdmissibleSet(_sort_degrees(members), bound, complete)
+
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product,
+    built by gcd splitting, so no value is ever factored."""
+    base: list[int] = []
+    pending = [x for x in values if x > 1]
+    while pending:
+        x = pending.pop()
+        b = next((b for b in base if gcd(x, b) > 1), None)
+        if b is None:
+            base.append(x)
+        elif b != x:
+            base.remove(b)
+            g = gcd(x, b)
+            pending += [y for y in (g, b // g, x // g) if y > 1]
+    return base
+
+
+def _exponents(c: Scalar, base: list[int]) -> dict:
+    """Exponent vector of |c|: base element or symbol pair -> exponent."""
+    vec = dict(c.exponent.items()) if isinstance(c, QCoefficient) else {}
+    num, den = _rational(c).as_integer_ratio()
+    for b in base:
+        e = 0
+        while num % b == 0:
+            num, e = num // b, e + 1
+        while den % b == 0:
+            den, e = den // b, e - 1
+        if e:
+            vec[b] = e
+    return vec
+
+
+def _gauss_jordan(rows: list[list[int]], width: int) -> list[tuple[int, list[int]]] | None:
+    """Integer reduced row echelon form of augmented rows with width
+    coefficient columns: (pivot column, row) pairs, each pivot positive and
+    alone in its column, or None when the system is inconsistent."""
+    rows = [r for r in rows if any(r)]
+    pivots: list[tuple[int, list[int]]] = []
+    for col in range(width):
+        pick = next((r for r in rows if r[col]), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        if pick[col] < 0:
+            pick = [-x for x in pick]
+        rows = [r for r in (_eliminate(r, pick, col) for r in rows) if any(r)]
+        pivots = [(c, _eliminate(r, pick, col)) for c, r in pivots] + [(col, pick)]
+    return None if rows else pivots
+
+
+def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
+    """row minus the multiple of pivot that clears column col, gcd removed."""
+    if not row[col]:
+        return row
+    out = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: list[int],
+                   pivots: list[tuple[int, list[int]]], bound: int,
+                   members: list[MultiIndex]) -> bool:
+    """Append the admissible multidegrees with support s up to the bound to
+    members; False unless it is proven that none lies beyond the bound."""
+    pivot_cols = {col for col, _ in pivots}
+    free = [v for v in range(len(s)) if v not in pivot_cols]
+
+    def solution(ts: tuple[int, ...]) -> MultiIndex | None:
+        """The solution at free values ts, if integral and positive on s."""
+        gamma = [0] * spec.n
+        for v, x in zip(free, ts):
+            gamma[s[v] - 1] = x
+        for col, row in pivots:
+            x, r = divmod(row[-1] - sum(row[f] * t for f, t in zip(free, ts)), row[col])
+            if r or x < 1:
+                return None
+            gamma[s[col] - 1] = x
+        return tuple(gamma)
+
+    def record(gamma: MultiIndex | None) -> bool:
+        """Keep an admissible gamma up to the bound; False if one lies beyond."""
+        if gamma is None or not is_admissible(spec, sigma, gamma):
+            return True
+        if degree(gamma) > bound:
+            return False
+        members.append(gamma)
+        return True
+
+    if not free:
+        return record(solution(()))
+    if len(free) > 1:
+        for ts in iter_multidegrees(len(free), bound - len(free)):
+            record(solution(tuple(t + 1 for t in ts)))
+        return False
+    # one free variable t: x = (b - c t) / a >= 1 on each pivot row cuts out
+    # t in [lo, hi]; integrality and signs repeat in t with period 2L, L the
+    # lcm of the denominators of the c / a.  Any t beyond the bound is beyond
+    # it in degree, and one period of those t meets every residue class.
+    lo, hi, period = 1, inf, 2
+    for col, row in pivots:
+        a, c, b = row[col], row[free[0]], row[-1]
+        if c > 0:
+            hi = min(hi, (b - a) // c)
+        elif c < 0:
+            lo = max(lo, -((b - a) // -c))
+        period = lcm(period, 2 * a // gcd(a, c))
+    inside = [record(solution((t,))) for t in range(lo, min(hi, bound) + 1)]
+    start = max(lo, bound + 1)
+    return all(inside) and all(record(solution((t,)))
+                               for t in range(start, min(start + period, hi + 1)))
 
 
 # ---------------------------------------------------------------------------

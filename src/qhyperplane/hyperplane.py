@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, QCoefficient, Scalar, all_pairs, specialize
+from .qscalar import NumericAssignment, QCoefficient, Scalar, specialize
 
 MultiIndex = tuple[int, ...]
 
@@ -130,8 +130,6 @@ class AlgebraSpec:
         q = Fraction(q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        if n == 1:
-            return cls(n, NUMERIC, NumericAssignment({}))
         return cls(n, NUMERIC, NumericAssignment.uniform(n, 1 / q))
 
     def q_power(self, i: int, j: int, e: int = 1) -> Scalar:
@@ -144,17 +142,6 @@ class AlgebraSpec:
         if self.mode == SYMBOLIC:
             return QCoefficient.q_power(i, j, e)
         return self.assignment.value(i, j) ** e
-
-    def uniform_value(self) -> Fraction | None:
-        """The common value of all q_ij if there is one (numeric mode)."""
-        if self.mode != NUMERIC:
-            return None
-        values = {self.assignment.value(i, j) for i, j in all_pairs(self.n)}
-        if len(values) == 1:
-            return values.pop()
-        if not values:          # N = 1 has no pairs
-            return Fraction(1)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +240,14 @@ def canonical_automorphism(spec: AlgebraSpec) -> ScalingAutomorphism:
 def automorphism_for_top_class(spec: AlgebraSpec, alpha: MultiIndex) -> ScalingAutomorphism:
     """The scaling automorphism making x^alpha (x) x_1^...^x_N a top class.
 
-    p_i = prod_j q_ji^{alpha(j)+1}; alpha = 0 recovers the canonical one.
+    p_i = prod_j q_ji^{alpha(j)+1}, the commutation factor of
+    x^{alpha+(1,...,1)} at x_i; alpha = 0 recovers the canonical one.
     """
     if len(alpha) != spec.n:
         raise ValueError("alpha must have one entry per generator")
-    ps = []
-    for i in range(1, spec.n + 1):
-        c = Fraction(1)
-        for j in range(1, spec.n + 1):
-            e = alpha[j - 1] + 1
-            if j < i:
-                c = c * spec.q_power(j, i, e)
-            elif j > i:
-                c = c * spec.q_power(i, j, -e)
-        ps.append(c)
-    return ScalingAutomorphism(tuple(ps))
+    shifted = tuple(a + 1 for a in alpha)
+    return ScalingAutomorphism(tuple(commutation_factor(spec, shifted, i)
+                                     for i in range(1, spec.n + 1)))
 
 
 def specialize_automorphism(sigma: ScalingAutomorphism,

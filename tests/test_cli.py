@@ -46,12 +46,16 @@ def test_golden_report_is_byte_identical(name, tmp_path):
     (["homology", "--n", "2"], EXIT_OK),
     (["verify", "--n", "2", "--bound", "5", "--cap", "5"], EXIT_MISMATCH),
     (["homology", "--n", "3", "--q", "x,2,3"], EXIT_BAD_CONFIG),
-    (["homology", "--n", "3", "--auto-primes", "--bound", "6"], EXIT_TRUNCATED),
+    # the identity twist admits every power of each generator: infinite rays
+    (["homology", "--n", "3", "--auto-primes", "--bound", "6", "--automorphism",
+      "identity"], EXIT_TRUNCATED),
     # the identity twist promises no top class unless --expect-top asks for it
     (["verify", "--symbolic", "--n", "2", "--bound", "3", "--automorphism", "identity",
       "--expect-top"], EXIT_MISMATCH),
     (["verify", "--symbolic", "--n", "2", "--bound", "3", "--automorphism", "identity"],
      EXIT_OK),
+    # distinct primes: the admissible set is proven complete
+    (["homology", "--n", "3", "--auto-primes", "--bound", "6"], EXIT_OK),
 ])
 def test_exit_codes(argv, code):
     assert main(argv) == code

@@ -1,14 +1,20 @@
-"""Admissible-set enumeration, homology bases and the one-parameter solver."""
+"""Admissible-set enumeration, homology bases and the admissible-set solver."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qhyperplane.homology
 from qhyperplane.homology import (build_report, enumerate_admissible,
                                   homology_basis, one_parameter_admissible,
                                   predicted_dims, scan_admissible)
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
-                                    canonical_automorphism, unit)
+                                    canonical_automorphism, commutation_factor,
+                                    unit)
 from qhyperplane.koszul import ReducedComplex, chain
+from qhyperplane.qscalar import all_pairs
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
@@ -108,7 +114,7 @@ def test_one_parameter_matches_scan():
                 scan_admissible(spec, sigma, bound)
 
 
-def test_fast_path_is_used_for_uniform_numeric_values():
+def test_uniform_numeric_values_match_scan():
     spec = AlgebraSpec.one_parameter(3, 3)
     sigma = canonical_automorphism(spec)
     smart = enumerate_admissible(spec, sigma, 8)
@@ -118,6 +124,90 @@ def test_fast_path_is_used_for_uniform_numeric_values():
     n4 = enumerate_admissible(AlgebraSpec.one_parameter(4, 3),
                               canonical_automorphism(AlgebraSpec.one_parameter(4, 3)), 8)
     assert n4.complete
+
+
+# -- the solver against the scan -------------------------------------------------
+
+VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3),
+                                Fraction(6, 35))]
+
+
+@st.composite
+def solver_inputs(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        spec = AlgebraSpec.symbolic(n)
+    else:
+        spec = AlgebraSpec.numeric(n, {pair: draw(st.sampled_from(VALUES))
+                                       for pair in all_pairs(n)})
+    if draw(st.booleans()):
+        sigma = ScalingAutomorphism(tuple(draw(st.sampled_from(VALUES))
+                                          for _ in range(n)))
+    else:
+        sigma = automorphism_for_top_class(
+            spec, tuple(draw(st.integers(0, 2)) for _ in range(n)))
+    return spec, sigma, draw(st.integers(0, 6))
+
+
+@settings(deadline=None)
+@given(solver_inputs())
+def test_solver_matches_scan(inputs):
+    spec, sigma, bound = inputs
+    out = enumerate_admissible(spec, sigma, bound)
+    assert out.members == scan_admissible(spec, sigma, bound)
+    if out.complete:
+        assert scan_admissible(spec, sigma, bound + 4) == out.members
+
+
+def test_distinct_primes_are_complete():
+    spec = AlgebraSpec.with_distinct_primes(3)
+    out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
+    assert out.members == ((0, 0, 0), (1, 1, 1))
+    assert out.complete
+
+
+def test_signs_close_a_ray_the_exponents_allow():
+    # p_2 = -1 has the exponents of 1, so the exponents alone admit the ray
+    # through (0, 1); its signs never match
+    out = enumerate_admissible(Q2, ScalingAutomorphism.from_rationals([3, -1]), 6)
+    assert out.members == ((0, 0),)
+    assert out.complete
+
+
+def test_signs_and_integrality_repeat_with_the_period():
+    # on (1, 2, 3) the solutions are gamma_3 = 1 and 2 gamma_1 + gamma_2 = 9,
+    # and the signs of p_1, p_2 ask for gamma_2 and gamma_1 odd: only
+    # gamma_2 = 3 (mod 4) qualifies, which one period of length 4 finds
+    spec = AlgebraSpec.numeric(3, {(1, 2): -1, (1, 3): 4, (2, 3): 2})
+    sigma = ScalingAutomorphism.from_rationals([Fraction(-1, 4), Fraction(-1, 2), 512])
+    out = enumerate_admissible(spec, sigma, 9)
+    assert out.members == ((0, 0, 0), (3, 3, 1), (1, 7, 1))
+    assert out.complete
+    assert not enumerate_admissible(spec, sigma, 0).complete
+
+
+def test_two_free_variables_are_never_complete():
+    # q = -1 leaves no exponent rows on the support (1, 2): every (odd, odd)
+    spec = AlgebraSpec.one_parameter(2, -1)
+    out = enumerate_admissible(spec, canonical_automorphism(spec), 4)
+    assert out.members == ((0, 0), (1, 1), (1, 3), (3, 1))
+    assert not out.complete
+
+
+def test_long_bounded_family_is_not_scanned(monkeypatch):
+    # one segment of solutions reaches degree 10**4 + 2; the solver must
+    # look at one period of it, not all of it
+    spec = AlgebraSpec.one_parameter(3, 2)
+    sigma = ScalingAutomorphism(tuple(commutation_factor(spec, (1, 10**4, 1), i)
+                                      for i in (1, 2, 3)))
+    calls = []
+    real = qhyperplane.homology.is_admissible
+    monkeypatch.setattr(qhyperplane.homology, "is_admissible",
+                        lambda *args: calls.append(args) or real(*args))
+    out = enumerate_admissible(spec, sigma, 6)
+    assert out.members == tuple((0, t, 0) for t in range(7))
+    assert not out.complete
+    assert len(calls) <= 100
 
 
 # -- homology bases ----------------------------------------------------------------
