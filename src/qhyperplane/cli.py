@@ -181,6 +181,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     n_max = args.nmax if args.nmax is not None else parse_int(file_config.get("n_max", n))
     if n_max < 0:
         raise ConfigError("--nmax must be nonnegative")
+    if args.cap < 1:
+        raise ConfigError("--cap must be at least 1")
 
     return RunConfig(n=n, mode=mode, q_values=tuple(sorted(q_entries)),
                      automorphism=automorphism, p_list=p_list, alpha=alpha,
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expect-top", action="store_true",
                        help="fail verification if the top class is absent")
         p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP,
-                       help="largest normalized chain basis the oracle will build")
+                       help="largest normalized chain basis the oracle will "
+                            "build (at least 1)")
         p.add_argument("--config", default=None, help="JSON config file")
     return parser
 

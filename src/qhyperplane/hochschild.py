@@ -12,6 +12,11 @@ total degree.  Faces preserve the multidegree, so each multidegree gives a
 finite complex with exact homology dimensions, compared cell by cell with
 the count from the reduced Koszul complex.
 
+Within a multidegree the ranks go down in degree, from d_{n_max+1} on, so
+that each d_n is assembled with clearing: its columns that are pivot rows
+of the reduced d_{n+1} are left out.  As d_n d_{n+1} = 0 they lie in the
+span of the columns kept (see exactlinalg), so every rank stays exact.
+
 Rank computations need decidable zero, so this module insists on numeric
 mode; symbolic input is specialized at distinct primes, which is faithful to
 the generic regime.
@@ -54,7 +59,6 @@ class HochschildComplex:
         self.sigma = sigma
         self.cap = cap
         self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
-        self._rank_cache: dict[tuple[int, MultiIndex], int] = {}
 
     # -- bases ----------------------------------------------------------------
 
@@ -98,15 +102,19 @@ class HochschildComplex:
         faces.append(((merged,) + tensor[1:n], sign * twist * coeff))
         return faces
 
-    def boundary_matrix(self, n: int, gamma: MultiIndex) -> SparseExactMatrix:
+    def boundary_matrix(self, n: int, gamma: MultiIndex,
+                        cleared: frozenset[int] = frozenset()) -> SparseExactMatrix:
         """Matrix of the boundary from degree n to degree n-1 at one
-        multidegree, in the lexicographic bases."""
+        multidegree, in the lexicographic bases; the columns in cleared are
+        left zero."""
         if n < 1:
             return SparseExactMatrix(0, len(self.basis(0, gamma)))
         rows = {t: r for r, t in enumerate(self.basis(n - 1, gamma))}
         cols = self.basis(n, gamma)
         entries: dict[tuple[int, int], Fraction] = {}
         for c, tensor in enumerate(cols):
+            if c in cleared:
+                continue
             for face, coeff in self.boundary_faces(tensor):
                 key = (rows[face], c)
                 merged = entries.get(key, Fraction(0)) + coeff
@@ -116,21 +124,20 @@ class HochschildComplex:
                     entries.pop(key, None)
         return SparseExactMatrix(len(rows), len(cols), entries)
 
-    def _rank(self, n: int, gamma: MultiIndex) -> int:
-        key = (n, gamma)
-        if key not in self._rank_cache:
-            self._rank_cache[key] = self.boundary_matrix(n, gamma).rank()
-        return self._rank_cache[key]
-
     # -- homology dimensions ----------------------------------------------------
 
     def natural_dims(self, gamma: MultiIndex, n_max: int) -> list[int]:
-        """dim H_n for n = 0..n_max by rank-nullity at one multidegree."""
-        dims = []
-        for n in range(n_max + 1):
-            size = len(self.basis(n, gamma))
-            dims.append(size - self._rank(n, gamma) - self._rank(n + 1, gamma))
-        return dims
+        """dim H_n for n = 0..n_max by rank-nullity at one multidegree, going
+        down in degree so that each d_n is cleared by the pivots of d_{n+1}."""
+        if n_max < 0:
+            return []
+        dims, rank_above, cleared = [], 0, frozenset()
+        for n in range(n_max + 1, -1, -1):
+            d_n = self.boundary_matrix(n, gamma, cleared)
+            rank = d_n.rank()
+            dims.append(len(self.basis(n, gamma)) - rank - rank_above)
+            rank_above, cleared = rank, d_n.pivot_rows
+        return dims[:0:-1]      # ascending, without degree n_max + 1
 
 
 def _tensors(gamma: MultiIndex, slots: int) -> Iterator[Tensor]:

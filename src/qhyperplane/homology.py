@@ -76,6 +76,8 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
             for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in s if k != i)):
                 rows.append([q_vec[k, i].get(coord, 0) if k != i else 0 for k in s]
                             + [p_vec[i - 1].get(coord, 0)])
+        if any(row[-1] and not any(row[:-1]) for row in rows):
+            continue    # 0 = nonzero: no multidegree has this support
         pivots = _gauss_jordan(rows, len(s))
         if pivots is not None:
             complete &= _solve_support(spec, sigma, s, pivots, bound, members)

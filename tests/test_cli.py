@@ -56,6 +56,8 @@ def test_golden_report_is_byte_identical(name, tmp_path):
      EXIT_OK),
     # distinct primes: the admissible set is proven complete
     (["homology", "--n", "3", "--auto-primes", "--bound", "6"], EXIT_OK),
+    # a cap below 1 is malformed input, not a run with every cell skipped
+    (["verify", "--n", "2", "--bound", "3", "--cap", "-1"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code):
     assert main(argv) == code

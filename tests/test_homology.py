@@ -166,6 +166,20 @@ def test_distinct_primes_are_complete():
     assert out.complete
 
 
+def test_hopeless_supports_are_not_solved(monkeypatch):
+    # with the canonical twist, p_i carries every q_ki; on a smaller support
+    # some row reads 0 = nonzero, which needs no elimination
+    calls = []
+    real = qhyperplane.homology._gauss_jordan
+    monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
+                        lambda *args: calls.append(args) or real(*args))
+    spec = AlgebraSpec.with_distinct_primes(6)
+    out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
+    assert out.members == ((0,) * 6, (1,) * 6)
+    assert out.complete
+    assert len(calls) < 2 ** 6
+
+
 def test_signs_close_a_ray_the_exponents_allow():
     # p_2 = -1 has the exponents of 1, so the exponents alone admit the ray
     # through (0, 1); its signs never match
