@@ -31,16 +31,15 @@ class SparseExactMatrix:
     __slots__ = ("n_rows", "n_cols", "entries", "pivot_rows")
 
     def __init__(self, n_rows: int, n_cols: int,
-                 entries: Mapping[tuple[int, int], Fraction] = ()):
+                 entries: Mapping[tuple[int, int], Fraction] | None = None):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         cleaned: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in dict(entries).items():
+        for (r, c), v in (entries or {}).items():
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise IndexError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-            v = Fraction(v)
-            if v != 0:
-                cleaned[(r, c)] = v
+            if v:
+                cleaned[r, c] = v
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.entries = cleaned

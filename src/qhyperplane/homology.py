@@ -7,14 +7,16 @@ degree bound.  One exact solver does this for every mode and twist.  On a
 support S, gamma is admissible when prod_{k in S, k != i} q_ki^{gamma(k)}
 = p_i for each i in S; over a coprime base of the rationals involved (and
 the symbols q_ij) this is an integer linear system blind only to signs,
-which the membership predicate then decides.
+which the membership predicate then decides.  Supports are visited by size;
+once completeness is settled false, a support larger than the bound can add
+no member (each has degree at least its size), so the visit stops there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, inf, lcm
 from typing import Iterable
 
@@ -69,8 +71,11 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     p_vec = [_exponents(c, base) for c in sigma.p]
     members: list[MultiIndex] = []
     complete = True
-    for mask in range(1 << spec.n):
-        s = [i for i in range(1, spec.n + 1) if mask >> (i - 1) & 1]
+    supports = (s for size in range(spec.n + 1)
+                for s in combinations(range(1, spec.n + 1), size))
+    for s in supports:
+        if len(s) > bound and not complete:
+            break       # members here have degree >= |s| > bound
         rows = []
         for i in s:
             for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in s if k != i)):
@@ -153,7 +158,7 @@ def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: list[int],
+def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: tuple[int, ...],
                    pivots: list[tuple[int, list[int]]], bound: int,
                    members: list[MultiIndex]) -> bool:
     """Append the admissible multidegrees with support s up to the bound to
@@ -247,11 +252,6 @@ class HomologyReport:
     @property
     def truncated(self) -> bool:
         return not self.admissible.complete
-
-    def betti(self, n: int) -> int:
-        if 0 <= n < len(self.slices):
-            return self.slices[n].betti
-        return 0
 
     def betti_list(self) -> list[int]:
         return [s.betti for s in self.slices]

@@ -293,17 +293,15 @@ def is_generic(spec: AlgebraSpec, bound: int) -> GenericityReport:
     A witness is a multidegree, supported on at least two generators, whose
     monomial commutes with every generator in its support (multiples of a
     single generator always commute with themselves and are not violations).
+    The answer is read off the identity-twist admissible set that
+    homology.enumerate_admissible solves, whose members come by (degree,
+    lex): the witness is the first member on two or more generators.
     Symbolic mode is generic structurally: a nontrivial monomial relation
-    among independent symbols is impossible.
+    among independent symbols is impossible, and the solver finds none.
     """
+    from .homology import enumerate_admissible    # homology imports this module
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    if spec.mode == SYMBOLIC:
-        return GenericityReport(True, None, bound, structural=True)
-    identity = ScalingAutomorphism.identity(spec.n)
-    for gamma in iter_multidegrees(spec.n, bound):
-        if len(support(gamma)) < 2:
-            continue
-        if is_admissible(spec, identity, gamma):
-            return GenericityReport(False, gamma, bound, structural=False)
-    return GenericityReport(True, None, bound, structural=False)
+    members = enumerate_admissible(spec, ScalingAutomorphism.identity(spec.n), bound).members
+    witness = next((g for g in members if len(support(g)) >= 2), None)
+    return GenericityReport(witness is None, witness, bound, spec.mode == SYMBOLIC)

@@ -71,16 +71,6 @@ class QExponent:
     def items(self) -> tuple[tuple[Pair, int], ...]:
         return self._items
 
-    def get(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        flip = i > j
-        key = (j, i) if flip else (i, j)
-        for pair, e in self._items:
-            if pair == key:
-                return -e if flip else e
-        return 0
-
     def is_trivial(self) -> bool:
         return not self._items
 

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qhyperplane.homology
+import qhyperplane.hyperplane
 from qhyperplane.homology import (build_report, enumerate_admissible,
                                   homology_basis, one_parameter_admissible,
                                   predicted_dims, scan_admissible)
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
-                                    unit)
-from qhyperplane.koszul import ReducedComplex, chain
+                                    is_generic, unit)
+from qhyperplane.koszul import ReducedComplex
 from qhyperplane.qscalar import all_pairs
 
 Q2 = AlgebraSpec.symbolic(2)
@@ -133,19 +134,23 @@ VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)
 
 
 @st.composite
-def solver_inputs(draw):
+def specs(draw):
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        spec = AlgebraSpec.symbolic(n)
-    else:
-        spec = AlgebraSpec.numeric(n, {pair: draw(st.sampled_from(VALUES))
-                                       for pair in all_pairs(n)})
+        return AlgebraSpec.symbolic(n)
+    return AlgebraSpec.numeric(n, {pair: draw(st.sampled_from(VALUES))
+                                   for pair in all_pairs(n)})
+
+
+@st.composite
+def solver_inputs(draw):
+    spec = draw(specs())
     if draw(st.booleans()):
         sigma = ScalingAutomorphism(tuple(draw(st.sampled_from(VALUES))
-                                          for _ in range(n)))
+                                          for _ in range(spec.n)))
     else:
         sigma = automorphism_for_top_class(
-            spec, tuple(draw(st.integers(0, 2)) for _ in range(n)))
+            spec, tuple(draw(st.integers(0, 2)) for _ in range(spec.n)))
     return spec, sigma, draw(st.integers(0, 6))
 
 
@@ -159,11 +164,37 @@ def test_solver_matches_scan(inputs):
         assert scan_admissible(spec, sigma, bound + 4) == out.members
 
 
+@settings(deadline=None)
+@given(specs(), st.integers(2, 8))
+def test_is_generic_matches_scan(spec, bound):
+    report = is_generic(spec, bound)
+    identity = ScalingAutomorphism.identity(spec.n)
+    witness = next((g for g in scan_admissible(spec, identity, bound)
+                    if sum(map(bool, g)) >= 2), None)
+    assert report.witness == witness
+    assert report.generic == (witness is None)
+    assert report.structural == (spec.mode == "symbolic")
+
+
+def test_generic_check_skips_the_multidegree_scan(monkeypatch):
+    calls = []
+    for module in (qhyperplane.homology, qhyperplane.hyperplane):
+        real = module.is_admissible
+        monkeypatch.setattr(module, "is_admissible",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    report = is_generic(AlgebraSpec.with_distinct_primes(6), 11)
+    assert report.generic and report.witness is None
+    assert len(calls) < 200
+
+
 def test_distinct_primes_are_complete():
     spec = AlgebraSpec.with_distinct_primes(3)
     out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
     assert out.members == ((0, 0, 0), (1, 1, 1))
     assert out.complete
+    # only the support of size 3 > bound 2 holds (1, 1, 1), and it must
+    # still be solved while completeness is unsettled
+    assert not enumerate_admissible(spec, canonical_automorphism(spec), 2).complete
 
 
 def test_hopeless_supports_are_not_solved(monkeypatch):
@@ -178,6 +209,21 @@ def test_hopeless_supports_are_not_solved(monkeypatch):
     assert out.members == ((0,) * 6, (1,) * 6)
     assert out.complete
     assert len(calls) < 2 ** 6
+
+
+def test_supports_past_the_bound_are_skipped_once_incomplete(monkeypatch):
+    # the identity twist admits every power of one generator, so completeness
+    # is settled false on the supports of size 1; no support of size 3 or
+    # more holds a member of degree <= 2
+    calls = []
+    real = qhyperplane.homology._gauss_jordan
+    monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
+                        lambda *args: calls.append(args) or real(*args))
+    spec, identity = AlgebraSpec.with_distinct_primes(8), ScalingAutomorphism.identity(8)
+    out = enumerate_admissible(spec, identity, 2)
+    assert len(calls) <= 1 + 8 + 28
+    assert out.members == scan_admissible(spec, identity, 2)
+    assert not out.complete
 
 
 def test_signs_close_a_ray_the_exponents_allow():
@@ -263,8 +309,7 @@ def test_identity_twist_no_homology_above_degree_one():
         ident = ScalingAutomorphism.identity(n_generators)
         for bound in (2, 4, 6):
             report = build_report(spec, ident, bound)
-            for n in range(2, n_generators + 1):
-                assert report.betti(n) == 0
+            assert report.betti_list()[2:] == [0] * (n_generators - 1)
 
 
 def test_generators_are_cycles():
@@ -276,7 +321,7 @@ def test_generators_are_cycles():
         report = build_report(spec, sigma, 4)
         for s in report.slices:
             for generator in s.generators:
-                assert complex_.differential(chain({generator: 1})) == {}
+                assert complex_.differential({generator: 1}) == {}
 
 
 def test_generators_are_sigma_invariant():
@@ -302,7 +347,7 @@ def test_report_metadata():
     assert d["mode"] == "symbolic" and d["bound"] == 6
     assert d["betti"] == [2, 2, 1]
     assert d["truncated"] is False
-    assert report.betti(5) == 0
+    assert [s.n for s in report.slices] == [0, 1, 2]
 
 
 def test_predicted_dims_track_the_basis():

@@ -84,9 +84,9 @@ def test_specialize_missing_pair_raises():
 
 def test_exponent_orientation():
     e = QExponent.of(3, 1, 2)         # q_31^2 stored as q_13^{-2}
-    assert e.get(1, 3) == -2
-    assert e.get(3, 1) == 2
-    assert e.get(2, 2) == 0
+    assert e.items() == (((1, 3), -2),)
+    assert QExponent.of(1, 3, -2) == e
+    assert QExponent.of(2, 2, 5).items() == ()
 
 
 def test_zero_is_canonical():
