@@ -16,19 +16,18 @@ from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                          commutation_factor, is_admissible, is_generic,
                          monomial_product, normal_order, sigma_commutes_at)
 from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
-from .qscalar import (NumericAssignment, QCoefficient, QExponent, QFraction,
-                      QPolynomial)
+from .qscalar import NumericAssignment, QCoefficient, QFraction
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "CellTooLarge", "HochschildComplex", "HomologyReport",
-    "NumericAssignment", "QCoefficient", "QExponent", "QFraction",
-    "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
-    "SparseExactMatrix", "apply_sigma", "automorphism_for_top_class",
-    "build_report", "canonical_automorphism", "check_d_squared",
-    "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
-    "enumerate_admissible", "homology_basis", "is_admissible", "is_generic",
-    "monomial_product", "normal_order", "one_parameter_admissible",
-    "predicted_dims", "scan_admissible", "sigma_commutes_at",
+    "NumericAssignment", "QCoefficient", "QFraction", "ReducedComplex",
+    "ScalingAutomorphism", "SparseExactMatrix", "apply_sigma",
+    "automorphism_for_top_class", "build_report", "canonical_automorphism",
+    "check_d_squared", "check_homotopy_identity", "commutation_factor",
+    "compare_with_koszul", "enumerate_admissible", "homology_basis",
+    "is_admissible", "is_generic", "monomial_product", "normal_order",
+    "one_parameter_admissible", "predicted_dims", "scan_admissible",
+    "sigma_commutes_at",
 ]

@@ -18,8 +18,10 @@ of the reduced d_{n+1} are left out.  As d_n d_{n+1} = 0 they lie in the
 span of the columns kept (see exactlinalg), so every rank stays exact.
 
 Rank computations need decidable zero, so this module insists on numeric
-mode; symbolic input is specialized at distinct primes, which is faithful to
-the generic regime.
+mode; symbolic input is specialized at distinct primes that divide no
+rational in sigma, which is faithful to the generic regime: by unique
+factorization a monomial equation among the q_ij and the p_i then holds at
+the primes exactly when it holds over the symbols.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from typing import Iterator
 
 from .exactlinalg import SparseExactMatrix
 from .homology import predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          apply_sigma, iter_multidegrees,
                          monomial_product, specialize_automorphism)
+from .qscalar import NumericAssignment, rational_part
 
 Tensor = tuple[MultiIndex, ...]
 
@@ -59,6 +61,7 @@ class HochschildComplex:
         self.sigma = sigma
         self.cap = cap
         self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
+        self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
 
     # -- bases ----------------------------------------------------------------
 
@@ -78,9 +81,24 @@ class HochschildComplex:
             raise CellTooLarge(f"basis of C_{n}{gamma} exceeds cap {self.cap}")
         tensors = [(head,) + tail
                    for head in product(*(range(g + 1) for g in gamma))
-                   for tail in _tensors(_minus(gamma, head), n)]
+                   for tail in self._tails(_minus(gamma, head), n)]
         self._basis_cache[key] = tensors
         return tensors
+
+    def _tails(self, gamma: MultiIndex, slots: int) -> list[Tensor]:
+        """Tuples of `slots` nonunit monomials with total gamma,
+        lexicographic; each list is built once per complex."""
+        key = (gamma, slots)
+        tails = self._tail_cache.get(key)
+        if tails is None:
+            if slots == 0:
+                tails = [] if any(gamma) else [()]
+            else:
+                tails = [(head,) + tail
+                         for head in product(*(range(g + 1) for g in gamma)) if any(head)
+                         for tail in self._tails(_minus(gamma, head), slots - 1)]
+            self._tail_cache[key] = tails
+        return tails
 
     # -- the boundary -----------------------------------------------------------
 
@@ -140,18 +158,6 @@ class HochschildComplex:
         return dims[:0:-1]      # ascending, without degree n_max + 1
 
 
-def _tensors(gamma: MultiIndex, slots: int) -> Iterator[Tensor]:
-    """Tuples of `slots` nonunit monomials with total gamma, lexicographic."""
-    if slots == 0:
-        if not any(gamma):
-            yield ()
-        return
-    for head in product(*(range(g + 1) for g in gamma)):
-        if any(head):
-            for tail in _tensors(_minus(gamma, head), slots - 1):
-                yield (head,) + tail
-
-
 def _minus(gamma: MultiIndex, head: MultiIndex) -> MultiIndex:
     return tuple(g - h for g, h in zip(gamma, head))
 
@@ -208,11 +214,14 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     """Cell-by-cell comparison of oracle homology dimensions with the counts
     predicted by the reduced complex, over all multidegrees up to the bound.
 
-    Symbolic input is specialized at distinct primes first.  Cells whose
-    chain spaces exceed the cap are reported as skipped, never guessed.
+    Symbolic input is specialized first, at distinct primes that divide no
+    numerator or denominator in sigma.  Cells whose chain spaces exceed the
+    cap are reported as skipped, never guessed.
     """
     if spec.mode != NUMERIC:
-        assignment = AlgebraSpec.with_distinct_primes(spec.n).assignment
+        assignment = NumericAssignment.distinct_primes(
+            spec.n, prod(abs(x) for c in sigma.p
+                         for x in rational_part(c).as_integer_ratio()))
         sigma = specialize_automorphism(sigma, assignment)
         spec = AlgebraSpec.numeric(spec.n, assignment)
     complex_ = HochschildComplex(spec, sigma, cap)

@@ -15,7 +15,6 @@ no member (each has degree at least its size), so the visit stops there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, inf, lcm
 from typing import Iterable
@@ -23,7 +22,7 @@ from typing import Iterable
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          canonical_automorphism, degree, exterior_under,
                          is_admissible, iter_multidegrees, sub_index)
-from .qscalar import QCoefficient, Scalar
+from .qscalar import QCoefficient, Scalar, rational_part
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -66,7 +65,7 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
         raise ValueError("bound must be nonnegative")
     q = {ki: spec.q_power(*ki) for ki in permutations(range(1, spec.n + 1), 2)}
     base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
-                         for x in _rational(c).as_integer_ratio())
+                         for x in rational_part(c).as_integer_ratio())
     q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
     p_vec = [_exponents(c, base) for c in sigma.p]
     members: list[MultiIndex] = []
@@ -95,10 +94,6 @@ def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
     return enumerate_admissible(spec, canonical_automorphism(spec), bound)
 
 
-def _rational(c: Scalar) -> Fraction:
-    return c.scalar if isinstance(c, QCoefficient) else Fraction(c)
-
-
 def _coprime_base(values: Iterable[int]) -> list[int]:
     """Pairwise coprime integers > 1 of which every value is a product,
     built by gcd splitting, so no value is ever factored."""
@@ -118,8 +113,8 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
 
 def _exponents(c: Scalar, base: list[int]) -> dict:
     """Exponent vector of |c|: base element or symbol pair -> exponent."""
-    vec = dict(c.exponent.items()) if isinstance(c, QCoefficient) else {}
-    num, den = _rational(c).as_integer_ratio()
+    vec = dict(c.exponent) if isinstance(c, QCoefficient) else {}
+    num, den = rational_part(c).as_integer_ratio()
     for b in base:
         e = 0
         while num % b == 0:

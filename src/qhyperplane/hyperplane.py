@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, QCoefficient, Scalar, specialize
+from .qscalar import NumericAssignment, Scalar, coefficient, monomial, specialize
 
 MultiIndex = tuple[int, ...]
 
@@ -140,7 +140,7 @@ class AlgebraSpec:
         if i == j or e == 0:
             return Fraction(1)
         if self.mode == SYMBOLIC:
-            return QCoefficient.q_power(i, j, e)
+            return coefficient(1, monomial(i, j, e))
         return self.assignment.value(i, j) ** e
 
 

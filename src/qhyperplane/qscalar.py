@@ -1,22 +1,22 @@
 """Exact coefficient arithmetic for the deformation parameters.
 
-All coefficients are exact.  A scalar with no q in it is a plain
-``fractions.Fraction``, in symbolic and numeric mode alike; a rational times
-a Laurent monomial in the ``q_ij`` (one symbol per pair ``i < j``) is a
-QCoefficient.  The reduced Koszul complex additionally needs sums of such
-terms and quotients of the sums, so this module provides a small tower
+All coefficients are exact, and there are three kinds of scalar:
 
-    QCoefficient  (nonzero rational * nontrivial Laurent monomial)
-    QPolynomial   (finite sums of rational multiples of monomials)
-    QFraction     (quotients of QPolynomials, no normal form beyond
-                   clearing monomial denominators)
+    Fraction      a scalar with no q in it, in symbolic and numeric mode alike
+    QCoefficient  a nonzero rational times a nontrivial Laurent monomial in
+                  the q_ij (one symbol per pair i < j)
+    QFraction     a quotient of two polynomials in the q_ij, with no normal
+                  form beyond clearing monomial denominators
 
-together with ``NumericAssignment`` which evaluates everything at concrete
-nonzero rationals.  ``coefficient`` is the one factory for monomial terms and
-returns a Fraction whenever the monomial cancels, so a QCoefficient never
-equals a rational.  All of them mix under the ordinary operators.
-The conventions ``q_ii = 1`` and ``q_ji = q_ij^{-1}`` are baked in: only
-pairs with ``i < j`` are ever stored.
+A Laurent monomial is a plain sorted tuple of ((i, j), e) with i < j and e
+nonzero, so equality and hashing are those of tuples and the empty tuple is
+1; ``monomial`` builds q_ij^e, turning q_ji into q_ij^{-1} and q_ii into 1.
+A polynomial is a dict from monomial to nonzero Fraction, and lives only as
+the numerator or denominator of a QFraction.  ``coefficient`` is the one
+factory for monomial terms and returns a Fraction whenever the monomial is
+trivial, so a QCoefficient never equals a rational.  All three kinds mix under
+the ordinary operators, and ``specialize`` evaluates any of them at a
+``NumericAssignment`` of concrete nonzero rationals.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -25,9 +25,11 @@ unforgiving of rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Pair = tuple[int, int]
+Monomial = tuple[tuple[Pair, int], ...]
+Polynomial = dict[Monomial, Fraction]
 
 
 def all_pairs(n: int) -> list[Pair]:
@@ -42,79 +44,48 @@ def _check_pair(pair: Pair) -> Pair:
     return (i, j)
 
 
-class QExponent:
-    """Exponent vector of a Laurent monomial in the q_ij.
+# ---------------------------------------------------------------------------
+# Laurent monomials
 
-    Stored sparsely as a sorted tuple of ((i, j), exponent) with i < j and
-    nonzero exponents only, so equality and hashing are structural.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, entries: Mapping[Pair, int] | Iterable[tuple[Pair, int]] = ()):
-        merged: dict[Pair, int] = {}
-        for pair, e in dict(entries).items():
-            _check_pair(pair)
-            if e:
-                merged[pair] = e
-        self._items = tuple(sorted(merged.items()))
-
-    @classmethod
-    def of(cls, i: int, j: int, e: int = 1) -> "QExponent":
-        """Exponent of q_ij^e, normalising q_ji to q_ij^{-1}."""
-        if i == j:
-            return cls()
-        if i > j:
-            i, j, e = j, i, -e
-        return cls({(i, j): e})
-
-    def items(self) -> tuple[tuple[Pair, int], ...]:
-        return self._items
-
-    def is_trivial(self) -> bool:
-        return not self._items
-
-    def __mul__(self, other: "QExponent") -> "QExponent":
-        merged = dict(self._items)
-        for pair, e in other._items:
-            merged[pair] = merged.get(pair, 0) + e
-        return QExponent(merged)
-
-    def __pow__(self, n: int) -> "QExponent":
-        if n == 0:
-            return QExponent()
-        return QExponent({pair: e * n for pair, e in self._items})
-
-    def inverse(self) -> "QExponent":
-        return self ** -1
-
-    def specialize(self, assignment: "NumericAssignment") -> Fraction:
-        value = Fraction(1)
-        for (i, j), e in self._items:
-            value *= assignment.value(i, j) ** e
-        return value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QExponent) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __str__(self) -> str:
-        if not self._items:
-            return "1"
-        parts = []
-        for (i, j), e in self._items:
-            parts.append(f"q({i},{j})" + (f"^{e}" if e != 1 else ""))
-        return "*".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QExponent({dict(self._items)!r})"
+def monomial(i: int, j: int, e: int = 1) -> Monomial:
+    """The monomial q_ij^e, normalising q_ji to q_ij^{-1} and q_ii to 1."""
+    if i == j or e == 0:
+        return ()
+    if i > j:
+        i, j, e = j, i, -e
+    return ((_check_pair((i, j)), e),)
 
 
-def coefficient(scalar, exponent: QExponent) -> "Scalar":
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = dict(a)
+    for pair, e in b:
+        merged[pair] = merged.get(pair, 0) + e
+    return tuple(sorted(item for item in merged.items() if item[1]))
+
+
+def _mono_pow(a: Monomial, n: int) -> Monomial:
+    return tuple((pair, e * n) for pair, e in a) if n else ()
+
+
+def _mono_value(a: Monomial, assignment: "NumericAssignment") -> Fraction:
+    value = Fraction(1)
+    for (i, j), e in a:
+        value *= assignment.value(i, j) ** e
+    return value
+
+
+def _mono_str(a: Monomial) -> str:
+    return "*".join(f"q({i},{j})" + (f"^{e}" if e != 1 else "")
+                    for (i, j), e in a) or "1"
+
+
+def coefficient(scalar, exponent: Monomial) -> "Scalar":
     """scalar * q^exponent: a plain Fraction when no q survives."""
-    if not scalar or exponent.is_trivial():
+    if not scalar or not exponent:
         return Fraction(scalar)
     return QCoefficient(scalar, exponent)
 
@@ -123,26 +94,23 @@ class QCoefficient:
     """Exact scalar: nonzero rational number times a nontrivial Laurent
     monomial in the q_ij.
 
-    Products, powers and inverses that cancel the monomial come back as
-    Fractions through ``coefficient``; sums and differences are QFractions.
+    Products and powers that cancel the monomial come back as Fractions
+    through ``coefficient``; sums and differences are QFractions.
     """
 
     __slots__ = ("scalar", "exponent")
 
-    def __init__(self, scalar, exponent: QExponent):
-        if not scalar or exponent.is_trivial():
+    def __init__(self, scalar, exponent: Monomial):
+        if not scalar or not exponent:
             raise ValueError("a QCoefficient needs a nonzero scalar and a "
                              "nontrivial monomial; use coefficient()")
         self.scalar = Fraction(scalar)
         self.exponent = exponent
 
-    @classmethod
-    def q_power(cls, i: int, j: int, e: int = 1) -> "Scalar":
-        return coefficient(1, QExponent.of(i, j, e))
-
     def __mul__(self, other):
         if isinstance(other, QCoefficient):
-            return coefficient(self.scalar * other.scalar, self.exponent * other.exponent)
+            return coefficient(self.scalar * other.scalar,
+                               _mono_mul(self.exponent, other.exponent))
         if isinstance(other, (Fraction, int)):
             return coefficient(self.scalar * other, self.exponent)
         return NotImplemented
@@ -163,15 +131,8 @@ class QCoefficient:
     def __rsub__(self, other) -> "QFraction":
         return other - _lift(self)
 
-    def inverse(self) -> "QCoefficient":
-        return QCoefficient(1 / self.scalar, self.exponent.inverse())
-
     def __pow__(self, n: int) -> "Scalar":
-        return coefficient(self.scalar ** n, self.exponent ** n)
-
-    def specialize(self, assignment: "NumericAssignment") -> Fraction:
-        """Evaluate at the assignment; exact rational result."""
-        return self.scalar * self.exponent.specialize(assignment)
+        return coefficient(self.scalar ** n, _mono_pow(self.exponent, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QCoefficient):
@@ -183,10 +144,10 @@ class QCoefficient:
 
     def __str__(self) -> str:
         if self.scalar == 1:
-            return str(self.exponent)
+            return _mono_str(self.exponent)
         if self.scalar == -1:
-            return "-" + str(self.exponent)
-        return f"{self.scalar}*{self.exponent}"
+            return "-" + _mono_str(self.exponent)
+        return f"{self.scalar}*{_mono_str(self.exponent)}"
 
     def __repr__(self) -> str:
         return f"QCoefficient({self.scalar!r}, {self.exponent!r})"
@@ -195,11 +156,18 @@ class QCoefficient:
 Scalar = Fraction | QCoefficient
 
 
+def rational_part(value: Scalar) -> Fraction:
+    """The rational factor of a scalar: its scalar part, or itself."""
+    return value.scalar if isinstance(value, QCoefficient) else Fraction(value)
+
+
 def specialize(value, assignment: "NumericAssignment") -> Fraction:
     """Evaluate any scalar at the assignment; a rational is its own value."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    return value.specialize(assignment)
+    if isinstance(value, QCoefficient):
+        return value.scalar * _mono_value(value.exponent, assignment)
+    if isinstance(value, QFraction):
+        return _poly_value(value.num, assignment) / _poly_value(value.den, assignment)
+    return Fraction(value)
 
 
 class NumericAssignment:
@@ -216,8 +184,9 @@ class NumericAssignment:
         self._values = table
 
     @classmethod
-    def distinct_primes(cls, n: int) -> "NumericAssignment":
-        """Assign pairwise distinct primes, lexicographically over pairs.
+    def distinct_primes(cls, n: int, coprime_to: int = 1) -> "NumericAssignment":
+        """Assign pairwise distinct primes that do not divide coprime_to,
+        lexicographically over pairs.
 
         Distinct primes are multiplicatively independent over the rationals,
         so this numeric model reproduces the symbolic-generic regime exactly.
@@ -226,7 +195,7 @@ class NumericAssignment:
         primes: list[int] = []
         candidate = 2
         while len(primes) < len(pairs):
-            if all(candidate % p for p in primes):
+            if all(candidate % p for p in primes) and coprime_to % candidate:
                 primes.append(candidate)
             candidate += 1
         return cls({pair: Fraction(p) for pair, p in zip(pairs, primes)})
@@ -259,81 +228,45 @@ class NumericAssignment:
         return f"NumericAssignment({self._values!r})"
 
 
-class QPolynomial:
-    """Finite sum of rational multiples of Laurent monomials in the q_ij."""
+# ---------------------------------------------------------------------------
+# polynomials: dicts from monomial to nonzero Fraction
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[QExponent, Fraction] = ()):
-        cleaned = {m: c if type(c) is Fraction else Fraction(c)
-                   for m, c in dict(terms).items() if c != 0}
-        self._terms = cleaned
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls({QExponent(): Fraction(1)})
-
-    @classmethod
-    def from_coefficient(cls, c: "Scalar | int") -> "QPolynomial":
-        """The one lift of a scalar into the polynomials."""
-        if isinstance(c, QCoefficient):
-            return cls({c.exponent: c.scalar})
-        return cls({QExponent(): c})
-
-    def terms(self) -> tuple[tuple[QExponent, Fraction], ...]:
-        return tuple(sorted(self._terms.items(), key=lambda kv: str(kv[0])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return QPolynomial(merged)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        out: dict[QExponent, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return QPolynomial(out)
-
-    def specialize(self, assignment: NumericAssignment | None) -> Fraction:
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            if m.is_trivial():
-                total += c
-            elif assignment is None:
-                raise ValueError("symbolic polynomial needs a numeric assignment")
-            else:
-                total += c * m.specialize(assignment)
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self._terms == other._terms
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(str(coefficient(c, m)) for m, c in self.terms())
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({self._terms!r})"
+_ONE: Polynomial = {(): Fraction(1)}
 
 
-_ONE = QPolynomial.one()
+def _poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    out = dict(a)
+    for m, c in b.items():
+        s = out[m] + c if m in out else c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    out: Polynomial = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m, c = _mono_mul(m1, m2), c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_value(a: Polynomial, assignment: NumericAssignment) -> Fraction:
+    return sum((c * _mono_value(m, assignment) for m, c in a.items()), Fraction(0))
+
+
+def _poly_str(a: Polynomial) -> str:
+    if not a:
+        return "0"
+    terms = sorted(a.items(), key=lambda mc: _mono_str(mc[0]))
+    return " + ".join(str(coefficient(c, m)) for m, c in terms)
 
 
 class QFraction:
-    """Quotient of two QPolynomials with a nonzero denominator.
+    """Quotient of two polynomials with a nonzero denominator.
 
     There is no gcd-based normal form; instead a denominator that happens to
     be a single monomial is cleared into the numerator (Laurent monomials are
@@ -345,14 +278,15 @@ class QFraction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPolynomial, den: QPolynomial = _ONE):
-        if den.is_zero():
+    def __init__(self, num: Polynomial, den: Polynomial = _ONE):
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        if not num:
             den = _ONE
-        elif len(den._terms) == 1 and den != _ONE:
-            ((m, c),) = den._terms.items()
-            num = num * QPolynomial({m.inverse(): 1 / c})
+        elif len(den) == 1 and den != _ONE:
+            ((m, c),) = den.items()
+            inverse = _mono_pow(m, -1)
+            num = {_mono_mul(k, inverse): v / c for k, v in num.items()}
             den = _ONE
         self.num = num
         self.den = den
@@ -360,14 +294,15 @@ class QFraction:
     def __add__(self, other) -> "QFraction":
         other = _lift(other)
         if self.den == other.den:
-            return QFraction(self.num + other.num, self.den)
-        return QFraction(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+            return QFraction(_poly_add(self.num, other.num), self.den)
+        return QFraction(_poly_add(_poly_mul(self.num, other.den),
+                                   _poly_mul(other.num, self.den)),
+                         _poly_mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QFraction":
-        return QFraction(-self.num, self.den)
+        return QFraction({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "QFraction":
         return self + (-other)
@@ -377,31 +312,28 @@ class QFraction:
 
     def __mul__(self, other) -> "QFraction":
         if isinstance(other, (Fraction, int)):
-            return QFraction(QPolynomial({m: c * other for m, c in self.num._terms.items()}),
+            return QFraction({m: c * other for m, c in self.num.items()} if other else {},
                              self.den)
         other = _lift(other)
-        return QFraction(self.num * other.num, self.den * other.den)
+        return QFraction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QFraction":
         other = _lift(other)
-        return QFraction(self.num * other.den, self.den * other.num)
+        return QFraction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
 
     def __rtruediv__(self, other) -> "QFraction":
         return _lift(other) / self
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def specialize(self, assignment: NumericAssignment | None) -> Fraction:
-        return self.num.specialize(assignment) / self.den.specialize(assignment)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (QFraction, QCoefficient, Fraction, int)):
             return NotImplemented
         other = _lift(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
     def __hash__(self) -> int:
         # hashing requires a normal form; QFractions are not dict keys
@@ -409,8 +341,8 @@ class QFraction:
 
     def __str__(self) -> str:
         if self.den == _ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+            return _poly_str(self.num)
+        return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"QFraction({self.num!r}, {self.den!r})"
@@ -419,4 +351,6 @@ class QFraction:
 def _lift(value: "QFraction | QCoefficient | Fraction | int") -> QFraction:
     if isinstance(value, QFraction):
         return value
-    return QFraction(QPolynomial.from_coefficient(value))
+    if isinstance(value, QCoefficient):
+        return QFraction({value.exponent: value.scalar})
+    return QFraction({(): Fraction(value)} if value else {})

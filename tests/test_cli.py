@@ -6,13 +6,15 @@ argument lists in GOLDEN; regenerate one with
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
-from qhyperplane.qscalar import QCoefficient, QFraction, QPolynomial
+from qhyperplane import qscalar
+from qhyperplane.qscalar import QCoefficient, QFraction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -26,6 +28,9 @@ GOLDEN = {
     "verify": ["verify", "--n", "2", "--bound", "3"],
     # q = -1 is not generic: more multidegrees carry homology
     "verify-nongeneric": ["verify", "--n", "2", "--q", "1,2,-1", "--bound", "5"],
+    # exponents other than +-1 in sigma pin the symbolic coefficient strings
+    "homology-solve-top": ["homology", "--symbolic", "--n", "3", "--automorphism",
+                           "solve-top", "--alpha", "1,0,2", "--bound", "6"],
 }
 
 
@@ -69,12 +74,22 @@ def test_exit_codes(argv, code):
      "--bound", "6", "--allow-truncated"],
 ])
 def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
-    # numeric mode computes with Fractions only
+    # numeric mode computes with Fractions only: no symbolic scalar and no
+    # monomial is built, whichever module calls the constructor
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"numeric mode built a {type(self).__name__}")
 
-    for cls in (QCoefficient, QPolynomial, QFraction):
+    def refuse_monomial(*args):
+        raise AssertionError(f"numeric mode built the monomial {args}")
+
+    for cls in (QCoefficient, QFraction):
         monkeypatch.setattr(cls, "__init__", refuse)
+    callers = [m for name, m in sys.modules.items()
+               if name.startswith("qhyperplane")
+               and getattr(m, "monomial", None) is qscalar.monomial]
+    assert len(callers) >= 2      # qscalar itself and hyperplane at least
+    for module in callers:
+        monkeypatch.setattr(module, "monomial", refuse_monomial)
     assert main(argv) == EXIT_OK
 
 

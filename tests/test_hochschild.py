@@ -12,6 +12,7 @@ from linalg_reference import matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
                                     compare_with_koszul)
+from qhyperplane.homology import predicted_dims
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
                                     canonical_automorphism, compositions,
                                     iter_multidegrees)
@@ -208,6 +209,31 @@ def test_compare_with_koszul_agrees(spec):
     assert len(report.cells) == 15 * 3
     assert not report.skipped_cells
     assert report.agreement and not report.mismatches()
+
+
+def test_symbolic_input_avoids_the_primes_of_sigma():
+    # at q12 = 2 the twist p = (1/2, 2) makes (1, 1) admissible; over the
+    # symbol q12 it is not, and only gamma = 0 carries homology
+    sigma = ScalingAutomorphism.from_rationals([Fraction(1, 2), 2])
+    report = compare_with_koszul(AlgebraSpec.symbolic(2), sigma, 2, 3)
+    assert report.agreement
+    assert [(c.gamma, c.n) for c in report.cells if c.natural_predicted] == [((0, 0), 0)]
+
+
+P_VALUES = [1, -1, 2, -2, Fraction(1, 2), 3, Fraction(2, 3), Fraction(6, 35)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.sampled_from(P_VALUES), min_size=n, max_size=n)),
+    st.integers(0, 4), st.integers(0, 3))
+def test_specialized_prediction_is_the_symbolic_one(p, bound, n_max):
+    spec = AlgebraSpec.symbolic(len(p))
+    sigma = ScalingAutomorphism.from_rationals(p)
+    report = compare_with_koszul(spec, sigma, n_max, bound)
+    for cell in report.cells:
+        assert cell.natural_predicted == predicted_dims(spec, sigma, cell.gamma, cell.n)
+    assert report.agreement
 
 
 def test_skipped_cells_are_no_agreement():

@@ -11,14 +11,14 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigm
                                     add_index, degree, is_admissible, is_generic,
                                     iter_multidegrees, monomial_product,
                                     normal_order, sigma_commutes_at, unit)
-from qhyperplane.qscalar import QCoefficient
+from qhyperplane.qscalar import coefficient, monomial
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
 
 
 def q(i, j, e=1):
-    return QCoefficient.q_power(i, j, e)
+    return coefficient(1, monomial(i, j, e))
 
 
 words = st.lists(st.integers(1, 3), max_size=7)

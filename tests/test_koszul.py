@@ -12,7 +12,7 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     specialize_automorphism)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import QCoefficient, QFraction, specialize
+from qhyperplane.qscalar import QFraction, coefficient, monomial, specialize
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
@@ -36,7 +36,7 @@ def test_differential_coefficient_single_commuting_generator():
 def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
     value = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    expected = 1 - QCoefficient.q_power(1, 2, -1)
+    expected = 1 - coefficient(1, monomial(1, 2, -1))
     assert isinstance(expected, QFraction)
     assert value == expected
     assert value
@@ -73,7 +73,7 @@ def test_differential_vanishes_on_admissible_multidegrees():
 
 def test_differential_single_term():
     out = CANONICAL2.differential({((0, 0), (1, 0)): 1})
-    expected_coeff = 1 - QCoefficient.q_power(1, 2, -1)
+    expected_coeff = 1 - coefficient(1, monomial(1, 2, -1))
     assert set(out) == {((1, 0), (0, 0))}
     assert out[((1, 0), (0, 0))] == expected_coeff
 
