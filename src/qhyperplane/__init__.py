@@ -9,8 +9,7 @@ truncated by multidegree.  All arithmetic is exact.
 from .exactlinalg import SparseExactMatrix
 from .hochschild import CellTooLarge, HochschildComplex, compare_with_koszul
 from .homology import (HomologyReport, build_report, enumerate_admissible,
-                       homology_basis, one_parameter_admissible, predicted_dims,
-                       scan_admissible)
+                       one_parameter_admissible, predicted_dims, scan_admissible)
 from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                          automorphism_for_top_class, canonical_automorphism,
                          commutation_factor, is_admissible, is_generic,
@@ -26,8 +25,8 @@ __all__ = [
     "ScalingAutomorphism", "SparseExactMatrix", "apply_sigma",
     "automorphism_for_top_class", "build_report", "canonical_automorphism",
     "check_d_squared", "check_homotopy_identity", "commutation_factor",
-    "compare_with_koszul", "enumerate_admissible", "homology_basis",
-    "is_admissible", "is_generic", "monomial_product", "normal_order",
+    "compare_with_koszul", "enumerate_admissible", "is_admissible",
+    "is_generic", "monomial_product", "normal_order",
     "one_parameter_admissible", "predicted_dims", "scan_admissible",
     "sigma_commutes_at",
 ]

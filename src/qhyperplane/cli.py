@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: homology | verify | csigma | canonical | generic-check.
-Configuration comes from flags or a JSON config file (flags win); q values
-are exact rational strings, never floats.  Structured reports are single
+Configuration comes from flags or a JSON config file (flags win) with the
+keys n, q, mode, automorphism, bound and n_max only; q values are exact
+rational strings, never floats.  Structured reports are single
 JSON documents with the field names frozen in docs/format.md; identical
 configuration produces byte-identical output.
 
@@ -40,6 +41,8 @@ CANONICAL = "canonical"
 IDENTITY = "identity"
 EXPLICIT = "explicit"
 SOLVE_TOP = "solve-top"
+
+CONFIG_KEYS = ("n", "q", "mode", "automorphism", "bound", "n_max")
 
 
 class ConfigError(Exception):
@@ -114,6 +117,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {e}")
         if not isinstance(file_config, dict):
             raise ConfigError("the config file must hold a JSON object")
+        unknown = sorted(set(file_config) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; "
+                              f"allowed: {', '.join(CONFIG_KEYS)}")
 
     n = args.n if args.n is not None else file_config.get("n")
     if n is None:
@@ -138,10 +145,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"q({i},{j}) must be nonzero")
         q_entries.append((i, j, v))
 
+    file_mode = file_config.get("mode", SYMBOLIC)
+    if file_mode not in (SYMBOLIC, NUMERIC):
+        raise ConfigError(f"mode must be {SYMBOLIC!r} or {NUMERIC!r}, not {file_mode!r}")
     symbolic = args.symbolic or (not q_entries and not args.auto_primes
-                                 and file_config.get("mode", SYMBOLIC) == SYMBOLIC)
+                                 and file_mode == SYMBOLIC)
     if args.symbolic and (q_entries or args.auto_primes):
         raise ConfigError("--symbolic excludes --q and --auto-primes")
+    if file_config.get("mode") == SYMBOLIC and (q_entries or args.auto_primes):
+        raise ConfigError("mode symbolic excludes q values and --auto-primes")
     if args.auto_primes:
         assignment = NumericAssignment.distinct_primes(n)
         q_entries = [(i, j, assignment.value(i, j)) for i, j in all_pairs(n)]
@@ -160,6 +172,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     automorphism = args.automorphism or file_config.get("automorphism", CANONICAL)
     if automorphism not in (CANONICAL, IDENTITY, EXPLICIT, SOLVE_TOP):
         raise ConfigError(f"unknown automorphism {automorphism!r}")
+    if args.p and automorphism != EXPLICIT:
+        raise ConfigError("--p needs --automorphism explicit")
+    if args.alpha and automorphism != SOLVE_TOP:
+        raise ConfigError(f"--alpha needs --automorphism {SOLVE_TOP}")
     p_list = None
     if args.p:
         p_list = tuple(parse_fraction(x) for x in args.p.split(","))

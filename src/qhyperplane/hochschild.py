@@ -10,7 +10,7 @@ degenerate tensors and hence quasi-isomorphic to it for any bimodule, twisted
 ones included (Loday, Cyclic Homology, 1.1.14-1.1.15); it vanishes above the
 total degree.  Faces preserve the multidegree, so each multidegree gives a
 finite complex with exact homology dimensions, compared cell by cell with
-the count from the reduced Koszul complex.
+the grading of the homology report (the Koszul route's answer).
 
 Within a multidegree the ranks go down in degree, from d_{n_max+1} on, so
 that each d_n is assembled with clearing: its columns that are pivot rows
@@ -32,7 +32,7 @@ from itertools import product
 from math import comb, prod
 
 from .exactlinalg import SparseExactMatrix
-from .homology import predicted_dims
+from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          apply_sigma, iter_multidegrees,
                          monomial_product, specialize_automorphism)
@@ -211,13 +211,14 @@ class ComparisonReport:
 def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                         n_max: int, bound: int,
                         cap: int = DEFAULT_CELL_CAP) -> ComparisonReport:
-    """Cell-by-cell comparison of oracle homology dimensions with the counts
-    predicted by the reduced complex, over all multidegrees up to the bound.
+    """Cell-by-cell comparison of oracle homology dimensions with the
+    grading of the homology report of the same input, up to the bound.
 
-    Symbolic input is specialized first, at distinct primes that divide no
-    numerator or denominator in sigma.  Cells whose chain spaces exceed the
-    cap are reported as skipped, never guessed.
+    Only then is symbolic input specialized, at distinct primes that divide
+    no numerator or denominator in sigma.  Cells whose chain spaces exceed
+    the cap are reported as skipped, never guessed.
     """
+    predicted = predicted_dims(build_report(spec, sigma, bound, n_max))
     if spec.mode != NUMERIC:
         assignment = NumericAssignment.distinct_primes(
             spec.n, prod(abs(x) for c in sigma.p
@@ -237,5 +238,5 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
         for n in range(n_max + 1):
             cells.append(ComparisonCell(gamma, n,
                                         natural[n] if n <= feasible_n else None,
-                                        predicted_dims(spec, sigma, gamma, n)))
+                                        predicted.get((gamma, n), 0)))
     return ComparisonReport(tuple(cells))

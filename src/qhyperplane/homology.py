@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 from typing import Iterable
 
-from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
+from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
                          canonical_automorphism, degree, exterior_under,
-                         is_admissible, iter_multidegrees, sub_index)
+                         is_admissible, iter_multidegrees, sub_index, support)
 from .qscalar import QCoefficient, Scalar, rational_part
 
 Generator = tuple[MultiIndex, MultiIndex]
@@ -209,14 +209,6 @@ def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: tuple[int, 
 # ---------------------------------------------------------------------------
 # homology reports
 
-def generators_for_degree(admissible: Iterable[MultiIndex],
-                          n: int) -> tuple[Generator, ...]:
-    """All (alpha, beta) with beta of weight n sitting under an admissible
-    multidegree gamma, and alpha = gamma - beta."""
-    return tuple(sorted((sub_index(gamma, beta), beta)
-                        for gamma in admissible for beta in exterior_under(gamma, n)))
-
-
 @dataclass(frozen=True)
 class DegreeSlice:
     n: int
@@ -263,36 +255,24 @@ class HomologyReport:
                 "degrees": [s.to_dict() for s in self.slices]}
 
 
-def homology_basis(spec: AlgebraSpec, sigma: ScalingAutomorphism, n: int,
-                   bound: int, admissible: AdmissibleSet | None = None) -> DegreeSlice:
-    """The degree-n slice of the homology basis up to the bound."""
-    if not 0 <= n <= spec.n:
-        raise ValueError(f"homological degree {n} outside 0..{spec.n}")
-    if admissible is None:
-        admissible = enumerate_admissible(spec, sigma, bound)
-    gens = generators_for_degree(admissible.members, n)
-    grading: dict[MultiIndex, int] = {}
-    for alpha, beta in gens:
-        gamma = add_index(alpha, beta)
-        grading[gamma] = grading.get(gamma, 0) + 1
-    graded = tuple(sorted(grading.items(), key=lambda kv: (degree(kv[0]), kv[0])))
-    return DegreeSlice(n, gens, graded)
-
-
 def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
                  n_max: int | None = None) -> HomologyReport:
+    """The homology basis up to the bound, by degree: over each admissible
+    gamma, the C(|support gamma|, n) symbols x^{gamma-beta} (x) x^beta with
+    beta of weight n.  The grading follows the members' (degree, lex) order."""
     if n_max is None:
         n_max = spec.n
     admissible = enumerate_admissible(spec, sigma, bound)
-    slices = tuple(homology_basis(spec, sigma, n, bound, admissible)
-                   for n in range(min(n_max, spec.n) + 1))
+    members = admissible.members
+    slices = tuple(
+        DegreeSlice(n, tuple(sorted((sub_index(g, b), b) for g in members
+                                    for b in exterior_under(g, n))),
+                    tuple((g, c) for g in members if (c := comb(len(support(g)), n))))
+        for n in range(min(n_max, spec.n) + 1))
     return HomologyReport(spec, sigma, bound, n_max, admissible, slices)
 
 
-def predicted_dims(spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                   gamma: MultiIndex, n: int) -> int:
-    """Homology dimension at one (multidegree, n) cell: the count of exterior
-    parts of weight n under gamma when gamma is admissible, else zero."""
-    if n < 0 or n > spec.n or not is_admissible(spec, sigma, gamma):
-        return 0
-    return len(exterior_under(gamma, n))
+def predicted_dims(report: HomologyReport) -> dict[tuple[MultiIndex, int], int]:
+    """Homology dimension of each (multidegree, degree) cell the report
+    grades; every other cell is zero."""
+    return {(g, s.n): c for s in report.slices for g, c in s.grading}

@@ -3,9 +3,18 @@
 Chains live on basis symbols x^alpha (x) x^beta with alpha a multi-index and
 beta a 0/1 multi-index; the homological degree is |beta| and the multidegree
 alpha+beta is preserved by everything here.  The differential moves one
-exterior slot into the symmetric part, weighted by an explicit coefficient;
-the contracting homotopy moves a slot back and exhibits the part of the
-complex sitting over non-admissible multidegrees as acyclic.
+exterior slot into the symmetric part; the contracting homotopy moves a slot
+back and exhibits the part of the complex sitting over non-admissible
+multidegrees as acyclic.
+
+With c_i(g) the factor in x^g x_i = c_i(g) x_i x^g, moving slot i out of
+x^alpha (x) x^beta weighs (-1)^{|beta below i|} (c_i(u) - p_i / c_i(v)), u
+being beta below i and alpha above it and v the mirrored split.  As c_i is
+multiplicative and blind to coordinate i, c_i(u) c_i(v) = c_i(gamma) for
+gamma = alpha+beta, so the weight is (-1)^{|beta below i|} c_i(u) delta_i(gamma)
+with the commutation defect delta_i(gamma) = 1 - p_i / c_i(gamma), computed
+once per multidegree.  It vanishes exactly when x_i sigma-commutes with
+x^gamma, so the failing indices are its nonzero entries on the support.
 
 Coefficients are exact and use the ordinary operators only: a weight with
 no q in it (every weight in numeric mode) is a Fraction, any other a QFraction.
@@ -18,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
-                         exterior_under, iter_multidegrees, sigma_commutes_at,
+                         commutation_factor, exterior_under, iter_multidegrees,
                          sub_index, unit)
 from .qscalar import QFraction, Scalar
 
@@ -46,39 +55,27 @@ class ReducedComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._failing: dict[MultiIndex, tuple[int, ...]] = {}
+        self._defects: dict[MultiIndex, tuple[Fraction | QFraction, ...]] = {}
 
     # -- coefficients -------------------------------------------------------
 
     def differential_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
                                  i: int) -> Fraction | QFraction:
-        """Weight of the move of exterior slot i into the symmetric part.
-
-        sign * (q_{si}^{beta(s)} products * q_{ir}^{-alpha(r)} products
-                -  p_i * the mirrored products),
-        with sign (-1)^{number of exterior slots below i}.  The value is zero
-        exactly when x^{alpha+beta} x_i = sigma(x_i) x^{alpha+beta}.
-        """
-        spec = self.spec
-        if not 1 <= i <= spec.n:
-            raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-        first = Fraction(1)
-        for s in range(1, i):
-            if beta[s - 1]:
-                first = first * spec.q_power(s, i, beta[s - 1])
-        for r in range(i + 1, spec.n + 1):
-            if alpha[r - 1]:
-                first = first * spec.q_power(i, r, -alpha[r - 1])
-        second = self.sigma.p[i - 1]
-        for s in range(i + 1, spec.n + 1):
-            if beta[s - 1]:
-                second = second * spec.q_power(i, s, beta[s - 1])
-        for r in range(1, i):
-            if alpha[r - 1]:
-                second = second * spec.q_power(r, i, -alpha[r - 1])
+        """Weight of the move of exterior slot i into the symmetric part:
+        sign * c_i(u) * delta_i(alpha+beta), u = beta below i, alpha above."""
+        c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
         if sum(beta[: i - 1]) % 2:
-            first, second = -first, -second
-        return first - second
+            c = -c
+        return c * self.defects(add_index(alpha, beta))[i - 1]
+
+    def defects(self, gamma: MultiIndex) -> tuple[Fraction | QFraction, ...]:
+        """delta_i(gamma) = 1 - p_i / c_i(gamma) for i = 1..N, once per gamma."""
+        cached = self._defects.get(gamma)
+        if cached is None:
+            cached = tuple(1 - p * commutation_factor(self.spec, gamma, i) ** -1
+                           for i, p in enumerate(self.sigma.p, start=1))
+            self._defects[gamma] = cached
+        return cached
 
     def failing_indices(self, gamma: MultiIndex) -> tuple[int, ...]:
         """Support positions where the sigma-commutation condition fails.
@@ -86,36 +83,24 @@ class ReducedComplex:
         Empty exactly for admissible multidegrees; its size is the
         normalisation weight of the homotopy.
         """
-        cached = self._failing.get(gamma)
-        if cached is None:
-            cached = tuple(i for i, g in enumerate(gamma, start=1)
-                           if g > 0 and not sigma_commutes_at(self.spec, self.sigma, gamma, i))
-            self._failing[gamma] = cached
-        return cached
+        return tuple(i for i, (g, d) in enumerate(zip(gamma, self.defects(gamma)), start=1)
+                     if g and d)
 
     def homotopy_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
                              i: int) -> Fraction | QFraction:
-        """Inverse differential weight, zero on the four degenerate cases.
+        """Inverse differential weight of moving x_i back into slot i.
 
-        Zero when the multidegree is admissible, when the exterior slot i is
-        already occupied, when the symmetric part has no x_i to move, and
-        when generator i itself sigma-commutes with x^{alpha+beta} (the
-        weight to invert vanishes there, and the slot contributes nothing to
-        the contraction).
+        Zero unless slot i is empty and generator i fails to sigma-commute
+        with x^{alpha+beta}; then x^alpha holds an x_i to move, and the
+        weight to invert is c_i(u) * delta_i, nonzero.  Zero in particular
+        on every admissible multidegree.
         """
-        spec = self.spec
-        if not 1 <= i <= spec.n:
-            raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-        gamma = add_index(alpha, beta)
-        failing = self.failing_indices(gamma)
-        if not failing or beta[i - 1] == 1 or alpha[i - 1] == 0 or i not in failing:
+        if not 1 <= i <= self.spec.n:
+            raise IndexError(f"generator index {i} out of range 1..{self.spec.n}")
+        if beta[i - 1] or i not in self.failing_indices(add_index(alpha, beta)):
             return Fraction(0)
-        moved = self.differential_coefficient(
-            sub_index(alpha, unit(spec.n, i)), add_index(beta, unit(spec.n, i)), i)
-        if not moved:
-            raise ArithmeticError(
-                f"homotopy weight at {(alpha, beta, i)} would invert zero")
-        return 1 / moved
+        e = unit(self.spec.n, i)
+        return 1 / self.differential_coefficient(sub_index(alpha, e), add_index(beta, e), i)
 
     # -- chain maps ---------------------------------------------------------
 
@@ -123,33 +108,22 @@ class ReducedComplex:
         out: Chain = {}
         for (alpha, beta), coeff in c.items():
             for i in range(1, self.spec.n + 1):
-                if beta[i - 1] != 1:
-                    continue
-                w = self.differential_coefficient(alpha, beta, i)
-                if not w:
-                    continue
-                key = (add_index(alpha, unit(self.spec.n, i)),
-                       sub_index(beta, unit(self.spec.n, i)))
-                _accumulate(out, key, w * coeff)
+                w = beta[i - 1] and self.differential_coefficient(alpha, beta, i)
+                if w:
+                    e = unit(self.spec.n, i)
+                    _accumulate(out, (add_index(alpha, e), sub_index(beta, e)), w * coeff)
         return out
 
     def homotopy(self, c: Chain) -> Chain:
         out: Chain = {}
         for (alpha, beta), coeff in c.items():
-            gamma = add_index(alpha, beta)
-            failing = self.failing_indices(gamma)
-            if not failing:
-                continue
-            norm = Fraction(1, len(failing))
-            for i in range(1, self.spec.n + 1):
+            failing = self.failing_indices(add_index(alpha, beta))
+            for i in failing:
                 w = self.homotopy_coefficient(alpha, beta, i)
-                if not w:
-                    continue
-                new_beta = add_index(beta, unit(self.spec.n, i))
-                if new_beta[i - 1] > 1:
-                    raise ArithmeticError("exterior slot escaped {0,1}")
-                key = (sub_index(alpha, unit(self.spec.n, i)), new_beta)
-                _accumulate(out, key, w * coeff * norm)
+                if w:
+                    e = unit(self.spec.n, i)
+                    _accumulate(out, (sub_index(alpha, e), add_index(beta, e)),
+                                w * coeff * Fraction(1, len(failing)))
         return out
 
     # -- basis and exhaustive checks -----------------------------------------

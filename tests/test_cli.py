@@ -7,13 +7,14 @@ argument lists in GOLDEN; regenerate one with
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
-from qhyperplane import qscalar
+from qhyperplane import homology, qscalar
 from qhyperplane.qscalar import QCoefficient, QFraction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,6 +64,12 @@ def test_golden_report_is_byte_identical(name, tmp_path):
     (["homology", "--n", "3", "--auto-primes", "--bound", "6"], EXIT_OK),
     # a cap below 1 is malformed input, not a run with every cell skipped
     (["verify", "--n", "2", "--bound", "3", "--cap", "-1"], EXIT_BAD_CONFIG),
+    # --p and --alpha belong to one twist each and are never ignored
+    (["homology", "--n", "2", "--symbolic", "--p", "2,3"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--automorphism", "identity", "--alpha", "1,0"],
+     EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "1,0",
+      "--p", "2,3"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code):
     assert main(argv) == code
@@ -129,12 +136,37 @@ def test_non_integer_alpha_exits_bad_config(capsys):
     {"n": 2, "q": [[1, 2]]},            # a q entry without three fields
     {"n": 2.5},
     [2],
+    {"n": 2, "nmax": 1},                # not a config key; n_max is
+    {"n": 1, "mode": "generic"},        # at N=1 this used to run numeric
+    {"n": 2, "mode": "symbolic", "q": [[1, 2, "3"]]},
 ])
 def test_malformed_config_file_exits_bad_config(content, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(content))
     assert main(["homology", "--config", str(config)]) == EXIT_BAD_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_mode_symbolic_excludes_auto_primes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 2, "mode": "symbolic"}))
+    argv = ["homology", "--config", str(config), "--auto-primes"]
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_verify_checks_the_admissible_solver(monkeypatch, capsys):
+    # the prediction is the homology report, so a member the solver loses
+    # must show up as an oracle mismatch
+    real = homology.enumerate_admissible
+
+    def drop_last(*args):
+        out = real(*args)
+        return replace(out, members=out.members[:-1])
+
+    monkeypatch.setattr(homology, "enumerate_admissible", drop_last)
+    assert main(["verify", "--n", "3", "--bound", "4", "--auto-primes"]) == EXIT_MISMATCH
+    assert "MISMATCH {'gamma': [1, 1, 1]" in capsys.readouterr().out
 
 
 def test_auto_primes_beyond_eight_generators():

@@ -4,6 +4,7 @@ and agreement with the reduced Koszul complex."""
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,9 @@ from linalg_reference import matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
                                     compare_with_koszul)
-from qhyperplane.homology import predicted_dims
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
                                     canonical_automorphism, compositions,
-                                    iter_multidegrees)
+                                    is_admissible, iter_multidegrees, support)
 
 PLANE = AlgebraSpec.numeric(2, {(1, 2): Fraction(2)})
 PRIMES3 = AlgebraSpec.with_distinct_primes(3)
@@ -228,11 +228,15 @@ P_VALUES = [1, -1, 2, -2, Fraction(1, 2), 3, Fraction(2, 3), Fraction(6, 35)]
     lambda n: st.lists(st.sampled_from(P_VALUES), min_size=n, max_size=n)),
     st.integers(0, 4), st.integers(0, 3))
 def test_specialized_prediction_is_the_symbolic_one(p, bound, n_max):
+    # the oracle runs at primes; its dimensions must be the symbolic count,
+    # C(|support gamma|, n) on admissible gamma and zero elsewhere
     spec = AlgebraSpec.symbolic(len(p))
     sigma = ScalingAutomorphism.from_rationals(p)
     report = compare_with_koszul(spec, sigma, n_max, bound)
     for cell in report.cells:
-        assert cell.natural_predicted == predicted_dims(spec, sigma, cell.gamma, cell.n)
+        expected = (comb(len(support(cell.gamma)), cell.n)
+                    if is_admissible(spec, sigma, cell.gamma) else 0)
+        assert cell.natural_oracle == expected
     assert report.agreement
 
 

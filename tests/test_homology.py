@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import qhyperplane.homology
 import qhyperplane.hyperplane
 from qhyperplane.homology import (build_report, enumerate_admissible,
-                                  homology_basis, one_parameter_admissible,
-                                  predicted_dims, scan_admissible)
+                                  one_parameter_admissible, predicted_dims,
+                                  scan_admissible)
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
@@ -273,24 +273,17 @@ def test_long_bounded_family_is_not_scanned(monkeypatch):
 # -- homology bases ----------------------------------------------------------------
 
 def test_quantum_plane_basis_by_degree():
-    sigma = canonical_automorphism(Q2)
-    assert homology_basis(Q2, sigma, 0, 6).generators == (((0, 0), (0, 0)),
-                                                          ((1, 1), (0, 0)))
-    assert homology_basis(Q2, sigma, 1, 6).generators == (((0, 1), (1, 0)),
-                                                          ((1, 0), (0, 1)))
-    assert homology_basis(Q2, sigma, 2, 6).generators == (((0, 0), (1, 1)),)
-
-
-def test_quantum_plane_degree_validation():
-    with pytest.raises(ValueError):
-        homology_basis(Q2, canonical_automorphism(Q2), 3, 6)
+    slices = build_report(Q2, canonical_automorphism(Q2), 6).slices
+    assert slices[0].generators == (((0, 0), (0, 0)), ((1, 1), (0, 0)))
+    assert slices[1].generators == (((0, 1), (1, 0)), ((1, 0), (0, 1)))
+    assert slices[2].generators == (((0, 0), (1, 1)),)
 
 
 def test_one_parameter_top_class_unique():
     for n in (2, 3, 4):
         spec = AlgebraSpec.one_parameter(n, 3)
         sigma = canonical_automorphism(spec)
-        top = homology_basis(spec, sigma, n, n + 3)
+        top = build_report(spec, sigma, n + 3).slices[n]
         assert top.generators == (((0,) * n, (1,) * n),)
 
 
@@ -299,7 +292,7 @@ def test_identity_twist_slices_at_bound_one():
     ident = ScalingAutomorphism.identity(3)
     report = build_report(spec, ident, 1)
     assert report.betti_list() == [4, 3, 0, 0]
-    assert homology_basis(spec, ident, 1, 1).generators == (
+    assert report.slices[1].generators == (
         ((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (1, 0, 0)))
 
 
@@ -352,8 +345,8 @@ def test_report_metadata():
 
 def test_predicted_dims_track_the_basis():
     spec = AlgebraSpec.one_parameter(3, 3)
-    sigma = canonical_automorphism(spec)
-    assert predicted_dims(spec, sigma, (1, 1, 1), 3) == 1
-    assert predicted_dims(spec, sigma, (1, 1, 1), 1) == 3
-    assert predicted_dims(spec, sigma, (1, 0, 0), 0) == 0
-    assert predicted_dims(spec, sigma, (0, 2, 0), 1) == 1
+    predicted = predicted_dims(build_report(spec, canonical_automorphism(spec), 3))
+    assert predicted[(1, 1, 1), 3] == 1
+    assert predicted[(1, 1, 1), 1] == 3
+    assert ((1, 0, 0), 0) not in predicted
+    assert predicted[(0, 2, 0), 1] == 1

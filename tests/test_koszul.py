@@ -54,6 +54,49 @@ def test_differential_coefficient_zero_iff_commutation_holds():
             assert (not weight) == sigma_commutes_at(spec, sigma, gamma, i)
 
 
+def reference_differential_coefficient(spec, sigma, alpha, beta, i):
+    """The weight spelled out: sign * (q_si^beta(s) (s < i) * q_ir^-alpha(r)
+    (r > i) - p_i * q_is^beta(s) (s > i) * q_ri^-alpha(r) (r < i))."""
+    first = Fraction(1)
+    for s in range(1, i):
+        if beta[s - 1]:
+            first = first * spec.q_power(s, i, beta[s - 1])
+    for r in range(i + 1, spec.n + 1):
+        if alpha[r - 1]:
+            first = first * spec.q_power(i, r, -alpha[r - 1])
+    second = sigma.p[i - 1]
+    for s in range(i + 1, spec.n + 1):
+        if beta[s - 1]:
+            second = second * spec.q_power(i, s, beta[s - 1])
+    for r in range(1, i):
+        if alpha[r - 1]:
+            second = second * spec.q_power(r, i, -alpha[r - 1])
+    if sum(beta[: i - 1]) % 2:
+        first, second = -first, -second
+    return first - second
+
+
+@st.composite
+def weight_cases(draw):
+    n = draw(st.integers(1, 3))
+    spec = AlgebraSpec.symbolic(n)
+    sigma = draw(st.sampled_from([
+        canonical_automorphism(spec), ScalingAutomorphism.identity(n),
+        automorphism_for_top_class(spec, (1, 0, 2)[:n]),
+        ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)][:n])]))
+    alpha = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    beta = tuple(draw(st.integers(0, 1)) for _ in range(n))
+    return spec, sigma, alpha, beta, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_cases())
+def test_differential_coefficient_factors_the_explicit_weight(case):
+    spec, sigma, alpha, beta, i = case
+    value = ReducedComplex(spec, sigma).differential_coefficient(alpha, beta, i)
+    assert value == reference_differential_coefficient(spec, sigma, alpha, beta, i)
+
+
 def test_differential_coefficient_index_range():
     with pytest.raises(IndexError):
         CANONICAL2.differential_coefficient((0, 0), (1, 0), 3)
