@@ -13,20 +13,19 @@ from .homology import (HomologyReport, build_report, enumerate_admissible,
 from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                          automorphism_for_top_class, canonical_automorphism,
                          commutation_factor, is_admissible, is_generic,
-                         monomial_product, normal_order, sigma_commutes_at)
+                         monomial_product, sigma_commutes_at)
 from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
-from .qscalar import NumericAssignment, QCoefficient, QFraction
+from .qscalar import NumericAssignment, QCoefficient, QPolynomial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "CellTooLarge", "HochschildComplex", "HomologyReport",
-    "NumericAssignment", "QCoefficient", "QFraction", "ReducedComplex",
+    "NumericAssignment", "QCoefficient", "QPolynomial", "ReducedComplex",
     "ScalingAutomorphism", "SparseExactMatrix", "apply_sigma",
     "automorphism_for_top_class", "build_report", "canonical_automorphism",
     "check_d_squared", "check_homotopy_identity", "commutation_factor",
     "compare_with_koszul", "enumerate_admissible", "is_admissible",
-    "is_generic", "monomial_product", "normal_order",
-    "one_parameter_admissible", "predicted_dims", "scan_admissible",
-    "sigma_commutes_at",
+    "is_generic", "monomial_product", "one_parameter_admissible",
+    "predicted_dims", "scan_admissible", "sigma_commutes_at",
 ]

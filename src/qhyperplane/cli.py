@@ -154,6 +154,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--symbolic excludes --q and --auto-primes")
     if file_config.get("mode") == SYMBOLIC and (q_entries or args.auto_primes):
         raise ConfigError("mode symbolic excludes q values and --auto-primes")
+    if args.auto_primes and q_entries:
+        raise ConfigError("--auto-primes excludes q values")
     if args.auto_primes:
         assignment = NumericAssignment.distinct_primes(n)
         q_entries = [(i, j, assignment.value(i, j)) for i, j in all_pairs(n)]
@@ -169,6 +171,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if len(have) != len(q_entries):
             raise ConfigError("duplicate q pair")
 
+    if args.command in ("canonical", "generic-check") and (
+            args.automorphism or "automorphism" in file_config):
+        raise ConfigError(f"{args.command} takes no automorphism")
     automorphism = args.automorphism or file_config.get("automorphism", CANONICAL)
     if automorphism not in (CANONICAL, IDENTITY, EXPLICIT, SOLVE_TOP):
         raise ConfigError(f"unknown automorphism {automorphism!r}")

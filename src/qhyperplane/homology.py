@@ -114,13 +114,13 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
 def _exponents(c: Scalar, base: list[int]) -> dict:
     """Exponent vector of |c|: base element or symbol pair -> exponent."""
     vec = dict(c.exponent) if isinstance(c, QCoefficient) else {}
-    num, den = rational_part(c).as_integer_ratio()
+    num, denom = rational_part(c).as_integer_ratio()
     for b in base:
         e = 0
         while num % b == 0:
             num, e = num // b, e + 1
-        while den % b == 0:
-            den, e = den // b, e - 1
+        while denom % b == 0:
+            denom, e = denom // b, e - 1
         if e:
             vec[b] = e
     return vec

@@ -118,10 +118,6 @@ class AlgebraSpec:
         return cls(n, NUMERIC, values)
 
     @classmethod
-    def with_distinct_primes(cls, n: int) -> "AlgebraSpec":
-        return cls(n, NUMERIC, NumericAssignment.distinct_primes(n))
-
-    @classmethod
     def one_parameter(cls, n: int, q) -> "AlgebraSpec":
         """The one-parameter hyperplane x_i x_j = q x_j x_i for i > j.
 
@@ -165,24 +161,6 @@ def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> Scalar:
         else:
             c = c * spec.q_power(i, k, -g)
     return c
-
-
-def normal_order(spec: AlgebraSpec, word: Sequence[int]) -> tuple[Scalar, MultiIndex]:
-    """Normal form of a product of generators given by index.
-
-    Letters are appended one at a time; appending x_i behind a prefix of
-    multidegree gamma costs prod_{k>i} q_ik^{-gamma(k)}.
-    """
-    counts = [0] * spec.n
-    coeff = Fraction(1)
-    for i in word:
-        if not 1 <= i <= spec.n:
-            raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-        for k in range(i + 1, spec.n + 1):
-            if counts[k - 1]:
-                coeff = coeff * spec.q_power(i, k, -counts[k - 1])
-        counts[i - 1] += 1
-    return coeff, tuple(counts)
 
 
 def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[Scalar, MultiIndex]:

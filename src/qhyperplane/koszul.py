@@ -14,25 +14,35 @@ multiplicative and blind to coordinate i, c_i(u) c_i(v) = c_i(gamma) for
 gamma = alpha+beta, so the weight is (-1)^{|beta below i|} c_i(u) delta_i(gamma)
 with the commutation defect delta_i(gamma) = 1 - p_i / c_i(gamma), computed
 once per multidegree.  It vanishes exactly when x_i sigma-commutes with
-x^gamma, so the failing indices are its nonzero entries on the support.
+x^gamma, so the failing indices F(gamma) are its nonzero entries on the
+support.
 
-Coefficients are exact and use the ordinary operators only: a weight with
-no q in it (every weight in numeric mode) is a Fraction, any other a QFraction.
+The contracting homotopy would divide by these defects, so it is built
+scaled by D(gamma) = |F(gamma)| prod_{i in F} delta_i(gamma), and the check is
+dh + hd = D(gamma) id on every multidegree.  D(gamma) is zero exactly where F
+is empty, on the admissible multidegrees; elsewhere it is a nonzero element of
+Q or of the Laurent polynomials over Q, both integral domains, so the scaled
+identity holds exactly when the unscaled homotopy contracts.
+
+Coefficients are exact and use +, - and * only, never a quotient: a weight
+with no q in it (every weight in numeric mode) is a Fraction, any other a
+QCoefficient or a QPolynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
                          sub_index, unit)
-from .qscalar import QFraction, Scalar
+from .qscalar import QPolynomial, Scalar
 
 BasisElement = tuple[MultiIndex, MultiIndex]      # (alpha, beta)
-Chain = dict[BasisElement, Scalar | QFraction]
+Chain = dict[BasisElement, Scalar | QPolynomial]
 
 
 @dataclass(frozen=True)
@@ -55,12 +65,12 @@ class ReducedComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._defects: dict[MultiIndex, tuple[Fraction | QFraction, ...]] = {}
+        self._defects: dict[MultiIndex, tuple[Fraction | QPolynomial, ...]] = {}
 
     # -- coefficients -------------------------------------------------------
 
     def differential_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
-                                 i: int) -> Fraction | QFraction:
+                                 i: int) -> Fraction | QPolynomial:
         """Weight of the move of exterior slot i into the symmetric part:
         sign * c_i(u) * delta_i(alpha+beta), u = beta below i, alpha above."""
         c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
@@ -68,7 +78,7 @@ class ReducedComplex:
             c = -c
         return c * self.defects(add_index(alpha, beta))[i - 1]
 
-    def defects(self, gamma: MultiIndex) -> tuple[Fraction | QFraction, ...]:
+    def defects(self, gamma: MultiIndex) -> tuple[Fraction | QPolynomial, ...]:
         """delta_i(gamma) = 1 - p_i / c_i(gamma) for i = 1..N, once per gamma."""
         cached = self._defects.get(gamma)
         if cached is None:
@@ -78,29 +88,18 @@ class ReducedComplex:
         return cached
 
     def failing_indices(self, gamma: MultiIndex) -> tuple[int, ...]:
-        """Support positions where the sigma-commutation condition fails.
-
-        Empty exactly for admissible multidegrees; its size is the
-        normalisation weight of the homotopy.
-        """
+        """Support positions where the sigma-commutation condition fails,
+        none exactly when gamma is admissible."""
         return tuple(i for i, (g, d) in enumerate(zip(gamma, self.defects(gamma)), start=1)
                      if g and d)
 
-    def homotopy_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
-                             i: int) -> Fraction | QFraction:
-        """Inverse differential weight of moving x_i back into slot i.
-
-        Zero unless slot i is empty and generator i fails to sigma-commute
-        with x^{alpha+beta}; then x^alpha holds an x_i to move, and the
-        weight to invert is c_i(u) * delta_i, nonzero.  Zero in particular
-        on every admissible multidegree.
-        """
-        if not 1 <= i <= self.spec.n:
-            raise IndexError(f"generator index {i} out of range 1..{self.spec.n}")
-        if beta[i - 1] or i not in self.failing_indices(add_index(alpha, beta)):
-            return Fraction(0)
-        e = unit(self.spec.n, i)
-        return 1 / self.differential_coefficient(sub_index(alpha, e), add_index(beta, e), i)
+    def defect_product(self, gamma: MultiIndex) -> Fraction | QPolynomial:
+        """D(gamma) = |F| * prod_{i in F} delta_i(gamma) over the failing
+        indices F: the scale of the homotopy, zero exactly when gamma is
+        admissible."""
+        failing = self.failing_indices(gamma)
+        return prod((self.defects(gamma)[i - 1] for i in failing),
+                    start=Fraction(len(failing)))
 
     # -- chain maps ---------------------------------------------------------
 
@@ -115,15 +114,22 @@ class ReducedComplex:
         return out
 
     def homotopy(self, c: Chain) -> Chain:
+        """D(gamma) times the contracting homotopy: each failing x_i of x^alpha
+        moves back into its empty slot i with weight
+        sign * c_i(u)^{-1} * prod_{j in F, j != i} delta_j(gamma)."""
         out: Chain = {}
         for (alpha, beta), coeff in c.items():
-            failing = self.failing_indices(add_index(alpha, beta))
+            gamma = add_index(alpha, beta)
+            failing = self.failing_indices(gamma)
             for i in failing:
-                w = self.homotopy_coefficient(alpha, beta, i)
-                if w:
-                    e = unit(self.spec.n, i)
-                    _accumulate(out, (sub_index(alpha, e), add_index(beta, e)),
-                                w * coeff * Fraction(1, len(failing)))
+                if beta[i - 1]:
+                    continue
+                w = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i) ** -1
+                if sum(beta[: i - 1]) % 2:
+                    w = -w
+                w = prod((self.defects(gamma)[j - 1] for j in failing if j != i), start=w)
+                e = unit(self.spec.n, i)
+                _accumulate(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
         return out
 
     # -- basis and exhaustive checks -----------------------------------------
@@ -144,12 +150,9 @@ class ReducedComplex:
         return CheckReport(not failures, checked, tuple(failures), bound)
 
     def check_homotopy_identity(self, bound: int) -> CheckReport:
-        """dh + hd acts as the identity off the admissible multidegrees.
-
-        On admissible multidegrees both maps vanish, so the sum is zero
-        there; this dichotomy is what makes the homology basis exactly the
-        admissible symbols.
-        """
+        """dh + hd = D(gamma) id for the scaled h on every basis element; both
+        sides vanish on admissible multidegrees, and this dichotomy is what
+        makes the homology basis exactly the admissible symbols."""
         failures = []
         checked = 0
         for element in self.basis_elements(bound):
@@ -158,12 +161,9 @@ class ReducedComplex:
             total = self.differential(self.homotopy(one))
             for key, c in self.homotopy(self.differential(one)).items():
                 _accumulate(total, key, c)
-            admissible = not self.failing_indices(add_index(*element))
-            if not admissible:
-                _accumulate(total, element, Fraction(-1))
+            _accumulate(total, element, -self.defect_product(add_index(*element)))
             if total:
-                failures.append(f"(dh+hd){element} != "
-                                + ("0" if admissible else "id"))
+                failures.append(f"(dh+hd){element} != D*id")
         return CheckReport(not failures, checked, tuple(failures), bound)
 
 

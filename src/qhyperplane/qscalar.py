@@ -5,18 +5,18 @@ All coefficients are exact, and there are three kinds of scalar:
     Fraction      a scalar with no q in it, in symbolic and numeric mode alike
     QCoefficient  a nonzero rational times a nontrivial Laurent monomial in
                   the q_ij (one symbol per pair i < j)
-    QFraction     a quotient of two polynomials in the q_ij, with no normal
-                  form beyond clearing monomial denominators
+    QPolynomial   a Laurent polynomial in the q_ij
 
 A Laurent monomial is a plain sorted tuple of ((i, j), e) with i < j and e
 nonzero, so equality and hashing are those of tuples and the empty tuple is
 1; ``monomial`` builds q_ij^e, turning q_ji into q_ij^{-1} and q_ii into 1.
-A polynomial is a dict from monomial to nonzero Fraction, and lives only as
-the numerator or denominator of a QFraction.  ``coefficient`` is the one
-factory for monomial terms and returns a Fraction whenever the monomial is
-trivial, so a QCoefficient never equals a rational.  All three kinds mix under
-the ordinary operators, and ``specialize`` evaluates any of them at a
-``NumericAssignment`` of concrete nonzero rationals.
+A polynomial is a dict from monomial to nonzero Fraction, held by a
+QPolynomial.  ``coefficient`` is the one factory for monomial terms and
+returns a Fraction whenever the monomial is trivial, so a QCoefficient never
+equals a rational.  All three kinds mix under +, - and *, and ``specialize``
+evaluates any of them at a ``NumericAssignment`` of concrete nonzero
+rationals.  No quotient of polynomials exists: a monomial is inverted by
+``** -1``, and nothing else symbolic is ever divided.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -95,7 +95,7 @@ class QCoefficient:
     monomial in the q_ij.
 
     Products and powers that cancel the monomial come back as Fractions
-    through ``coefficient``; sums and differences are QFractions.
+    through ``coefficient``; sums and differences are QPolynomials.
     """
 
     __slots__ = ("scalar", "exponent")
@@ -120,15 +120,15 @@ class QCoefficient:
     def __neg__(self) -> "QCoefficient":
         return QCoefficient(-self.scalar, self.exponent)
 
-    def __add__(self, other) -> "QFraction":
+    def __add__(self, other) -> "QPolynomial":
         return _lift(self) + other
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "QFraction":
+    def __sub__(self, other) -> "QPolynomial":
         return _lift(self) - other
 
-    def __rsub__(self, other) -> "QFraction":
+    def __rsub__(self, other) -> "QPolynomial":
         return other - _lift(self)
 
     def __pow__(self, n: int) -> "Scalar":
@@ -165,8 +165,9 @@ def specialize(value, assignment: "NumericAssignment") -> Fraction:
     """Evaluate any scalar at the assignment; a rational is its own value."""
     if isinstance(value, QCoefficient):
         return value.scalar * _mono_value(value.exponent, assignment)
-    if isinstance(value, QFraction):
-        return _poly_value(value.num, assignment) / _poly_value(value.den, assignment)
+    if isinstance(value, QPolynomial):
+        return sum((c * _mono_value(m, assignment) for m, c in value.num.items()),
+                   Fraction(0))
     return Fraction(value)
 
 
@@ -231,9 +232,6 @@ class NumericAssignment:
 # ---------------------------------------------------------------------------
 # polynomials: dicts from monomial to nonzero Fraction
 
-_ONE: Polynomial = {(): Fraction(1)}
-
-
 def _poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     out = dict(a)
     for m, c in b.items():
@@ -254,10 +252,6 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return {m: c for m, c in out.items() if c}
 
 
-def _poly_value(a: Polynomial, assignment: NumericAssignment) -> Fraction:
-    return sum((c * _mono_value(m, assignment) for m, c in a.items()), Fraction(0))
-
-
 def _poly_str(a: Polynomial) -> str:
     if not a:
         return "0"
@@ -265,92 +259,59 @@ def _poly_str(a: Polynomial) -> str:
     return " + ".join(str(coefficient(c, m)) for m, c in terms)
 
 
-class QFraction:
-    """Quotient of two polynomials with a nonzero denominator.
+class QPolynomial:
+    """Laurent polynomial in the q_ij: a dict from monomial to nonzero
+    Fraction, canonical term by term, so equality is dict equality.
 
-    There is no gcd-based normal form; instead a denominator that happens to
-    be a single monomial is cleared into the numerator (Laurent monomials are
-    units), which makes zero tests trivial.  Equality is decided by cross
-    multiplication.  Operands may be QFractions, QCoefficients, Fractions or
-    ints; a rational factor scales the numerator without a polynomial
-    product.
+    Operands may be QPolynomials, QCoefficients, Fractions or ints; a
+    rational factor scales the terms without a polynomial product.  There is
+    no division: the Laurent polynomials form a ring, not a field.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num",)
 
-    def __init__(self, num: Polynomial, den: Polynomial = _ONE):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = _ONE
-        elif len(den) == 1 and den != _ONE:
-            ((m, c),) = den.items()
-            inverse = _mono_pow(m, -1)
-            num = {_mono_mul(k, inverse): v / c for k, v in num.items()}
-            den = _ONE
+    def __init__(self, num: Polynomial):
         self.num = num
-        self.den = den
 
-    def __add__(self, other) -> "QFraction":
-        other = _lift(other)
-        if self.den == other.den:
-            return QFraction(_poly_add(self.num, other.num), self.den)
-        return QFraction(_poly_add(_poly_mul(self.num, other.den),
-                                   _poly_mul(other.num, self.den)),
-                         _poly_mul(self.den, other.den))
+    def __add__(self, other) -> "QPolynomial":
+        return QPolynomial(_poly_add(self.num, _lift(other).num))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "QFraction":
-        return QFraction({m: -c for m, c in self.num.items()}, self.den)
+    def __neg__(self) -> "QPolynomial":
+        return QPolynomial({m: -c for m, c in self.num.items()})
 
-    def __sub__(self, other) -> "QFraction":
+    def __sub__(self, other) -> "QPolynomial":
         return self + (-other)
 
-    def __rsub__(self, other) -> "QFraction":
+    def __rsub__(self, other) -> "QPolynomial":
         return -self + other
 
-    def __mul__(self, other) -> "QFraction":
+    def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, (Fraction, int)):
-            return QFraction({m: c * other for m, c in self.num.items()} if other else {},
-                             self.den)
-        other = _lift(other)
-        return QFraction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+            return QPolynomial({m: c * other for m, c in self.num.items()} if other else {})
+        return QPolynomial(_poly_mul(self.num, _lift(other).num))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QFraction":
-        other = _lift(other)
-        return QFraction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __rtruediv__(self, other) -> "QFraction":
-        return _lift(other) / self
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (QFraction, QCoefficient, Fraction, int)):
+        if not isinstance(other, (QPolynomial, QCoefficient, Fraction, int)):
             return NotImplemented
-        other = _lift(other)
-        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
-
-    def __hash__(self) -> int:
-        # hashing requires a normal form; QFractions are not dict keys
-        raise TypeError("QFraction is unhashable")
+        return self.num == _lift(other).num
 
     def __str__(self) -> str:
-        if self.den == _ONE:
-            return _poly_str(self.num)
-        return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
+        return _poly_str(self.num)
 
     def __repr__(self) -> str:
-        return f"QFraction({self.num!r}, {self.den!r})"
+        return f"QPolynomial({self.num!r})"
 
 
-def _lift(value: "QFraction | QCoefficient | Fraction | int") -> QFraction:
-    if isinstance(value, QFraction):
+def _lift(value: "QPolynomial | QCoefficient | Fraction | int") -> QPolynomial:
+    if isinstance(value, QPolynomial):
         return value
     if isinstance(value, QCoefficient):
-        return QFraction({value.exponent: value.scalar})
-    return QFraction({(): Fraction(value)} if value else {})
+        return QPolynomial({value.exponent: value.scalar})
+    return QPolynomial({(): Fraction(value)} if value else {})

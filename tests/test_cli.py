@@ -15,7 +15,7 @@ import pytest
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
 from qhyperplane import homology, qscalar
-from qhyperplane.qscalar import QCoefficient, QFraction
+from qhyperplane.qscalar import QCoefficient, QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,6 +70,12 @@ def test_golden_report_is_byte_identical(name, tmp_path):
      EXIT_BAD_CONFIG),
     (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "1,0",
       "--p", "2,3"], EXIT_BAD_CONFIG),
+    # --auto-primes never silently replaces explicit q values
+    (["homology", "--n", "2", "--q", "1,2,-1", "--auto-primes", "--bound", "4"],
+     EXIT_BAD_CONFIG),
+    # canonical and generic-check use no twist, so they take none
+    (["canonical", "--n", "2", "--automorphism", "identity"], EXIT_BAD_CONFIG),
+    (["generic-check", "--n", "2", "--automorphism", "canonical"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code):
     assert main(argv) == code
@@ -89,7 +95,7 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     def refuse_monomial(*args):
         raise AssertionError(f"numeric mode built the monomial {args}")
 
-    for cls in (QCoefficient, QFraction):
+    for cls in (QCoefficient, QPolynomial):
         monkeypatch.setattr(cls, "__init__", refuse)
     callers = [m for name, m in sys.modules.items()
                if name.startswith("qhyperplane")
@@ -152,6 +158,20 @@ def test_config_mode_symbolic_excludes_auto_primes(tmp_path, capsys):
     config.write_text(json.dumps({"n": 2, "mode": "symbolic"}))
     argv = ["homology", "--config", str(config), "--auto-primes"]
     assert main(argv) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content, flags", [
+    # config-file q values are never silently replaced by the primes
+    ("homology", {"n": 2, "q": [[1, 2, "-1"]]}, ["--auto-primes"]),
+    # canonical and generic-check use no twist, so they take none
+    ("canonical", {"n": 2, "automorphism": "identity"}, []),
+    ("generic-check", {"n": 2, "automorphism": "identity"}, []),
+])
+def test_config_file_conflicts_exit_bad_config(command, content, flags, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    assert main([command, "--config", str(config), *flags]) == EXIT_BAD_CONFIG
     assert "configuration error" in capsys.readouterr().err
 
 

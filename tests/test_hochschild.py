@@ -16,9 +16,16 @@ from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
                                     canonical_automorphism, compositions,
                                     is_admissible, iter_multidegrees, support)
+from qhyperplane.qscalar import NumericAssignment
+
+
+def primes_spec(n):
+    """The numeric algebra with distinct primes for the q_ij: the generic regime."""
+    return AlgebraSpec.numeric(n, NumericAssignment.distinct_primes(n))
+
 
 PLANE = AlgebraSpec.numeric(2, {(1, 2): Fraction(2)})
-PRIMES3 = AlgebraSpec.with_distinct_primes(3)
+PRIMES3 = primes_spec(3)
 Q61 = 2 ** 61 - 1
 
 COMPLEXES = [
@@ -47,7 +54,7 @@ def test_basis_has_the_counted_size(complex_):
     .filter(lambda g: sum(g) <= 4)), st.integers(0, 5))
 def test_basis_is_sorted_normalized_and_counted(gamma, n):
     gamma = tuple(gamma)
-    spec = AlgebraSpec.with_distinct_primes(len(gamma))
+    spec = primes_spec(len(gamma))
     complex_ = HochschildComplex(spec, canonical_automorphism(spec))
     basis = complex_.basis(n, gamma)
     assert len(basis) == complex_.basis_size(n, gamma)
@@ -62,7 +69,7 @@ def test_basis_is_sorted_normalized_and_counted(gamma, n):
 
 def test_normalized_basis_sizes():
     # full bar complex: 3,375 and 15,876 tensors
-    spec = AlgebraSpec.with_distinct_primes(4)
+    spec = primes_spec(4)
     complex_ = HochschildComplex(spec, canonical_automorphism(spec))
     assert complex_.basis_size(4, (2, 2, 2)) == 564
     assert len(complex_.basis(5, (2, 2, 1, 1))) == 690
@@ -124,7 +131,7 @@ def _uncleared_dims(complex_, gamma, n_max):
 def test_clearing_matches_uncleared_reference_ranks(case, n_max):
     gamma, algebra, twist = case
     gamma, n = tuple(gamma), len(gamma)
-    spec = (AlgebraSpec.with_distinct_primes(n) if algebra == "primes"
+    spec = (primes_spec(n) if algebra == "primes"
             else AlgebraSpec.one_parameter(n, Q61))
     sigma = {"canonical": canonical_automorphism(spec),
              "identity": ScalingAutomorphism.identity(n),
@@ -160,7 +167,7 @@ def _full_natural_dims(complex_, gamma, n_max):
 
 
 def _twisted_complexes(n):
-    primes = AlgebraSpec.with_distinct_primes(n)
+    primes = primes_spec(n)
     minus_one = AlgebraSpec.numeric(n, {(i, j): Fraction(-1) for i in range(1, n + 1)
                                         for j in range(i + 1, n + 1)})
     explicit = ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)][:n])

@@ -15,10 +15,15 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigm
                                     canonical_automorphism, commutation_factor,
                                     is_generic, unit)
 from qhyperplane.koszul import ReducedComplex
-from qhyperplane.qscalar import all_pairs
+from qhyperplane.qscalar import NumericAssignment, all_pairs
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
+
+
+def primes_spec(n):
+    """The numeric algebra with distinct primes for the q_ij: the generic regime."""
+    return AlgebraSpec.numeric(n, NumericAssignment.distinct_primes(n))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -30,7 +35,7 @@ def test_admissible_quantum_plane():
 
 
 def test_admissible_identity_at_bound_one():
-    spec = AlgebraSpec.with_distinct_primes(3)
+    spec = primes_spec(3)
     out = enumerate_admissible(spec, ScalingAutomorphism.identity(3), 1)
     assert out.members == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert not out.complete
@@ -39,7 +44,7 @@ def test_admissible_identity_at_bound_one():
 def test_admissible_identity_includes_all_powers():
     # every pure power of a single generator commutes with itself, so the
     # identity twist admits the whole ray through each unit multidegree
-    spec = AlgebraSpec.with_distinct_primes(3)
+    spec = primes_spec(3)
     out = enumerate_admissible(spec, ScalingAutomorphism.identity(3), 3)
     expected = {(0, 0, 0)}
     for j in (1, 2, 3):
@@ -182,13 +187,13 @@ def test_generic_check_skips_the_multidegree_scan(monkeypatch):
         real = module.is_admissible
         monkeypatch.setattr(module, "is_admissible",
                             lambda *args, real=real: calls.append(args) or real(*args))
-    report = is_generic(AlgebraSpec.with_distinct_primes(6), 11)
+    report = is_generic(primes_spec(6), 11)
     assert report.generic and report.witness is None
     assert len(calls) < 200
 
 
 def test_distinct_primes_are_complete():
-    spec = AlgebraSpec.with_distinct_primes(3)
+    spec = primes_spec(3)
     out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
     assert out.members == ((0, 0, 0), (1, 1, 1))
     assert out.complete
@@ -204,7 +209,7 @@ def test_hopeless_supports_are_not_solved(monkeypatch):
     real = qhyperplane.homology._gauss_jordan
     monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
                         lambda *args: calls.append(args) or real(*args))
-    spec = AlgebraSpec.with_distinct_primes(6)
+    spec = primes_spec(6)
     out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
     assert out.members == ((0,) * 6, (1,) * 6)
     assert out.complete
@@ -219,7 +224,7 @@ def test_supports_past_the_bound_are_skipped_once_incomplete(monkeypatch):
     real = qhyperplane.homology._gauss_jordan
     monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
                         lambda *args: calls.append(args) or real(*args))
-    spec, identity = AlgebraSpec.with_distinct_primes(8), ScalingAutomorphism.identity(8)
+    spec, identity = primes_spec(8), ScalingAutomorphism.identity(8)
     out = enumerate_admissible(spec, identity, 2)
     assert len(calls) <= 1 + 8 + 28
     assert out.members == scan_admissible(spec, identity, 2)
@@ -288,7 +293,7 @@ def test_one_parameter_top_class_unique():
 
 
 def test_identity_twist_slices_at_bound_one():
-    spec = AlgebraSpec.with_distinct_primes(3)
+    spec = primes_spec(3)
     ident = ScalingAutomorphism.identity(3)
     report = build_report(spec, ident, 1)
     assert report.betti_list() == [4, 3, 0, 0]
@@ -298,7 +303,7 @@ def test_identity_twist_slices_at_bound_one():
 
 def test_identity_twist_no_homology_above_degree_one():
     for n_generators in (2, 3):
-        spec = AlgebraSpec.with_distinct_primes(n_generators)
+        spec = primes_spec(n_generators)
         ident = ScalingAutomorphism.identity(n_generators)
         for bound in (2, 4, 6):
             report = build_report(spec, ident, bound)
@@ -308,7 +313,7 @@ def test_identity_twist_no_homology_above_degree_one():
 def test_generators_are_cycles():
     cases = [(Q2, canonical_automorphism(Q2)),
              (AlgebraSpec.one_parameter(3, 3), canonical_automorphism(AlgebraSpec.one_parameter(3, 3))),
-             (AlgebraSpec.with_distinct_primes(2), ScalingAutomorphism.identity(2))]
+             (primes_spec(2), ScalingAutomorphism.identity(2))]
     for spec, sigma in cases:
         complex_ = ReducedComplex(spec, sigma)
         report = build_report(spec, sigma, 4)

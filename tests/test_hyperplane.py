@@ -10,8 +10,8 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigm
                                     canonical_automorphism, commutation_factor,
                                     add_index, degree, is_admissible, is_generic,
                                     iter_multidegrees, monomial_product,
-                                    normal_order, sigma_commutes_at, unit)
-from qhyperplane.qscalar import coefficient, monomial
+                                    sigma_commutes_at, unit)
+from qhyperplane.qscalar import NumericAssignment, coefficient, monomial
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
@@ -19,6 +19,23 @@ Q3 = AlgebraSpec.symbolic(3)
 
 def q(i, j, e=1):
     return coefficient(1, monomial(i, j, e))
+
+
+def normal_order(spec, word):
+    """Normal form of a product of generators given by index: the reference
+    that commutation_factor and monomial_product are checked against.
+
+    Letters are appended one at a time; appending x_i behind a prefix of
+    multidegree gamma costs prod_{k>i} q_ik^{-gamma(k)}.
+    """
+    counts = [0] * spec.n
+    coeff = Fraction(1)
+    for i in word:
+        for k in range(i + 1, spec.n + 1):
+            if counts[k - 1]:
+                coeff = coeff * spec.q_power(i, k, -counts[k - 1])
+        counts[i - 1] += 1
+    return coeff, tuple(counts)
 
 
 words = st.lists(st.integers(1, 3), max_size=7)
@@ -202,7 +219,7 @@ def test_generic_symbolic_structurally():
 
 
 def test_generic_distinct_primes():
-    report = is_generic(AlgebraSpec.with_distinct_primes(3), 6)
+    report = is_generic(AlgebraSpec.numeric(3, NumericAssignment.distinct_primes(3)), 6)
     assert report.generic and report.witness is None
 
 

@@ -1,5 +1,6 @@
-"""The reduced complex: differential and homotopy coefficients, d^2 = 0,
-and the contraction identity dh + hd = id off the admissible multidegrees."""
+"""The reduced complex: differential and homotopy weights, d^2 = 0, and the
+contraction identity dh + hd = D(gamma) id for the homotopy scaled by the
+defect product D(gamma), zero exactly on the admissible multidegrees."""
 
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     apply_sigma, automorphism_for_top_class,
                                     canonical_automorphism, degree, is_admissible,
-                                    specialize_automorphism)
+                                    specialize_automorphism, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import QFraction, coefficient, monomial, specialize
+from qhyperplane.qscalar import (NumericAssignment, QPolynomial, coefficient,
+                                 monomial, specialize)
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
@@ -37,7 +39,7 @@ def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
     value = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
     expected = 1 - coefficient(1, monomial(1, 2, -1))
-    assert isinstance(expected, QFraction)
+    assert isinstance(expected, QPolynomial)
     assert value == expected
     assert value
 
@@ -77,13 +79,22 @@ def reference_differential_coefficient(spec, sigma, alpha, beta, i):
 
 
 @st.composite
-def weight_cases(draw):
+def twisted_algebras(draw):
+    """Symbolic N <= 3 under the canonical, identity, solve-top (1, 0, 2)
+    and explicit (2/3, 5, -1/2) twists."""
     n = draw(st.integers(1, 3))
     spec = AlgebraSpec.symbolic(n)
     sigma = draw(st.sampled_from([
         canonical_automorphism(spec), ScalingAutomorphism.identity(n),
         automorphism_for_top_class(spec, (1, 0, 2)[:n]),
         ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)][:n])]))
+    return spec, sigma
+
+
+@st.composite
+def weight_cases(draw):
+    spec, sigma = draw(twisted_algebras())
+    n = spec.n
     alpha = tuple(draw(st.integers(0, 3)) for _ in range(n))
     beta = tuple(draw(st.integers(0, 1)) for _ in range(n))
     return spec, sigma, alpha, beta, draw(st.integers(1, n))
@@ -129,33 +140,44 @@ def test_differential_lowers_degree_and_preserves_multidegree():
             assert add_index(a2, b2) == add_index(alpha, beta)
 
 
-# -- homotopy coefficient -------------------------------------------------------------
+# -- homotopy weights -------------------------------------------------------------------
 
-def test_homotopy_coefficient_zero_cases():
-    sigma = CANONICAL2.sigma
+def homotopy_weight(complex_, alpha, beta, i):
+    """The weight of moving x_i of x^alpha back into slot i: the coefficient of
+    x^{alpha-e_i} (x) x^{beta+e_i} in the scaled homotopy of x^alpha (x) x^beta,
+    zero when that target is no basis element."""
+    e = unit(len(alpha), i)
+    target = (tuple(a - b for a, b in zip(alpha, e)), add_index(beta, e))
+    return complex_.homotopy({(alpha, beta): Fraction(1)}).get(target, 0)
+
+
+def test_homotopy_weight_zero_cases():
     # admissible multidegree
-    assert not CANONICAL2.homotopy_coefficient((1, 1), (0, 0), 1)
+    assert not homotopy_weight(CANONICAL2, (1, 1), (0, 0), 1)
     # occupied exterior slot
-    assert not CANONICAL2.homotopy_coefficient((1, 0), (1, 0), 1)
+    assert not homotopy_weight(CANONICAL2, (1, 0), (1, 0), 1)
     # no symmetric letter to move
-    assert not CANONICAL2.homotopy_coefficient((0, 1), (0, 0), 1)
+    assert not homotopy_weight(CANONICAL2, (0, 1), (0, 0), 1)
 
 
-def test_homotopy_coefficient_inverts_differential_weight():
-    w = CANONICAL2.homotopy_coefficient((1, 0), (0, 0), 1)
+def test_homotopy_weight_inverts_differential_weight():
+    # one failing index, so D = delta_1 and the round trip is D itself
+    w = homotopy_weight(CANONICAL2, (1, 0), (0, 0), 1)
     back = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    assert w * back == 1
+    assert w * back == CANONICAL2.defect_product((1, 0))
+    assert CANONICAL2.failing_indices((1, 0)) == (1,)
 
 
-def test_homotopy_coefficient_skips_commuting_positions():
+def test_homotopy_weight_skips_commuting_positions():
     # gamma = (1, 2): generator 2 sigma-commutes, so slot 2 contributes nothing
-    # (the literal inverse there would divide by zero)
-    assert not CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 2)
-    assert CANONICAL2.homotopy_coefficient((1, 2), (0, 0), 1)
+    # (the unscaled weight there would divide by zero)
+    assert not homotopy_weight(CANONICAL2, (1, 2), (0, 0), 2)
+    assert homotopy_weight(CANONICAL2, (1, 2), (0, 0), 1)
+    assert set(CANONICAL2.homotopy({((1, 2), (0, 0)): 1})) == {((0, 2), (1, 0))}
 
 
 Q3 = AlgebraSpec.symbolic(3)
-PRIMES3 = AlgebraSpec.with_distinct_primes(3)
+PRIMES3 = AlgebraSpec.numeric(3, NumericAssignment.distinct_primes(3))
 SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
                     automorphism_for_top_class(Q3, (1, 0, 2)))
 
@@ -167,11 +189,18 @@ def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     # distinct primes are generic, so the two scalar types must agree
     symbolic = ReducedComplex(Q3, sigma)
     numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.assignment))
-    for name in ("differential_coefficient", "homotopy_coefficient"):
-        expected = getattr(numeric, name)(alpha, beta, i)
-        assert type(expected) is Fraction
-        value = getattr(symbolic, name)(alpha, beta, i)
-        assert specialize(value, PRIMES3.assignment) == expected
+    expected = numeric.differential_coefficient(alpha, beta, i)
+    assert type(expected) is Fraction
+    value = symbolic.differential_coefficient(alpha, beta, i)
+    assert specialize(value, PRIMES3.assignment) == expected
+    element = {(alpha, beta): Fraction(1)}
+    expected = numeric.homotopy(element)
+    assert all(type(c) is Fraction for c in expected.values())
+    value = symbolic.homotopy(element)
+    assert {key: specialize(c, PRIMES3.assignment) for key, c in value.items()} == expected
+    gamma = add_index(alpha, beta)
+    assert (specialize(symbolic.defect_product(gamma), PRIMES3.assignment)
+            == numeric.defect_product(gamma))
 
 
 # -- homotopy ---------------------------------------------------------------------------
@@ -185,12 +214,33 @@ def test_homotopy_vanishes_without_symmetric_part():
     assert CANONICAL2.homotopy({((0, 0), (1, 1)): 1}) == {}
 
 
-def test_contraction_on_one_element():
-    e = {((1, 0), (0, 0)): Fraction(1)}
-    total = CANONICAL2.differential(CANONICAL2.homotopy(e))
-    for key, c in CANONICAL2.homotopy(CANONICAL2.differential(e)).items():
+def contraction(complex_, element):
+    """(dh + hd) of one basis element, zero terms dropped."""
+    one = {element: Fraction(1)}
+    total = complex_.differential(complex_.homotopy(one))
+    for key, c in complex_.homotopy(complex_.differential(one)).items():
         total[key] = total.get(key, 0) + c
-    assert {key: c for key, c in total.items() if c} == e
+    return {key: c for key, c in total.items() if c}
+
+
+def test_contraction_on_one_element():
+    scale = CANONICAL2.defect_product((1, 0))
+    assert scale == 1 - coefficient(1, monomial(1, 2, -1))       # delta_1 = 1 - p_1
+    assert contraction(CANONICAL2, ((1, 0), (0, 0))) == {((1, 0), (0, 0)): scale}
+
+
+@settings(max_examples=20, deadline=None)
+@given(twisted_algebras(), st.integers(0, 4))
+def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
+    # dh + hd = D(gamma) id, and D(gamma) vanishes exactly on the admissible
+    # multidegrees, which is_admissible decides without the defect table
+    spec, sigma = algebra
+    complex_ = ReducedComplex(spec, sigma)
+    for element in complex_.basis_elements(bound):
+        gamma = add_index(*element)
+        scale = complex_.defect_product(gamma)
+        assert contraction(complex_, element) == ({element: scale} if scale else {})
+        assert (not scale) == is_admissible(spec, sigma, gamma)
 
 
 # -- exhaustive checks ---------------------------------------------------------------------
@@ -218,8 +268,7 @@ def test_homotopy_identity_quantum_plane():
 
 
 def test_homotopy_identity_identity_twist():
-    spec = AlgebraSpec.with_distinct_primes(3)
-    report = check_homotopy_identity(spec, ScalingAutomorphism.identity(3), 4)
+    report = check_homotopy_identity(PRIMES3, ScalingAutomorphism.identity(3), 4)
     assert report.passed
 
 
@@ -230,9 +279,10 @@ def test_homotopy_identity_explicit_twist():
 
 def test_checks_fail_on_tampered_coefficients(monkeypatch):
     differential = ReducedComplex.differential_coefficient
-    homotopy = ReducedComplex.homotopy_coefficient
-    monkeypatch.setattr(ReducedComplex, "homotopy_coefficient",
-                        lambda self, alpha, beta, i: 2 * homotopy(self, alpha, beta, i))
+    homotopy = ReducedComplex.homotopy
+    # double the weight of every move back into slot 1
+    monkeypatch.setattr(ReducedComplex, "homotopy", lambda self, c: {
+        key: 2 * w if key[1][0] else w for key, w in homotopy(self, c).items()})
     report = check_homotopy_identity(Q2, canonical_automorphism(Q2), 3)
     assert not report.passed and report.failures
     monkeypatch.setattr(ReducedComplex, "differential_coefficient",
