@@ -10,7 +10,9 @@ configuration produces byte-identical output.
 Exit codes: 0 ok; 1 verification failed (an oracle cell disagrees with the
 Koszul prediction, a cell was skipped because its chain basis exceeds
 --cap, a Koszul self-check failed, or a required top class is absent);
-2 bad configuration; 3 truncated enumeration without --allow-truncated.
+2 bad configuration, including a config file that cannot be read or
+decoded and an --out path that cannot be written; 3 truncated enumeration
+without --allow-truncated.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             file_config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}")
         if not isinstance(file_config, dict):
             raise ConfigError("the config file must hold a JSON object")
@@ -219,7 +221,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _emit(config: RunConfig, document: dict) -> None:
     if config.out:
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write --out {config.out}: {e.strerror or e}")
 
 
 def _document(config: RunConfig, command: str, payload: dict) -> dict:

@@ -34,9 +34,9 @@ from math import comb, prod
 from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, iter_multidegrees,
-                         monomial_product, specialize_automorphism)
-from .qscalar import NumericAssignment, rational_part
+                         apply_sigma, iter_multidegrees, monomial_product,
+                         specialize_automorphism, sub_index)
+from .qscalar import NumericAssignment, term
 
 Tensor = tuple[MultiIndex, ...]
 
@@ -81,7 +81,7 @@ class HochschildComplex:
             raise CellTooLarge(f"basis of C_{n}{gamma} exceeds cap {self.cap}")
         tensors = [(head,) + tail
                    for head in product(*(range(g + 1) for g in gamma))
-                   for tail in self._tails(_minus(gamma, head), n)]
+                   for tail in self._tails(sub_index(gamma, head), n)]
         self._basis_cache[key] = tensors
         return tensors
 
@@ -96,7 +96,7 @@ class HochschildComplex:
             else:
                 tails = [(head,) + tail
                          for head in product(*(range(g + 1) for g in gamma)) if any(head)
-                         for tail in self._tails(_minus(gamma, head), slots - 1)]
+                         for tail in self._tails(sub_index(gamma, head), slots - 1)]
             self._tail_cache[key] = tails
         return tails
 
@@ -156,10 +156,6 @@ class HochschildComplex:
             dims.append(len(self.basis(n, gamma)) - rank - rank_above)
             rank_above, cleared = rank, d_n.pivot_rows
         return dims[:0:-1]      # ascending, without degree n_max + 1
-
-
-def _minus(gamma: MultiIndex, head: MultiIndex) -> MultiIndex:
-    return tuple(g - h for g, h in zip(gamma, head))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,7 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     if spec.mode != NUMERIC:
         assignment = NumericAssignment.distinct_primes(
             spec.n, prod(abs(x) for c in sigma.p
-                         for x in rational_part(c).as_integer_ratio()))
+                         for x in term(c)[0].as_integer_ratio()))
         sigma = specialize_automorphism(sigma, assignment)
         spec = AlgebraSpec.numeric(spec.n, assignment)
     complex_ = HochschildComplex(spec, sigma, cap)

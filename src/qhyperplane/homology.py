@@ -22,7 +22,7 @@ from typing import Iterable
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
                          canonical_automorphism, degree, exterior_under,
                          is_admissible, iter_multidegrees, sub_index, support)
-from .qscalar import QCoefficient, Scalar, rational_part
+from .qscalar import Scalar, term
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -65,7 +65,7 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
         raise ValueError("bound must be nonnegative")
     q = {ki: spec.q_power(*ki) for ki in permutations(range(1, spec.n + 1), 2)}
     base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
-                         for x in rational_part(c).as_integer_ratio())
+                         for x in term(c)[0].as_integer_ratio())
     q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
     p_vec = [_exponents(c, base) for c in sigma.p]
     members: list[MultiIndex] = []
@@ -113,8 +113,9 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
 
 def _exponents(c: Scalar, base: list[int]) -> dict:
     """Exponent vector of |c|: base element or symbol pair -> exponent."""
-    vec = dict(c.exponent) if isinstance(c, QCoefficient) else {}
-    num, denom = rational_part(c).as_integer_ratio()
+    scalar, mono = term(c)
+    vec = dict(mono)
+    num, denom = scalar.as_integer_ratio()
     for b in base:
         e = 0
         while num % b == 0:

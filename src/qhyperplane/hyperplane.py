@@ -4,7 +4,7 @@ The algebra has N generators x_1, ..., x_N subject to x_i x_j = q_ij x_j x_i
 for i < j, with q_ii = 1 and q_ji = q_ij^{-1}.  Monomials are written in the
 normal form x_1^{a_1} ... x_N^{a_N}, so a monomial is just a multi-index
 (a tuple of nonnegative ints) together with a scalar coefficient: a
-Fraction, or a QCoefficient when a symbolic q_ij survives.  Numeric mode
+Fraction, or in symbolic mode a one-term QPolynomial.  Numeric mode
 therefore computes with Fractions only.
 
 A scaling automorphism acts diagonally on the generators, sigma(x_i) = p_i x_i
@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, Scalar, coefficient, monomial, specialize
+from .qscalar import NumericAssignment, QPolynomial, Scalar, monomial, specialize
 
 MultiIndex = tuple[int, ...]
 
@@ -46,8 +47,8 @@ def add_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 
 def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
+    out = tuple(map(sub, a, b))
+    if min(out) < 0:
         raise ValueError(f"{a} - {b} leaves the nonnegative orthant")
     return out
 
@@ -129,14 +130,14 @@ class AlgebraSpec:
         return cls(n, NUMERIC, NumericAssignment.uniform(n, 1 / q))
 
     def q_power(self, i: int, j: int, e: int = 1) -> Scalar:
-        """q_ij^e: a QCoefficient in symbolic mode, a Fraction in numeric
-        mode; the one place that picks the scalar type from the mode."""
+        """q_ij^e: a one-term QPolynomial in symbolic mode, a Fraction in
+        numeric mode; the one place that picks the scalar type from the mode."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"generator pair ({i},{j}) out of range")
         if i == j or e == 0:
             return Fraction(1)
         if self.mode == SYMBOLIC:
-            return coefficient(1, monomial(i, j, e))
+            return QPolynomial({monomial(i, j, e): Fraction(1)})
         return self.assignment.value(i, j) ** e
 
 

@@ -24,9 +24,8 @@ is empty, on the admissible multidegrees; elsewhere it is a nonzero element of
 Q or of the Laurent polynomials over Q, both integral domains, so the scaled
 identity holds exactly when the unscaled homotopy contracts.
 
-Coefficients are exact and use +, - and * only, never a quotient: a weight
-with no q in it (every weight in numeric mode) is a Fraction, any other a
-QCoefficient or a QPolynomial.
+Coefficients are exact and use +, - and * only, never a quotient: every
+weight in numeric mode is a Fraction, and every symbolic one a QPolynomial.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ from typing import Iterator
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
                          sub_index, unit)
-from .qscalar import QPolynomial, Scalar
+from .qscalar import Scalar
 
 BasisElement = tuple[MultiIndex, MultiIndex]      # (alpha, beta)
-Chain = dict[BasisElement, Scalar | QPolynomial]
+Chain = dict[BasisElement, Scalar]
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,19 @@ class CheckReport:
 
 
 class ReducedComplex:
-    """Differential, homotopy and exhaustive self-checks for one (Q, sigma)."""
+    """Differential, homotopy and basis for one (Q, sigma)."""
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
         if sigma.n != spec.n:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._defects: dict[MultiIndex, tuple[Fraction | QPolynomial, ...]] = {}
+        self._defects: dict[MultiIndex, tuple[Scalar, ...]] = {}
 
     # -- coefficients -------------------------------------------------------
 
     def differential_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
-                                 i: int) -> Fraction | QPolynomial:
+                                 i: int) -> Scalar:
         """Weight of the move of exterior slot i into the symmetric part:
         sign * c_i(u) * delta_i(alpha+beta), u = beta below i, alpha above."""
         c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
@@ -78,7 +77,7 @@ class ReducedComplex:
             c = -c
         return c * self.defects(add_index(alpha, beta))[i - 1]
 
-    def defects(self, gamma: MultiIndex) -> tuple[Fraction | QPolynomial, ...]:
+    def defects(self, gamma: MultiIndex) -> tuple[Scalar, ...]:
         """delta_i(gamma) = 1 - p_i / c_i(gamma) for i = 1..N, once per gamma."""
         cached = self._defects.get(gamma)
         if cached is None:
@@ -93,7 +92,7 @@ class ReducedComplex:
         return tuple(i for i, (g, d) in enumerate(zip(gamma, self.defects(gamma)), start=1)
                      if g and d)
 
-    def defect_product(self, gamma: MultiIndex) -> Fraction | QPolynomial:
+    def defect_product(self, gamma: MultiIndex) -> Scalar:
         """D(gamma) = |F| * prod_{i in F} delta_i(gamma) over the failing
         indices F: the scale of the homotopy, zero exactly when gamma is
         admissible."""
@@ -132,39 +131,13 @@ class ReducedComplex:
                 _accumulate(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
         return out
 
-    # -- basis and exhaustive checks -----------------------------------------
+    # -- basis --------------------------------------------------------------
 
     def basis_elements(self, bound: int) -> Iterator[BasisElement]:
         """All (alpha, beta) with |alpha+beta| <= bound, multidegree-major."""
         for gamma in iter_multidegrees(self.spec.n, bound):
             for beta in exterior_under(gamma):
                 yield (sub_index(gamma, beta), beta)
-
-    def check_differential_squared(self, bound: int) -> CheckReport:
-        failures = []
-        checked = 0
-        for element in self.basis_elements(bound):
-            checked += 1
-            if self.differential(self.differential({element: Fraction(1)})):
-                failures.append(f"d(d{element}) != 0")
-        return CheckReport(not failures, checked, tuple(failures), bound)
-
-    def check_homotopy_identity(self, bound: int) -> CheckReport:
-        """dh + hd = D(gamma) id for the scaled h on every basis element; both
-        sides vanish on admissible multidegrees, and this dichotomy is what
-        makes the homology basis exactly the admissible symbols."""
-        failures = []
-        checked = 0
-        for element in self.basis_elements(bound):
-            checked += 1
-            one = {element: Fraction(1)}
-            total = self.differential(self.homotopy(one))
-            for key, c in self.homotopy(self.differential(one)).items():
-                _accumulate(total, key, c)
-            _accumulate(total, element, -self.defect_product(add_index(*element)))
-            if total:
-                failures.append(f"(dh+hd){element} != D*id")
-        return CheckReport(not failures, checked, tuple(failures), bound)
 
 
 def _accumulate(out: Chain, key: BasisElement, value) -> None:
@@ -175,9 +148,35 @@ def _accumulate(out: Chain, key: BasisElement, value) -> None:
         out[key] = merged
 
 
+# ---------------------------------------------------------------------------
+# exhaustive checks
+
 def check_d_squared(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int) -> CheckReport:
-    return ReducedComplex(spec, sigma).check_differential_squared(bound)
+    """d(d x) = 0 on every basis element up to the bound."""
+    complex_ = ReducedComplex(spec, sigma)
+    failures = []
+    checked = 0
+    for element in complex_.basis_elements(bound):
+        checked += 1
+        if complex_.differential(complex_.differential({element: Fraction(1)})):
+            failures.append(f"d(d{element}) != 0")
+    return CheckReport(not failures, checked, tuple(failures), bound)
 
 
 def check_homotopy_identity(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int) -> CheckReport:
-    return ReducedComplex(spec, sigma).check_homotopy_identity(bound)
+    """dh + hd = D(gamma) id for the scaled h on every basis element up to the
+    bound; both sides vanish on admissible multidegrees, and this dichotomy
+    is what makes the homology basis exactly the admissible symbols."""
+    complex_ = ReducedComplex(spec, sigma)
+    failures = []
+    checked = 0
+    for element in complex_.basis_elements(bound):
+        checked += 1
+        one = {element: Fraction(1)}
+        total = complex_.differential(complex_.homotopy(one))
+        for key, c in complex_.homotopy(complex_.differential(one)).items():
+            _accumulate(total, key, c)
+        _accumulate(total, element, -complex_.defect_product(add_index(*element)))
+        if total:
+            failures.append(f"(dh+hd){element} != D*id")
+    return CheckReport(not failures, checked, tuple(failures), bound)

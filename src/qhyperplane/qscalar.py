@@ -1,22 +1,19 @@
 """Exact coefficient arithmetic for the deformation parameters.
 
-All coefficients are exact, and there are three kinds of scalar:
+All coefficients are exact, and there are two kinds of scalar:
 
-    Fraction      a scalar with no q in it, in symbolic and numeric mode alike
-    QCoefficient  a nonzero rational times a nontrivial Laurent monomial in
-                  the q_ij (one symbol per pair i < j)
-    QPolynomial   a Laurent polynomial in the q_ij
+    Fraction     a scalar with no q in it, in symbolic and numeric mode alike
+    QPolynomial  a Laurent polynomial in the q_ij (one symbol per pair i < j)
 
 A Laurent monomial is a plain sorted tuple of ((i, j), e) with i < j and e
 nonzero, so equality and hashing are those of tuples and the empty tuple is
 1; ``monomial`` builds q_ij^e, turning q_ji into q_ij^{-1} and q_ii into 1.
 A polynomial is a dict from monomial to nonzero Fraction, held by a
-QPolynomial.  ``coefficient`` is the one factory for monomial terms and
-returns a Fraction whenever the monomial is trivial, so a QCoefficient never
-equals a rational.  All three kinds mix under +, - and *, and ``specialize``
-evaluates any of them at a ``NumericAssignment`` of concrete nonzero
-rationals.  No quotient of polynomials exists: a monomial is inverted by
-``** -1``, and nothing else symbolic is ever divided.
+QPolynomial; a single term c * q^m is the polynomial {m: c}, and ``term``
+reads (c, m) back.  Both kinds mix under +, - and *, and ``specialize``
+evaluates either at a ``NumericAssignment`` of concrete nonzero rationals.
+No quotient of polynomials exists: a single term is inverted by ``** -1``,
+and nothing else symbolic is ever divided.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -83,88 +80,8 @@ def _mono_str(a: Monomial) -> str:
                     for (i, j), e in a) or "1"
 
 
-def coefficient(scalar, exponent: Monomial) -> "Scalar":
-    """scalar * q^exponent: a plain Fraction when no q survives."""
-    if not scalar or not exponent:
-        return Fraction(scalar)
-    return QCoefficient(scalar, exponent)
-
-
-class QCoefficient:
-    """Exact scalar: nonzero rational number times a nontrivial Laurent
-    monomial in the q_ij.
-
-    Products and powers that cancel the monomial come back as Fractions
-    through ``coefficient``; sums and differences are QPolynomials.
-    """
-
-    __slots__ = ("scalar", "exponent")
-
-    def __init__(self, scalar, exponent: Monomial):
-        if not scalar or not exponent:
-            raise ValueError("a QCoefficient needs a nonzero scalar and a "
-                             "nontrivial monomial; use coefficient()")
-        self.scalar = Fraction(scalar)
-        self.exponent = exponent
-
-    def __mul__(self, other):
-        if isinstance(other, QCoefficient):
-            return coefficient(self.scalar * other.scalar,
-                               _mono_mul(self.exponent, other.exponent))
-        if isinstance(other, (Fraction, int)):
-            return coefficient(self.scalar * other, self.exponent)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "QCoefficient":
-        return QCoefficient(-self.scalar, self.exponent)
-
-    def __add__(self, other) -> "QPolynomial":
-        return _lift(self) + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QPolynomial":
-        return _lift(self) - other
-
-    def __rsub__(self, other) -> "QPolynomial":
-        return other - _lift(self)
-
-    def __pow__(self, n: int) -> "Scalar":
-        return coefficient(self.scalar ** n, _mono_pow(self.exponent, n))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QCoefficient):
-            return NotImplemented
-        return self.scalar == other.scalar and self.exponent == other.exponent
-
-    def __hash__(self) -> int:
-        return hash((self.scalar, self.exponent))
-
-    def __str__(self) -> str:
-        if self.scalar == 1:
-            return _mono_str(self.exponent)
-        if self.scalar == -1:
-            return "-" + _mono_str(self.exponent)
-        return f"{self.scalar}*{_mono_str(self.exponent)}"
-
-    def __repr__(self) -> str:
-        return f"QCoefficient({self.scalar!r}, {self.exponent!r})"
-
-
-Scalar = Fraction | QCoefficient
-
-
-def rational_part(value: Scalar) -> Fraction:
-    """The rational factor of a scalar: its scalar part, or itself."""
-    return value.scalar if isinstance(value, QCoefficient) else Fraction(value)
-
-
 def specialize(value, assignment: "NumericAssignment") -> Fraction:
     """Evaluate any scalar at the assignment; a rational is its own value."""
-    if isinstance(value, QCoefficient):
-        return value.scalar * _mono_value(value.exponent, assignment)
     if isinstance(value, QPolynomial):
         return sum((c * _mono_value(m, assignment) for m, c in value.num.items()),
                    Fraction(0))
@@ -252,20 +169,31 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return {m: c for m, c in out.items() if c}
 
 
+def _term_str(c: Fraction, m: Monomial) -> str:
+    if not m:
+        return str(c)
+    if c == 1:
+        return _mono_str(m)
+    if c == -1:
+        return "-" + _mono_str(m)
+    return f"{c}*{_mono_str(m)}"
+
+
 def _poly_str(a: Polynomial) -> str:
     if not a:
         return "0"
     terms = sorted(a.items(), key=lambda mc: _mono_str(mc[0]))
-    return " + ".join(str(coefficient(c, m)) for m, c in terms)
+    return " + ".join(_term_str(c, m) for m, c in terms)
 
 
 class QPolynomial:
     """Laurent polynomial in the q_ij: a dict from monomial to nonzero
     Fraction, canonical term by term, so equality is dict equality.
 
-    Operands may be QPolynomials, QCoefficients, Fractions or ints; a
-    rational factor scales the terms without a polynomial product.  There is
-    no division: the Laurent polynomials form a ring, not a field.
+    Operands may be QPolynomials, Fractions or ints; a rational factor
+    scales the terms without a polynomial product.  There is no division:
+    the Laurent polynomials form a ring, not a field, so only a single term
+    has powers here, negative ones included.
     """
 
     __slots__ = ("num",)
@@ -294,11 +222,15 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int) -> "QPolynomial":
+        c, m = term(self)
+        return QPolynomial({_mono_pow(m, n): c ** n})
+
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (QPolynomial, QCoefficient, Fraction, int)):
+        if not isinstance(other, (QPolynomial, Fraction, int)):
             return NotImplemented
         return self.num == _lift(other).num
 
@@ -309,9 +241,21 @@ class QPolynomial:
         return f"QPolynomial({self.num!r})"
 
 
-def _lift(value: "QPolynomial | QCoefficient | Fraction | int") -> QPolynomial:
+Scalar = Fraction | QPolynomial
+
+
+def term(value: Scalar) -> tuple[Fraction, Monomial]:
+    """(c, m) for a scalar that is the single term c * q^m; a rational is
+    its own term.  A sum, or the zero polynomial, raises ValueError."""
+    if not isinstance(value, QPolynomial):
+        return Fraction(value), ()
+    if len(value.num) != 1:
+        raise ValueError(f"{value} is not a single term")
+    (m, c), = value.num.items()
+    return c, m
+
+
+def _lift(value: "Scalar | int") -> QPolynomial:
     if isinstance(value, QPolynomial):
         return value
-    if isinstance(value, QCoefficient):
-        return QPolynomial({value.exponent: value.scalar})
     return QPolynomial({(): Fraction(value)} if value else {})

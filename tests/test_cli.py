@@ -15,7 +15,7 @@ import pytest
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
 from qhyperplane import homology, qscalar
-from qhyperplane.qscalar import QCoefficient, QPolynomial
+from qhyperplane.qscalar import QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -95,8 +95,7 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     def refuse_monomial(*args):
         raise AssertionError(f"numeric mode built the monomial {args}")
 
-    for cls in (QCoefficient, QPolynomial):
-        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(QPolynomial, "__init__", refuse)
     callers = [m for name, m in sys.modules.items()
                if name.startswith("qhyperplane")
                and getattr(m, "monomial", None) is qscalar.monomial]
@@ -151,6 +150,25 @@ def test_malformed_config_file_exits_bad_config(content, tmp_path, capsys):
     config.write_text(json.dumps(content))
     assert main(["homology", "--config", str(config)]) == EXIT_BAD_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_bad_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe" + json.dumps({"n": 2}).encode("utf-16-le"))
+    assert main(["homology", "--config", str(config)]) == EXIT_BAD_CONFIG
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--bound", "2"],
+    ["homology", "--n", "2"],
+])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_exits_bad_config(argv, target, tmp_path, capsys):
+    # the report is lost, so the run must not read as ok or as a failed check
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert f"cannot write --out {out}" in capsys.readouterr().err
 
 
 def test_config_mode_symbolic_excludes_auto_primes(tmp_path, capsys):

@@ -13,11 +13,12 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     specialize_automorphism, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import (NumericAssignment, QPolynomial, coefficient,
-                                 monomial, specialize)
+from qhyperplane.qscalar import NumericAssignment, QPolynomial, monomial, specialize
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
+# p_1 = q_21 = q_12^{-1} for the canonical twist of the quantum plane
+P1 = QPolynomial({monomial(1, 2, -1): Fraction(1)})
 
 
 # -- differential coefficient ----------------------------------------------------
@@ -38,7 +39,7 @@ def test_differential_coefficient_single_commuting_generator():
 def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
     value = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    expected = 1 - coefficient(1, monomial(1, 2, -1))
+    expected = 1 - P1
     assert isinstance(expected, QPolynomial)
     assert value == expected
     assert value
@@ -127,7 +128,7 @@ def test_differential_vanishes_on_admissible_multidegrees():
 
 def test_differential_single_term():
     out = CANONICAL2.differential({((0, 0), (1, 0)): 1})
-    expected_coeff = 1 - coefficient(1, monomial(1, 2, -1))
+    expected_coeff = 1 - P1
     assert set(out) == {((1, 0), (0, 0))}
     assert out[((1, 0), (0, 0))] == expected_coeff
 
@@ -225,7 +226,7 @@ def contraction(complex_, element):
 
 def test_contraction_on_one_element():
     scale = CANONICAL2.defect_product((1, 0))
-    assert scale == 1 - coefficient(1, monomial(1, 2, -1))       # delta_1 = 1 - p_1
+    assert scale == 1 - P1       # delta_1 = 1 - p_1
     assert contraction(CANONICAL2, ((1, 0), (0, 0))) == {((1, 0), (0, 0)): scale}
 
 

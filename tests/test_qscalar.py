@@ -1,13 +1,13 @@
 """Coefficient arithmetic: group laws, specialization, exactness, and the
-rule that a scalar with no q in it is a plain Fraction."""
+single terms c * q^m, which are one-term QPolynomials."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qhyperplane.qscalar import (NumericAssignment, QCoefficient, QPolynomial,
-                                 coefficient, monomial, rational_part, specialize)
+from qhyperplane.qscalar import (NumericAssignment, QPolynomial, monomial,
+                                 specialize, term)
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -18,24 +18,22 @@ def mono(exps=()):
 
 
 def qc(scalar, exps=()):
-    """scalar * monomial through the factory: a Fraction when no q is left."""
-    return coefficient(Fraction(scalar), mono(exps))
-
-
-def inverse(a):
-    return a ** -1 if isinstance(a, QCoefficient) else 1 / a
+    """The single term scalar * monomial as a one-term QPolynomial, or the
+    zero polynomial when the scalar is zero."""
+    return QPolynomial({mono(exps): Fraction(scalar)} if scalar else {})
 
 
 def lift(a):
-    if isinstance(a, QCoefficient):
-        return QPolynomial({a.exponent: a.scalar})
+    if isinstance(a, QPolynomial):
+        return a
     return QPolynomial({mono(): Fraction(a)} if a else {})
 
 
 nonzero_scalars = st.fractions(min_value=-8, max_value=8).filter(lambda f: f != 0)
 exponent_maps = st.dictionaries(st.sampled_from(PAIRS), st.integers(-4, 4), max_size=4)
-# a trivial exponent map gives a Fraction, so this draws from both scalar types
-coefficients = st.builds(lambda s, e: qc(s, e.items()), nonzero_scalars, exponent_maps)
+# single terms, and plain Fractions to mix with them
+coefficients = (st.builds(lambda s, e: qc(s, e.items()), nonzero_scalars, exponent_maps)
+                | nonzero_scalars)
 
 
 def prime_assignment():
@@ -48,7 +46,7 @@ def test_mul_inverse_pair_cancels():
     a = qc(1, {(1, 2): 1}.items())
     b = qc(1, {(1, 2): -1}.items())
     assert a * b == 1
-    assert type(a * b) is Fraction
+    assert term(a * b) == (1, mono())
 
 
 def test_mul_disjoint_monomials():
@@ -59,7 +57,7 @@ def test_mul_disjoint_monomials():
 
 def test_mul_zero_absorbs():
     assert Fraction(0) * qc(5, {(1, 2): 3}.items()) == 0
-    assert type(qc(5, {(1, 2): 3}.items()) * 0) is Fraction
+    assert (qc(5, {(1, 2): 3}.items()) * 0).num == {}
 
 
 def test_inverse_componentwise():
@@ -70,9 +68,10 @@ def test_inverse_componentwise():
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        inverse(qc(0, {(1, 2): 1}.items()))
+        Fraction(0) ** -1
+    # the zero polynomial has no term to invert
     with pytest.raises(ValueError):
-        QCoefficient(0, monomial(1, 2))
+        qc(0, {(1, 2): 1}.items()) ** -1
 
 
 def test_specialize_direct():
@@ -97,9 +96,10 @@ def test_exponent_orientation():
 
 
 def test_zero_is_canonical():
-    z = qc(0, {(1, 2): 5}.items())
-    assert z == 0
-    assert type(z) is Fraction
+    a = qc(3, {(1, 2): 5}.items())
+    for z in (a - a, a * 0, 0 * a, a + (-a)):
+        assert z == 0 and not z
+        assert z.num == {}
 
 
 # -- group and homomorphism properties ---------------------------------------
@@ -108,7 +108,7 @@ def test_zero_is_canonical():
 def test_multiplication_group_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * Fraction(1) == a
-    assert a * inverse(a) == 1
+    assert a * a ** -1 == 1
     assert a * b == b * a
 
 
@@ -124,14 +124,14 @@ def test_is_one_iff_prime_specialization_is_one(a):
     # a monic monomial specializes to 1 only when it is trivial; the rational
     # factor is divided out first, since 1/3 * q13 specializes to 1 at q13 = 3
     nu = prime_assignment()
-    monic = a * (1 / rational_part(a))
+    monic = a * (1 / term(a)[0])
     assert (monic == 1) == (specialize(monic, nu) == 1)
 
 
 @given(coefficients, st.integers(-3, 3))
 def test_power_matches_repeated_product(a, n):
     expected = Fraction(1)
-    step = a if n >= 0 else inverse(a)
+    step = a if n >= 0 else a ** -1
     for _ in range(abs(n)):
         expected = expected * step
     assert a ** n == expected
@@ -196,22 +196,41 @@ def test_fraction_equality_by_cross_multiplication(a, b):
     assert (fa - fb == 0) == (a == b) and fa * fb == a * b
 
 
-# -- the Fraction rule -----------------------------------------------------------
+# -- single terms ----------------------------------------------------------------
 
 @given(coefficients, coefficients)
-def test_cancelling_product_is_a_fraction(a, b):
+def test_cancelling_product_equals_the_rational(a, b):
     # a * (b / a) cancels every q that a carries; b's own q survive
-    product = a * (b * inverse(a))
-    assert product == b and hash(product) == hash(b)
-    cancelled = a * inverse(a)
-    assert type(cancelled) is Fraction
-    assert cancelled == 1 and hash(cancelled) == hash(Fraction(1))
-    assert type(a ** 0) is Fraction
-    # a QCoefficient always keeps a monomial, so it equals no rational
-    if isinstance(a, QCoefficient):
-        assert a != a.scalar and a.exponent != ()
-    else:
-        assert type(a) is Fraction
+    assert a * (b * a ** -1) == b
+    assert a * a ** -1 == 1
+    assert a ** 0 == 1
+    # a term that keeps a monomial equals no rational
+    c, m = term(a)
+    assert (a == c) == (m == mono())
+
+
+def test_sum_has_no_power_and_no_term():
+    binom = 1 - qc(1, {(1, 2): 1}.items())     # 1 - q12
+    for n in (-1, 0, 2):
+        with pytest.raises(ValueError):
+            binom ** n
+    with pytest.raises(ValueError):
+        term(binom)
+    assert term(Fraction(3, 4)) == (Fraction(3, 4), mono())
+    assert term(qc(-2, {(1, 3): 1}.items())) == (-2, monomial(1, 3))
+
+
+@pytest.mark.parametrize("scalar, text", [
+    (1, "q(1,2){}"), (-1, "-q(1,2){}"), (Fraction(1, 2), "1/2*q(1,2){}")])
+@pytest.mark.parametrize("e, power", [(1, ""), (-1, "^-1"), (2, "^2")])
+def test_term_string(scalar, text, e, power):
+    assert str(qc(scalar, {(1, 2): e}.items())) == text.format(power)
+
+
+def test_term_string_without_or_with_several_symbols():
+    assert [str(qc(c)) for c in (1, -1, Fraction(1, 2))] == ["1", "-1", "1/2"]
+    assert str(qc(-1, {(1, 3): 1}.items())) == "-q(1,3)"
+    assert str(qc(Fraction(1, 2), {(1, 2): 1, (2, 3): 2}.items())) == "1/2*q(1,2)*q(2,3)^2"
 
 
 @given(coefficients, nonzero_scalars, st.integers(-3, 3))
