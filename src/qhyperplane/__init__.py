@@ -15,17 +15,17 @@ from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                          commutation_factor, is_admissible, is_generic,
                          monomial_product, sigma_commutes_at)
 from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
-from .qscalar import NumericAssignment, QPolynomial
+from .qscalar import QPolynomial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "CellTooLarge", "HochschildComplex", "HomologyReport",
-    "NumericAssignment", "QPolynomial", "ReducedComplex",
-    "ScalingAutomorphism", "SparseExactMatrix", "apply_sigma",
-    "automorphism_for_top_class", "build_report", "canonical_automorphism",
-    "check_d_squared", "check_homotopy_identity", "commutation_factor",
-    "compare_with_koszul", "enumerate_admissible", "is_admissible",
-    "is_generic", "monomial_product", "one_parameter_admissible",
-    "predicted_dims", "scan_admissible", "sigma_commutes_at",
+    "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
+    "SparseExactMatrix", "apply_sigma", "automorphism_for_top_class",
+    "build_report", "canonical_automorphism", "check_d_squared",
+    "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
+    "enumerate_admissible", "is_admissible", "is_generic",
+    "monomial_product", "one_parameter_admissible", "predicted_dims",
+    "scan_admissible", "sigma_commutes_at",
 ]

@@ -30,7 +30,7 @@ from .hyperplane import (AlgebraSpec, NUMERIC, SYMBOLIC, ScalingAutomorphism,
                          add_index, automorphism_for_top_class,
                          canonical_automorphism, is_admissible, is_generic)
 from .koszul import check_d_squared, check_homotopy_identity
-from .qscalar import NumericAssignment, all_pairs
+from .qscalar import all_pairs, distinct_primes
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -69,8 +69,7 @@ class RunConfig:
     def build_spec(self) -> AlgebraSpec:
         if self.mode == SYMBOLIC:
             return AlgebraSpec.symbolic(self.n)
-        return AlgebraSpec.numeric(self.n, NumericAssignment(
-            {(i, j): v for i, j, v in self.q_values}))
+        return AlgebraSpec.numeric(self.n, {(i, j): v for i, j, v in self.q_values})
 
     def build_sigma(self, spec: AlgebraSpec) -> ScalingAutomorphism:
         if self.automorphism == CANONICAL:
@@ -159,8 +158,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.auto_primes and q_entries:
         raise ConfigError("--auto-primes excludes q values")
     if args.auto_primes:
-        assignment = NumericAssignment.distinct_primes(n)
-        q_entries = [(i, j, assignment.value(i, j)) for i, j in all_pairs(n)]
+        q_entries = [(i, j, v) for (i, j), v in distinct_primes(n).items()]
     if symbolic:
         mode = SYMBOLIC
         q_entries = []

@@ -36,7 +36,7 @@ from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          apply_sigma, iter_multidegrees, monomial_product,
                          specialize_automorphism, sub_index)
-from .qscalar import NumericAssignment, term
+from .qscalar import distinct_primes, term
 
 Tensor = tuple[MultiIndex, ...]
 
@@ -52,7 +52,7 @@ class HochschildComplex:
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism,
                  cap: int = DEFAULT_CELL_CAP):
-        if spec.mode != NUMERIC or not all(isinstance(c, Fraction) for c in sigma.p):
+        if not all(isinstance(c, Fraction) for c in (*spec.q.values(), *sigma.p)):
             raise ValueError("the oracle needs numeric parameters and twist; "
                              "specialize symbolic input at distinct primes first")
         if sigma.n != spec.n:
@@ -216,11 +216,10 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     """
     predicted = predicted_dims(build_report(spec, sigma, bound, n_max))
     if spec.mode != NUMERIC:
-        assignment = NumericAssignment.distinct_primes(
-            spec.n, prod(abs(x) for c in sigma.p
-                         for x in term(c)[0].as_integer_ratio()))
-        sigma = specialize_automorphism(sigma, assignment)
-        spec = AlgebraSpec.numeric(spec.n, assignment)
+        q = distinct_primes(spec.n, prod(abs(x) for c in sigma.p
+                                         for x in term(c)[0].as_integer_ratio()))
+        sigma = specialize_automorphism(sigma, q)
+        spec = AlgebraSpec.numeric(spec.n, q)
     complex_ = HochschildComplex(spec, sigma, cap)
     cells = []
     for gamma in iter_multidegrees(spec.n, bound):

@@ -1,11 +1,12 @@
 """The quantum hyperplane: monomial calculus and scaling automorphisms.
 
 The algebra has N generators x_1, ..., x_N subject to x_i x_j = q_ij x_j x_i
-for i < j, with q_ii = 1 and q_ji = q_ij^{-1}.  Monomials are written in the
-normal form x_1^{a_1} ... x_N^{a_N}, so a monomial is just a multi-index
-(a tuple of nonnegative ints) together with a scalar coefficient: a
-Fraction, or in symbolic mode a one-term QPolynomial.  Numeric mode
-therefore computes with Fractions only.
+for i < j, with q_ii = 1 and q_ji = q_ij^{-1}; AlgebraSpec holds the q_ij for
+i < j, a symbol or a rational each, and q_power reads any q_ij^e off them.
+Monomials are written in the normal form x_1^{a_1} ... x_N^{a_N}, so a
+monomial is just a multi-index (a tuple of nonnegative ints) together with a
+scalar coefficient: a Fraction, or in symbolic mode a one-term QPolynomial.
+Numeric mode therefore computes with Fractions only.
 
 A scaling automorphism acts diagonally on the generators, sigma(x_i) = p_i x_i
 with p_i nonzero; the canonical one is p_i = prod_j q_ji, which is exactly the
@@ -17,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import NumericAssignment, QPolynomial, Scalar, monomial, specialize
+from .qscalar import Pair, Scalar, all_pairs, specialize, symbol
 
 MultiIndex = tuple[int, ...]
 
@@ -43,7 +44,7 @@ def unit(n: int, i: int) -> MultiIndex:
 
 
 def add_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -89,34 +90,33 @@ def exterior_under(gamma: MultiIndex, weight: int | None = None) -> list[MultiIn
 class AlgebraSpec:
     """The quantum symmetric algebra on n generators.
 
-    mode is "symbolic" (the q_ij are independent symbols, the generic regime)
-    or "numeric" (every q_ij carries an exact nonzero rational value).
+    q holds q_ij for every pair i < j: the symbol q_ij in mode "symbolic"
+    (independent symbols, the generic regime), an exact nonzero rational in
+    mode "numeric".  The mode is stored, not read off q, which is empty at
+    n = 1.
     """
 
     n: int
     mode: str
-    assignment: NumericAssignment | None = None
+    q: Mapping[Pair, Scalar]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one generator")
         if self.mode not in (SYMBOLIC, NUMERIC):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == NUMERIC:
-            if self.assignment is None or not self.assignment.covers(self.n):
-                raise ValueError("numeric mode needs a value for every pair q_ij")
-        elif self.assignment is not None:
-            raise ValueError("symbolic mode takes no numeric assignment")
+        if set(self.q) != set(all_pairs(self.n)):
+            raise ValueError(f"q needs exactly the pairs i < j up to {self.n}")
+        if not all(self.q.values()):
+            raise ValueError("every q_ij must be nonzero")
 
     @classmethod
     def symbolic(cls, n: int) -> "AlgebraSpec":
-        return cls(n, SYMBOLIC)
+        return cls(n, SYMBOLIC, {(i, j): symbol(i, j) for i, j in all_pairs(n)})
 
     @classmethod
-    def numeric(cls, n: int, values: Mapping[tuple[int, int], Fraction] | NumericAssignment) -> "AlgebraSpec":
-        if not isinstance(values, NumericAssignment):
-            values = NumericAssignment(values)
-        return cls(n, NUMERIC, values)
+    def numeric(cls, n: int, values: Mapping[Pair, Fraction]) -> "AlgebraSpec":
+        return cls(n, NUMERIC, {pair: Fraction(v) for pair, v in values.items()})
 
     @classmethod
     def one_parameter(cls, n: int, q) -> "AlgebraSpec":
@@ -127,18 +127,15 @@ class AlgebraSpec:
         q = Fraction(q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        return cls(n, NUMERIC, NumericAssignment.uniform(n, 1 / q))
+        return cls.numeric(n, dict.fromkeys(all_pairs(n), 1 / q))
 
     def q_power(self, i: int, j: int, e: int = 1) -> Scalar:
-        """q_ij^e: a one-term QPolynomial in symbolic mode, a Fraction in
-        numeric mode; the one place that picks the scalar type from the mode."""
+        """q_ij^e, with q_ji = q_ij^{-1} and q_ii = 1."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"generator pair ({i},{j}) out of range")
         if i == j or e == 0:
             return Fraction(1)
-        if self.mode == SYMBOLIC:
-            return QPolynomial({monomial(i, j, e): Fraction(1)})
-        return self.assignment.value(i, j) ** e
+        return self.q[i, j] ** e if i < j else self.q[j, i] ** -e
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,8 @@ def automorphism_for_top_class(spec: AlgebraSpec, alpha: MultiIndex) -> ScalingA
 
 
 def specialize_automorphism(sigma: ScalingAutomorphism,
-                            assignment: NumericAssignment) -> ScalingAutomorphism:
-    return ScalingAutomorphism(tuple(specialize(c, assignment) for c in sigma.p))
+                            q: Mapping[Pair, Fraction]) -> ScalingAutomorphism:
+    return ScalingAutomorphism(tuple(specialize(c, q) for c in sigma.p))
 
 
 def sigma_commutes_at(spec: AlgebraSpec, sigma: ScalingAutomorphism,

@@ -68,14 +68,16 @@ class ReducedComplex:
 
     # -- coefficients -------------------------------------------------------
 
+    def _signed_factor(self, alpha: MultiIndex, beta: MultiIndex, i: int) -> Scalar:
+        """(-1)^{|beta below i|} c_i(u), u = beta below i and alpha above."""
+        c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
+        return -c if sum(beta[:i - 1]) % 2 else c
+
     def differential_coefficient(self, alpha: MultiIndex, beta: MultiIndex,
                                  i: int) -> Scalar:
         """Weight of the move of exterior slot i into the symmetric part:
-        sign * c_i(u) * delta_i(alpha+beta), u = beta below i, alpha above."""
-        c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
-        if sum(beta[: i - 1]) % 2:
-            c = -c
-        return c * self.defects(add_index(alpha, beta))[i - 1]
+        sign * c_i(u) * delta_i(alpha+beta)."""
+        return self._signed_factor(alpha, beta, i) * self.defects(add_index(alpha, beta))[i - 1]
 
     def defects(self, gamma: MultiIndex) -> tuple[Scalar, ...]:
         """delta_i(gamma) = 1 - p_i / c_i(gamma) for i = 1..N, once per gamma."""
@@ -123,10 +125,8 @@ class ReducedComplex:
             for i in failing:
                 if beta[i - 1]:
                     continue
-                w = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i) ** -1
-                if sum(beta[: i - 1]) % 2:
-                    w = -w
-                w = prod((self.defects(gamma)[j - 1] for j in failing if j != i), start=w)
+                w = prod((self.defects(gamma)[j - 1] for j in failing if j != i),
+                         start=self._signed_factor(alpha, beta, i) ** -1)
                 e = unit(self.spec.n, i)
                 _accumulate(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
         return out

@@ -7,13 +7,13 @@ All coefficients are exact, and there are two kinds of scalar:
 
 A Laurent monomial is a plain sorted tuple of ((i, j), e) with i < j and e
 nonzero, so equality and hashing are those of tuples and the empty tuple is
-1; ``monomial`` builds q_ij^e, turning q_ji into q_ij^{-1} and q_ii into 1.
-A polynomial is a dict from monomial to nonzero Fraction, held by a
-QPolynomial; a single term c * q^m is the polynomial {m: c}, and ``term``
-reads (c, m) back.  Both kinds mix under +, - and *, and ``specialize``
-evaluates either at a ``NumericAssignment`` of concrete nonzero rationals.
-No quotient of polynomials exists: a single term is inverted by ``** -1``,
-and nothing else symbolic is ever divided.
+1.  A polynomial is a dict from monomial to nonzero Fraction, held by a
+QPolynomial; a single term c * q^m is the polynomial {m: c}, ``symbol``
+builds the term q_ij, and ``term`` reads (c, m) back.  Both kinds mix under
++, - and *, and ``specialize`` evaluates either at a table of nonzero
+rationals, one per pair i < j, such as ``distinct_primes`` returns.  No
+quotient of polynomials exists: a single term is inverted by ``** -1``, and
+nothing else symbolic is ever divided.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -34,24 +34,25 @@ def all_pairs(n: int) -> list[Pair]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _check_pair(pair: Pair) -> Pair:
-    i, j = pair
-    if not (1 <= i < j):
-        raise ValueError(f"parameter pair must satisfy 1 <= i < j, got {pair}")
-    return (i, j)
+def distinct_primes(n: int, coprime_to: int = 1) -> dict[Pair, Fraction]:
+    """Pairwise distinct primes that do not divide coprime_to, one per pair
+    and lexicographically over pairs.
+
+    Distinct primes are multiplicatively independent over the rationals, so
+    this numeric model reproduces the symbolic-generic regime exactly.
+    """
+    pairs = all_pairs(n)
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < len(pairs):
+        if all(candidate % p for p in primes) and coprime_to % candidate:
+            primes.append(candidate)
+        candidate += 1
+    return {pair: Fraction(p) for pair, p in zip(pairs, primes)}
 
 
 # ---------------------------------------------------------------------------
 # Laurent monomials
-
-def monomial(i: int, j: int, e: int = 1) -> Monomial:
-    """The monomial q_ij^e, normalising q_ji to q_ij^{-1} and q_ii to 1."""
-    if i == j or e == 0:
-        return ()
-    if i > j:
-        i, j, e = j, i, -e
-    return ((_check_pair((i, j)), e),)
-
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
@@ -68,10 +69,10 @@ def _mono_pow(a: Monomial, n: int) -> Monomial:
     return tuple((pair, e * n) for pair, e in a) if n else ()
 
 
-def _mono_value(a: Monomial, assignment: "NumericAssignment") -> Fraction:
+def _mono_value(a: Monomial, q: Mapping[Pair, Fraction]) -> Fraction:
     value = Fraction(1)
-    for (i, j), e in a:
-        value *= assignment.value(i, j) ** e
+    for pair, e in a:
+        value *= q[pair] ** e
     return value
 
 
@@ -80,70 +81,13 @@ def _mono_str(a: Monomial) -> str:
                     for (i, j), e in a) or "1"
 
 
-def specialize(value, assignment: "NumericAssignment") -> Fraction:
-    """Evaluate any scalar at the assignment; a rational is its own value."""
+def specialize(value, q: Mapping[Pair, Fraction]) -> Fraction:
+    """Evaluate any scalar at the values q[i, j] of the q_ij, i < j; a
+    rational is its own value."""
     if isinstance(value, QPolynomial):
-        return sum((c * _mono_value(m, assignment) for m, c in value.num.items()),
+        return sum((c * _mono_value(m, q) for m, c in value.num.items()),
                    Fraction(0))
     return Fraction(value)
-
-
-class NumericAssignment:
-    """Concrete nonzero rational values for every pair q_ij, i < j."""
-
-    def __init__(self, values: Mapping[Pair, Fraction]):
-        table: dict[Pair, Fraction] = {}
-        for pair, v in values.items():
-            _check_pair(pair)
-            v = Fraction(v)
-            if v == 0:
-                raise ValueError(f"q{pair} must be nonzero")
-            table[pair] = v
-        self._values = table
-
-    @classmethod
-    def distinct_primes(cls, n: int, coprime_to: int = 1) -> "NumericAssignment":
-        """Assign pairwise distinct primes that do not divide coprime_to,
-        lexicographically over pairs.
-
-        Distinct primes are multiplicatively independent over the rationals,
-        so this numeric model reproduces the symbolic-generic regime exactly.
-        """
-        pairs = all_pairs(n)
-        primes: list[int] = []
-        candidate = 2
-        while len(primes) < len(pairs):
-            if all(candidate % p for p in primes) and coprime_to % candidate:
-                primes.append(candidate)
-            candidate += 1
-        return cls({pair: Fraction(p) for pair, p in zip(pairs, primes)})
-
-    @classmethod
-    def uniform(cls, n: int, value) -> "NumericAssignment":
-        value = Fraction(value)
-        return cls({pair: value for pair in all_pairs(n)})
-
-    def value(self, i: int, j: int) -> Fraction:
-        """Value of q_ij for any i != j; q_ji is the reciprocal of q_ij."""
-        if i == j:
-            return Fraction(1)
-        if i < j:
-            key, flip = (i, j), False
-        else:
-            key, flip = (j, i), True
-        if key not in self._values:
-            raise KeyError(f"no value assigned for q{key}")
-        v = self._values[key]
-        return 1 / v if flip else v
-
-    def covers(self, n: int) -> bool:
-        return set(all_pairs(n)) <= set(self._values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NumericAssignment) and self._values == other._values
-
-    def __repr__(self) -> str:
-        return f"NumericAssignment({self._values!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +186,11 @@ class QPolynomial:
 
 
 Scalar = Fraction | QPolynomial
+
+
+def symbol(i: int, j: int) -> QPolynomial:
+    """The symbol q_ij, i < j, as the one-term polynomial q_ij."""
+    return QPolynomial({(((i, j), 1),): Fraction(1)})
 
 
 def term(value: Scalar) -> tuple[Fraction, Monomial]:

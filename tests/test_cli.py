@@ -88,21 +88,35 @@ def test_exit_codes(argv, code):
 ])
 def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     # numeric mode computes with Fractions only: no symbolic scalar and no
-    # monomial is built, whichever module calls the constructor
+    # symbol q_ij is built, whichever module calls the constructor
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"numeric mode built a {type(self).__name__}")
 
-    def refuse_monomial(*args):
-        raise AssertionError(f"numeric mode built the monomial {args}")
+    def refuse_symbol(*args):
+        raise AssertionError(f"numeric mode built the symbol q{args}")
 
     monkeypatch.setattr(QPolynomial, "__init__", refuse)
     callers = [m for name, m in sys.modules.items()
                if name.startswith("qhyperplane")
-               and getattr(m, "monomial", None) is qscalar.monomial]
+               and getattr(m, "symbol", None) is qscalar.symbol]
     assert len(callers) >= 2      # qscalar itself and hyperplane at least
     for module in callers:
-        monkeypatch.setattr(module, "monomial", refuse_monomial)
+        monkeypatch.setattr(module, "symbol", refuse_symbol)
     assert main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["homology", "--symbolic", "--n", "1", "--bound", "3", "--allow-truncated"],
+     "mode", "symbolic"),
+    (["generic-check", "--n", "1"], "structural", True),
+])
+def test_single_generator_stays_symbolic(argv, key, value, tmp_path):
+    # N = 1 has no pair q_ij, so the mode cannot be read off the q table
+    out = tmp_path / "report.json"
+    assert _run(argv, out) == EXIT_OK
+    document = json.loads(out.read_text())
+    assert document["config"]["mode"] == "symbolic"
+    assert document[key] == value
 
 
 @pytest.mark.parametrize("argv", [

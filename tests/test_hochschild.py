@@ -16,12 +16,12 @@ from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
                                     canonical_automorphism, compositions,
                                     is_admissible, iter_multidegrees, support)
-from qhyperplane.qscalar import NumericAssignment
+from qhyperplane.qscalar import distinct_primes
 
 
 def primes_spec(n):
     """The numeric algebra with distinct primes for the q_ij: the generic regime."""
-    return AlgebraSpec.numeric(n, NumericAssignment.distinct_primes(n))
+    return AlgebraSpec.numeric(n, distinct_primes(n))
 
 
 PLANE = AlgebraSpec.numeric(2, {(1, 2): Fraction(2)})

@@ -15,7 +15,7 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigm
                                     canonical_automorphism, commutation_factor,
                                     is_generic, unit)
 from qhyperplane.koszul import ReducedComplex
-from qhyperplane.qscalar import NumericAssignment, all_pairs
+from qhyperplane.qscalar import all_pairs, distinct_primes
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
@@ -23,7 +23,7 @@ Q3 = AlgebraSpec.symbolic(3)
 
 def primes_spec(n):
     """The numeric algebra with distinct primes for the q_ij: the generic regime."""
-    return AlgebraSpec.numeric(n, NumericAssignment.distinct_primes(n))
+    return AlgebraSpec.numeric(n, distinct_primes(n))
 
 
 # -- enumeration -------------------------------------------------------------

@@ -5,20 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
+from qhyperplane.hyperplane import (NUMERIC, SYMBOLIC, AlgebraSpec,
+                                    ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     add_index, degree, is_admissible, is_generic,
                                     iter_multidegrees, monomial_product,
                                     sigma_commutes_at, unit)
-from qhyperplane.qscalar import NumericAssignment, QPolynomial, monomial
+from qhyperplane.qscalar import distinct_primes, symbol
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
 
 
 def q(i, j, e=1):
-    return QPolynomial({monomial(i, j, e): Fraction(1)})
+    return symbol(i, j) ** e
 
 
 def normal_order(spec, word):
@@ -40,6 +41,39 @@ def normal_order(spec, word):
 
 words = st.lists(st.integers(1, 3), max_size=7)
 indices3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+# -- the q table ----------------------------------------------------------------
+
+MALFORMED_TABLES = {
+    "missing pair": {(1, 2): 2, (1, 3): 3},
+    "pair beyond n": {(1, 2): 2, (1, 3): 3, (2, 3): 5, (3, 4): 7},
+    "reversed key": {(2, 1): 2, (1, 3): 3, (2, 3): 5},
+    "zero value": {(1, 2): 2, (1, 3): 0, (2, 3): 5},
+}
+
+
+@pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_spec_rejects_a_malformed_q_table(case, mode):
+    q = {pair: Fraction(v) if mode == NUMERIC else v * symbol(*sorted(pair))
+         for pair, v in MALFORMED_TABLES[case].items()}
+    with pytest.raises(ValueError):
+        AlgebraSpec(3, mode, q)
+
+
+MIXED3 = AlgebraSpec.numeric(3, {(1, 2): Fraction(2), (1, 3): Fraction(-1, 3),
+                                 (2, 3): Fraction(5)})
+
+
+@given(st.sampled_from([Q3, MIXED3]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(-4, 4))
+def test_q_power_orientation(spec, i, j, e):
+    # q_ji = q_ij^{-1} and q_ii = 1, read off the one table of q_ij, i < j
+    assert spec.q_power(j, i, e) == spec.q_power(i, j, -e)
+    assert spec.q_power(i, i, e) == 1
+    if spec.mode == NUMERIC:
+        assert type(spec.q_power(i, j, e)) is Fraction
 
 
 # -- commutation factor --------------------------------------------------------
@@ -218,7 +252,7 @@ def test_generic_symbolic_structurally():
 
 
 def test_generic_distinct_primes():
-    report = is_generic(AlgebraSpec.numeric(3, NumericAssignment.distinct_primes(3)), 6)
+    report = is_generic(AlgebraSpec.numeric(3, distinct_primes(3)), 6)
     assert report.generic and report.witness is None
 
 

@@ -13,12 +13,12 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     specialize_automorphism, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import NumericAssignment, QPolynomial, monomial, specialize
+from qhyperplane.qscalar import QPolynomial, distinct_primes, specialize, symbol
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
 # p_1 = q_21 = q_12^{-1} for the canonical twist of the quantum plane
-P1 = QPolynomial({monomial(1, 2, -1): Fraction(1)})
+P1 = symbol(1, 2) ** -1
 
 
 # -- differential coefficient ----------------------------------------------------
@@ -178,7 +178,7 @@ def test_homotopy_weight_skips_commuting_positions():
 
 
 Q3 = AlgebraSpec.symbolic(3)
-PRIMES3 = AlgebraSpec.numeric(3, NumericAssignment.distinct_primes(3))
+PRIMES3 = AlgebraSpec.numeric(3, distinct_primes(3))
 SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
                     automorphism_for_top_class(Q3, (1, 0, 2)))
 
@@ -189,18 +189,18 @@ SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
 def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     # distinct primes are generic, so the two scalar types must agree
     symbolic = ReducedComplex(Q3, sigma)
-    numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.assignment))
+    numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.q))
     expected = numeric.differential_coefficient(alpha, beta, i)
     assert type(expected) is Fraction
     value = symbolic.differential_coefficient(alpha, beta, i)
-    assert specialize(value, PRIMES3.assignment) == expected
+    assert specialize(value, PRIMES3.q) == expected
     element = {(alpha, beta): Fraction(1)}
     expected = numeric.homotopy(element)
     assert all(type(c) is Fraction for c in expected.values())
     value = symbolic.homotopy(element)
-    assert {key: specialize(c, PRIMES3.assignment) for key, c in value.items()} == expected
+    assert {key: specialize(c, PRIMES3.q) for key, c in value.items()} == expected
     gamma = add_index(alpha, beta)
-    assert (specialize(symbolic.defect_product(gamma), PRIMES3.assignment)
+    assert (specialize(symbolic.defect_product(gamma), PRIMES3.q)
             == numeric.defect_product(gamma))
 
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qhyperplane.qscalar import (NumericAssignment, QPolynomial, monomial,
-                                 specialize, term)
+from qhyperplane.hyperplane import AlgebraSpec
+from qhyperplane.qscalar import (QPolynomial, distinct_primes, specialize,
+                                 symbol, term)
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -37,7 +38,7 @@ coefficients = (st.builds(lambda s, e: qc(s, e.items()), nonzero_scalars, expone
 
 
 def prime_assignment():
-    return NumericAssignment.distinct_primes(4)
+    return distinct_primes(4)
 
 
 # -- spec examples ------------------------------------------------------------
@@ -75,24 +76,29 @@ def test_inverse_of_zero_raises():
 
 
 def test_specialize_direct():
-    nu = NumericAssignment({(1, 2): Fraction(3)})
+    nu = {(1, 2): Fraction(3)}
     assert specialize(qc(1, {(1, 2): 2}.items()), nu) == 9
-    nu2 = NumericAssignment({(1, 2): Fraction(2)})
+    nu2 = {(1, 2): Fraction(2)}
     assert specialize(qc(Fraction(1, 2), {(1, 2): -1}.items()), nu2) == Fraction(1, 4)
     assert specialize(qc(1), nu) == 1
 
 
 def test_specialize_missing_pair_raises():
-    nu = NumericAssignment({(1, 2): Fraction(3)})
+    nu = {(1, 2): Fraction(3)}
     with pytest.raises(KeyError):
         specialize(qc(1, {(1, 3): 1}.items()), nu)
 
 
 def test_exponent_orientation():
-    e = monomial(3, 1, 2)             # q_31^2 stored as q_13^{-2}
-    assert e == (((1, 3), -2),)
-    assert monomial(1, 3, -2) == e
-    assert monomial(2, 2, 5) == ()
+    spec = AlgebraSpec.symbolic(3)
+    e = spec.q_power(3, 1, 2)         # q_31^2 is q_13^{-2}
+    assert term(e) == (1, mono({(1, 3): -2}.items()))
+    assert spec.q_power(1, 3, -2) == e
+    assert spec.q_power(2, 2, 5) == 1
+
+
+def test_symbol_is_the_one_term_q_ij():
+    assert symbol(1, 3) == qc(1, {(1, 3): 1}.items())
 
 
 def test_zero_is_canonical():
@@ -173,8 +179,7 @@ def test_fraction_field_laws_on_binomials():
     a = qc(1, {(1, 2): 1}.items())
     binom = 1 - a                              # 1 - q12
     assert binom
-    assert specialize(binom + a * binom, NumericAssignment(
-        {(1, 2): Fraction(3)})) == (1 - 3) + 3 * (1 - 3)
+    assert specialize(binom + a * binom, {(1, 2): Fraction(3)}) == (1 - 3) + 3 * (1 - 3)
 
 
 def test_polynomial_has_no_division():
@@ -217,7 +222,7 @@ def test_sum_has_no_power_and_no_term():
     with pytest.raises(ValueError):
         term(binom)
     assert term(Fraction(3, 4)) == (Fraction(3, 4), mono())
-    assert term(qc(-2, {(1, 3): 1}.items())) == (-2, monomial(1, 3))
+    assert term(qc(-2, {(1, 3): 1}.items())) == (-2, mono({(1, 3): 1}.items()))
 
 
 @pytest.mark.parametrize("scalar, text", [
