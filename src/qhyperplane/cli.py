@@ -299,7 +299,7 @@ def cmd_verify(config: RunConfig) -> int:
     print(f"  koszul/oracle agreement: {comparison.agreement} "
           f"({total - skipped}/{total} cells checked)")
     print(f"  d^2 = 0: {d2.passed} ({d2.checked} elements)")
-    print(f"  dh + hd = id: {homotopy.passed} ({homotopy.checked} elements)")
+    print(f"  dh + hd = D*id: {homotopy.passed} ({homotopy.checked} elements)")
     print(f"  top class present: {top_present}"
           + (" (required)" if top_promised else ""))
     for cell in mismatches:

@@ -1,6 +1,7 @@
 """Exact rank of sparse rational matrices by fraction-free column reduction.
 
-Columns are reduced in index order, each scaled once to coprime integers.
+Entries may be ints or Fractions, mixed freely.  Columns are reduced in
+index order, each scaled once to coprime integers.
 A column's pivot is its largest row index.  While another reduced column
 already owns that pivot, the column is replaced by a*col - b*pivot_col, with
 a and b first divided by their gcd and the content gcd stripped afterwards,
@@ -24,17 +25,18 @@ from typing import Mapping
 
 
 class SparseExactMatrix:
-    """A sparse matrix over the rationals; zero entries are never stored.
+    """A sparse matrix over the rationals, with int or Fraction entries;
+    zero entries are never stored.
 
     rank() also sets pivot_rows, the pivot rows of the reduced matrix."""
 
     __slots__ = ("n_rows", "n_cols", "entries", "pivot_rows")
 
     def __init__(self, n_rows: int, n_cols: int,
-                 entries: Mapping[tuple[int, int], Fraction] | None = None):
+                 entries: Mapping[tuple[int, int], Fraction | int] | None = None):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], Fraction | int] = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise IndexError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
@@ -47,7 +49,7 @@ class SparseExactMatrix:
 
     def rank(self) -> int:
         """Exact rank by column reduction; records pivot_rows."""
-        columns: dict[int, dict[int, Fraction]] = {}
+        columns: dict[int, dict[int, Fraction | int]] = {}
         for (r, c), v in self.entries.items():
             columns.setdefault(c, {})[r] = v
         reduced: dict[int, dict[int, int]] = {}
@@ -75,7 +77,7 @@ class SparseExactMatrix:
         return len(reduced)
 
 
-def _integerize(col: dict[int, Fraction]) -> dict[int, int]:
+def _integerize(col: dict[int, Fraction | int]) -> dict[int, int]:
     """Scale a column to coprime integers (rank is scaling-invariant)."""
     lcm = 1
     for v in col.values():

@@ -1,16 +1,34 @@
 """Ground truth: the normalized twisted Hochschild complex, truncated by
 multidegree.
 
-Chain spaces in degree n are spanned by (n+1)-tuples of monomials with no
-unit in slots 1..n; the boundary multiplies adjacent slots and wraps the
-last slot around through the twist, sigma acting before the wrap-around
-product.  A product of nonunit monomials is never the unit, so this span is
+Chain spaces in degree n are spanned by (n+1)-tuples a = (a_0, ..., a_n) of
+monomials with no unit in slots 1..n.  The boundary multiplies adjacent
+slots, with sign (-1)^i for slots i and i+1, and wraps the last slot around
+through the twist, sigma acting before the wrap-around product, with sign
+(-1)^n.  A product of nonunit monomials is never the unit, so this span is
 a subcomplex of the full bar complex, isomorphic to its quotient by the
 degenerate tensors and hence quasi-isomorphic to it for any bimodule, twisted
 ones included (Loday, Cyclic Homology, 1.1.14-1.1.15); it vanishes above the
 total degree.  Faces preserve the multidegree, so each multidegree gives a
 finite complex with exact homology dimensions, compared cell by cell with
 the grading of the homology report (the Koszul route's answer).
+
+The matrices are written in a rescaled basis.  With m(b, c) the scalar in
+x^b x^c = m(b, c) x^{b+c}, let W(a) be the scalar in x^{a_0} ... x^{a_n} =
+W(a) x^gamma, and f(a) = [a_0|...|a_n] / W(a).  The inner face i carries
+m(a_i, a_{i+1}), and by associativity W(a) = m(a_i, a_{i+1}) W(face), so in
+the basis f it is (-1)^i, a plain integer; two faces that coincide still add
+up.  The wrap-around face b = (a_n + a_0, a_1, ..., a_{n-1}) carries
+p^{a_n} m(a_n, a_0).  Writing x^{a_0} ... x^{a_{n-1}} = V x^{gamma-a_n}, one
+has W(a) = V m(gamma-a_n, a_n) and m(a_n, a_0) W(b) = V m(a_n, gamma-a_n), so
+in the basis f it is (-1)^n chi_gamma(a_n), where
+
+    chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a)
+
+depends on the last slot alone.  It is built from the monomial products and
+sigma only, never from the Koszul side's commutation defects: that
+chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.  The change
+of basis is diagonal, so every rank is that of the plain boundary.
 
 Within a multidegree the ranks go down in degree, from d_{n_max+1} on, so
 that each d_n is assembled with clearing: its columns that are pivot rows
@@ -34,8 +52,8 @@ from math import comb, prod
 from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, iter_multidegrees, monomial_product,
-                         specialize_automorphism, sub_index)
+                         add_index, apply_sigma, iter_multidegrees,
+                         monomial_product, specialize_automorphism, sub_index)
 from .qscalar import distinct_primes, term
 
 Tensor = tuple[MultiIndex, ...]
@@ -102,45 +120,44 @@ class HochschildComplex:
 
     # -- the boundary -----------------------------------------------------------
 
-    def boundary_faces(self, tensor: Tensor) -> list[tuple[Tensor, Fraction]]:
-        """Faces of one basis tensor with their exact coefficients."""
-        n = len(tensor) - 1
-        if n < 1:
-            return []
-        spec = self.spec
-        faces = []
-        sign = 1
-        for i in range(n):
-            coeff, merged = monomial_product(spec, tensor[i], tensor[i + 1])
-            faces.append((tensor[:i] + (merged,) + tensor[i + 2:],
-                          sign * coeff))
-            sign = -sign
-        twist = apply_sigma(self.sigma, tensor[n])
-        coeff, merged = monomial_product(spec, tensor[n], tensor[0])
-        faces.append(((merged,) + tensor[1:n], sign * twist * coeff))
-        return faces
-
     def boundary_matrix(self, n: int, gamma: MultiIndex,
                         cleared: frozenset[int] = frozenset()) -> SparseExactMatrix:
         """Matrix of the boundary from degree n to degree n-1 at one
-        multidegree, in the lexicographic bases; the columns in cleared are
-        left zero."""
+        multidegree, in the rescaled lexicographic bases f; the columns in
+        cleared are left zero.  Entries are ints, apart from the wrap-around
+        weights, which are Fractions."""
         if n < 1:
             return SparseExactMatrix(0, len(self.basis(0, gamma)))
         rows = {t: r for r, t in enumerate(self.basis(n - 1, gamma))}
         cols = self.basis(n, gamma)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for c, tensor in enumerate(cols):
+        wrap: dict[MultiIndex, Fraction] = {}       # (-1)^n chi_gamma, by last slot
+        entries: dict[tuple[int, int], Fraction | int] = {}
+        for c, a in enumerate(cols):
             if c in cleared:
                 continue
-            for face, coeff in self.boundary_faces(tensor):
+            last = a[n]
+            weight = wrap.get(last)
+            if weight is None:
+                weight = wrap[last] = (-1) ** n * self._chi(gamma, last)
+            faces = [(a[:i] + (add_index(a[i], a[i + 1]),) + a[i + 2:], -1 if i & 1 else 1)
+                     for i in range(n)]
+            faces.append(((add_index(last, a[0]),) + a[1:n], weight))
+            for face, coeff in faces:
                 key = (rows[face], c)
-                merged = entries.get(key, Fraction(0)) + coeff
-                if merged:
+                if key not in entries:
+                    entries[key] = coeff
+                elif merged := entries[key] + coeff:
                     entries[key] = merged
                 else:
-                    entries.pop(key, None)
+                    del entries[key]
         return SparseExactMatrix(len(rows), len(cols), entries)
+
+    def _chi(self, gamma: MultiIndex, a: MultiIndex) -> Fraction:
+        """chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a)."""
+        rest = sub_index(gamma, a)
+        forward, _ = monomial_product(self.spec, a, rest)
+        backward, _ = monomial_product(self.spec, rest, a)
+        return apply_sigma(self.sigma, a) * forward / backward
 
     # -- homology dimensions ----------------------------------------------------
 

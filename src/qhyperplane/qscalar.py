@@ -105,6 +105,15 @@ def _poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    # a factor +-q^m shifts the monomials of the other one by m, injectively,
+    # so no two terms merge and none cancels
+    for single, other in ((b, a), (a, b)):
+        if len(single) == 1:
+            (m, c), = single.items()
+            if c == 1:
+                return {_mono_mul(m2, m): c2 for m2, c2 in other.items()}
+            if c == -1:
+                return {_mono_mul(m2, m): -c2 for m2, c2 in other.items()}
     out: Polynomial = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -168,7 +177,7 @@ class QPolynomial:
 
     def __pow__(self, n: int) -> "QPolynomial":
         c, m = term(self)
-        return QPolynomial({_mono_pow(m, n): c ** n})
+        return QPolynomial({_mono_pow(m, n): c if c == 1 else c ** n})
 
     def __bool__(self) -> bool:
         return bool(self.num)

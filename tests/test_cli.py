@@ -29,6 +29,8 @@ GOLDEN = {
     "verify": ["verify", "--n", "2", "--bound", "3"],
     # q = -1 is not generic: more multidegrees carry homology
     "verify-nongeneric": ["verify", "--n", "2", "--q", "1,2,-1", "--bound", "5"],
+    # a 61-bit q12 gives wrap-around weights and rank entries of hundreds of bits
+    "verify-q61": ["verify", "--n", "2", "--bound", "6", "--q", "1,2,2305843009213693951"],
     # exponents other than +-1 in sigma pin the symbolic coefficient strings
     "homology-solve-top": ["homology", "--symbolic", "--n", "3", "--automorphism",
                            "solve-top", "--alpha", "1,0,2", "--bound", "6"],
@@ -125,13 +127,15 @@ def test_single_generator_stays_symbolic(argv, key, value, tmp_path):
     ["verify", "--n", "2", "--automorphism", "solve-top", "--alpha", "1,0",
      "--bound", "4"],
 ])
-def test_present_top_class_passes(argv, tmp_path):
+def test_present_top_class_passes(argv, tmp_path, capsys):
     # the top class lies alongside other generators here; it is present
     out = tmp_path / "verify.json"
     assert _run(argv, out) == EXIT_OK
     document = json.loads(out.read_text())
     assert document["top_class"]["present"] is True
     assert document["failures"] == []
+    # the homotopy is scaled by D(gamma), and the summary says so
+    assert "  dh + hd = D*id: True (" in capsys.readouterr().out
 
 
 def test_skipped_cells_fail_verification(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The bar-complex oracle: normalized chain bases, d o d = 0, clearing,
-agreement with the full bar complex, hand-computed homology, the basis cap,
-and agreement with the reduced Koszul complex."""
+the rescaled boundary against the plain one, agreement with the full bar
+complex, hand-computed homology, the basis cap, and agreement with the
+reduced Koszul complex."""
 
 from fractions import Fraction
 from itertools import product
@@ -13,9 +14,10 @@ from linalg_reference import matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
                                     compare_with_koszul)
-from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
+from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     canonical_automorphism, compositions,
-                                    is_admissible, iter_multidegrees, support)
+                                    is_admissible, iter_multidegrees,
+                                    monomial_product, support)
 from qhyperplane.qscalar import distinct_primes
 
 
@@ -80,6 +82,104 @@ def test_no_homology_above_the_total_degree():
     for gamma in ((0, 0, 0), (1, 1, 0), (2, 0, 1)):
         total = sum(gamma)
         assert complex_.natural_dims(gamma, total + 2)[total + 1:] == [0, 0]
+
+
+# -- the plain boundary, as a reference ----------------------------------------
+
+def reference_faces(complex_, tensor):
+    """Faces of one tensor in the plain basis [a_0|...|a_n], each with the
+    monomial product of the slots it merges; sigma acts on the last slot
+    before the wrap-around product."""
+    n = len(tensor) - 1
+    if n < 1:
+        return []
+    spec = complex_.spec
+    faces = []
+    sign = 1
+    for i in range(n):
+        coeff, merged = monomial_product(spec, tensor[i], tensor[i + 1])
+        faces.append((tensor[:i] + (merged,) + tensor[i + 2:], sign * coeff))
+        sign = -sign
+    twist = apply_sigma(complex_.sigma, tensor[n])
+    coeff, merged = monomial_product(spec, tensor[n], tensor[0])
+    faces.append(((merged,) + tensor[1:n], sign * twist * coeff))
+    return faces
+
+
+def reference_matrix(complex_, n, gamma, row_basis, col_basis):
+    """The plain boundary from degree n to n-1 between the given bases."""
+    rows = {t: r for r, t in enumerate(row_basis)}
+    entries = {}
+    for c, tensor in enumerate(col_basis):
+        for face, coeff in reference_faces(complex_, tensor):
+            key = (rows[face], c)
+            entries[key] = entries.get(key, 0) + coeff
+    return SparseExactMatrix(len(rows), len(col_basis), entries)
+
+
+def _normalized_reference(complex_, n, gamma):
+    if n < 1:
+        return SparseExactMatrix(0, len(complex_.basis(0, gamma)))
+    return reference_matrix(complex_, n, gamma, complex_.basis(n - 1, gamma),
+                            complex_.basis(n, gamma))
+
+
+def _weight(spec, tensor):
+    """W(a): x^{a_0} ... x^{a_n} = W(a) x^gamma, folded from the left."""
+    weight, acc = Fraction(1), tensor[0]
+    for slot in tensor[1:]:
+        coeff, acc = monomial_product(spec, acc, slot)
+        weight *= coeff
+    return weight
+
+
+RESCALING_COMPLEXES = COMPLEXES + [
+    HochschildComplex(AlgebraSpec.one_parameter(2, Q61), canonical_automorphism(
+        AlgebraSpec.one_parameter(2, Q61))),
+    HochschildComplex(PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7])),
+]
+
+
+@pytest.mark.parametrize("complex_", RESCALING_COMPLEXES)
+def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
+    # d_n[b, a] = W(b) / W(a) * plain d_n[b, a]: inner faces are +-1, and the
+    # wrap-around face carries chi of the last slot
+    spec = complex_.spec
+    for gamma in _cells(spec.n) + [(3, 2)[:spec.n] + (1,) * (spec.n - 2)]:
+        for n in (1, 2, 3):
+            rescaled = complex_.boundary_matrix(n, gamma)
+            plain = _normalized_reference(complex_, n, gamma)
+            rows, cols = complex_.basis(n - 1, gamma), complex_.basis(n, gamma)
+            expected = {(r, c): _weight(spec, rows[r]) / _weight(spec, cols[c]) * v
+                        for (r, c), v in plain.entries.items() if v}
+            assert rescaled.entries == expected
+            assert all(v in (1, -1) for (r, c), v in rescaled.entries.items()
+                       if rows[r][1:] != cols[c][1:n])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, 4), min_size=n, max_size=n)
+           .filter(lambda g: sum(g) <= 4),
+           st.sampled_from(["primes", "q61", "minus-one"]),
+           st.sampled_from(["canonical", "identity", "explicit"]))),
+       st.integers(0, 4))
+def test_natural_dims_match_the_plain_boundary(case, n_max):
+    gamma, algebra, twist = case
+    gamma, n = tuple(gamma), len(gamma)
+    spec = {"primes": primes_spec(n), "q61": AlgebraSpec.one_parameter(n, Q61),
+            "minus-one": AlgebraSpec.one_parameter(n, -1)}[algebra]
+    sigma = {"canonical": canonical_automorphism(spec),
+             "identity": ScalingAutomorphism.identity(n),
+             "explicit": ScalingAutomorphism.from_rationals(
+                 [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
+    complex_ = HochschildComplex(spec, sigma)
+
+    def rank(k):
+        return reference_rank(_normalized_reference(complex_, k, gamma))
+
+    assert complex_.natural_dims(gamma, n_max) == [
+        len(complex_.basis(k, gamma)) - rank(k) - rank(k + 1) for k in range(n_max + 1)]
 
 
 @pytest.mark.parametrize("complex_", COMPLEXES)
@@ -153,14 +253,8 @@ def _full_natural_dims(complex_, gamma, n_max):
     def rank(n):
         if n < 1:
             return 0
-        rows = {t: r for r, t in enumerate(_full_basis(n - 1, gamma))}
-        cols = _full_basis(n, gamma)
-        entries = {}
-        for c, tensor in enumerate(cols):
-            for face, coeff in complex_.boundary_faces(tensor):
-                key = (rows[face], c)
-                entries[key] = entries.get(key, 0) + coeff
-        return SparseExactMatrix(len(rows), len(cols), entries).rank()
+        return reference_matrix(complex_, n, gamma, _full_basis(n - 1, gamma),
+                                _full_basis(n, gamma)).rank()
 
     return [len(_full_basis(n, gamma)) - rank(n) - rank(n + 1)
             for n in range(n_max + 1)]

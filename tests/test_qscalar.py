@@ -175,6 +175,26 @@ def test_polynomial_product_expands():
     assert p * q == poly(Fraction(1), -(a * a))
 
 
+unit_terms = st.builds(lambda s, e: qc(s, e.items()), st.sampled_from([1, -1]),
+                       exponent_maps)
+
+
+@given(st.lists(coefficients, max_size=4), unit_terms)
+def test_product_with_a_unit_term_shifts_the_monomials(cs, u):
+    # +-q^m times a sum adds m to each exponent and copies or negates each
+    # coefficient; nothing merges and nothing cancels
+    p = poly(*cs)
+    (shift, sign), = u.num.items()
+    expected = {}
+    for m, c in p.num.items():
+        exps = dict(m)
+        for pair, e in shift:
+            exps[pair] = exps.get(pair, 0) + e
+        expected[mono(exps.items())] = sign * c
+    assert (p * u).num == expected
+    assert (u * p).num == expected
+
+
 def test_fraction_field_laws_on_binomials():
     a = qc(1, {(1, 2): 1}.items())
     binom = 1 - a                              # 1 - q12
