@@ -7,6 +7,7 @@ argument lists in GOLDEN; regenerate one with
 
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import pytest
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
                              EXIT_TRUNCATED, main)
 from qhyperplane import homology, qscalar
+from qhyperplane.hyperplane import iter_multidegrees
+from qhyperplane.koszul import ReducedComplex
 from qhyperplane.qscalar import QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -31,6 +34,9 @@ GOLDEN = {
     "verify-nongeneric": ["verify", "--n", "2", "--q", "1,2,-1", "--bound", "5"],
     # a 61-bit q12 gives wrap-around weights and rank entries of hundreds of bits
     "verify-q61": ["verify", "--n", "2", "--bound", "6", "--q", "1,2,2305843009213693951"],
+    # the Koszul self-checks on 681 elements each, with Laurent-polynomial weights
+    "verify-koszul-symbolic": ["verify", "--n", "4", "--bound", "5", "--nmax", "0",
+                               "--symbolic"],
     # exponents other than +-1 in sigma pin the symbolic coefficient strings
     "homology-solve-top": ["homology", "--symbolic", "--n", "3", "--automorphism",
                            "solve-top", "--alpha", "1,0,2", "--bound", "6"],
@@ -223,6 +229,23 @@ def test_verify_checks_the_admissible_solver(monkeypatch, capsys):
     monkeypatch.setattr(homology, "enumerate_admissible", drop_last)
     assert main(["verify", "--n", "3", "--bound", "4", "--auto-primes"]) == EXIT_MISMATCH
     assert "MISMATCH {'gamma': [1, 1, 1]" in capsys.readouterr().out
+
+
+def test_verify_builds_each_block_once(monkeypatch, capsys):
+    # d^2 = 0 and dh + hd = D*id read one complex, so every multidegree block
+    # up to the bound is built exactly once per run
+    built = Counter()
+    build = ReducedComplex._build_block
+
+    def counting(self, gamma):
+        built[gamma] += 1
+        return build(self, gamma)
+
+    monkeypatch.setattr(ReducedComplex, "_build_block", counting)
+    assert main(["verify", "--n", "3", "--bound", "4", "--nmax", "0",
+                 "--auto-primes"]) == EXIT_OK
+    assert "d^2 = 0: True (129 elements)" in capsys.readouterr().out
+    assert built == Counter(iter_multidegrees(3, 4))
 
 
 def test_auto_primes_beyond_eight_generators():

@@ -2,15 +2,18 @@
 contraction identity dh + hd = D(gamma) id for the homotopy scaled by the
 defect product D(gamma), zero exactly on the admissible multidegrees."""
 
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     apply_sigma, automorphism_for_top_class,
-                                    canonical_automorphism, degree, is_admissible,
-                                    specialize_automorphism, unit)
+                                    canonical_automorphism, degree, exterior_under,
+                                    is_admissible, iter_multidegrees,
+                                    specialize_automorphism, sub_index, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
 from qhyperplane.qscalar import QPolynomial, distinct_primes, specialize, symbol
@@ -21,24 +24,105 @@ CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
 P1 = symbol(1, 2) ** -1
 
 
+# -- the per-element reference ---------------------------------------------------
+# The complex computed one basis element and one weight at a time, which the
+# per-multidegree blocks must reproduce exactly.
+
+def basis_elements(complex_, bound):
+    """All (alpha, beta) with |alpha+beta| <= bound, multidegree-major."""
+    for gamma in iter_multidegrees(complex_.spec.n, bound):
+        for beta in exterior_under(gamma):
+            yield (sub_index(gamma, beta), beta)
+
+
+def differential_coefficient(complex_, alpha, beta, i):
+    """Weight of the move of exterior slot i into the symmetric part:
+    sign * c_i(u) * delta_i(alpha+beta)."""
+    return (complex_._signed_factor(alpha, beta, i)
+            * complex_.defects(add_index(alpha, beta))[i - 1])
+
+
+def failing_indices(complex_, gamma):
+    """Support positions where the sigma-commutation condition fails."""
+    return tuple(i for i, (g, d) in enumerate(zip(gamma, complex_.defects(gamma)), start=1)
+                 if g and d)
+
+
+def defect_product(complex_, gamma):
+    """D(gamma) = |F| * prod_{i in F} delta_i(gamma)."""
+    failing = failing_indices(complex_, gamma)
+    return prod((complex_.defects(gamma)[i - 1] for i in failing),
+                start=Fraction(len(failing)))
+
+
+def _add_term(out, key, value):
+    merged = out.get(key, 0) + value
+    if merged:
+        out[key] = merged
+    else:
+        out.pop(key, None)
+
+
+def reference_differential(complex_, c):
+    out = {}
+    for (alpha, beta), coeff in c.items():
+        for i in range(1, complex_.spec.n + 1):
+            w = beta[i - 1] and differential_coefficient(complex_, alpha, beta, i)
+            if w:
+                e = unit(complex_.spec.n, i)
+                _add_term(out, (add_index(alpha, e), sub_index(beta, e)), w * coeff)
+    return out
+
+
+def reference_homotopy(complex_, c):
+    out = {}
+    for (alpha, beta), coeff in c.items():
+        gamma = add_index(alpha, beta)
+        failing = failing_indices(complex_, gamma)
+        for i in failing:
+            if beta[i - 1]:
+                continue
+            w = prod((complex_.defects(gamma)[j - 1] for j in failing if j != i),
+                     start=complex_._signed_factor(alpha, beta, i) ** -1)
+            e = unit(complex_.spec.n, i)
+            _add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
+    return out
+
+
+def reference_check_failures(complex_, bound):
+    """The failures of the d^2 and the dh + hd checks, element by element."""
+    d_squared, homotopy = [], []
+    for element in basis_elements(complex_, bound):
+        one = {element: Fraction(1)}
+        if reference_differential(complex_, reference_differential(complex_, one)):
+            d_squared.append(f"d(d{element}) != 0")
+        total = reference_differential(complex_, reference_homotopy(complex_, one))
+        for key, c in reference_homotopy(complex_, reference_differential(complex_, one)).items():
+            _add_term(total, key, c)
+        _add_term(total, element, -defect_product(complex_, add_index(*element)))
+        if total:
+            homotopy.append(f"(dh+hd){element} != D*id")
+    return tuple(d_squared), tuple(homotopy)
+
+
 # -- differential coefficient ----------------------------------------------------
 
 def test_differential_coefficient_vanishes_on_admissible_top():
     # (1, 1) is admissible for the canonical twist of the quantum plane
-    assert not CANONICAL2.differential_coefficient((0, 0), (1, 1), 1)
-    assert not CANONICAL2.differential_coefficient((0, 0), (1, 1), 2)
+    assert not differential_coefficient(CANONICAL2, (0, 0), (1, 1), 1)
+    assert not differential_coefficient(CANONICAL2, (0, 0), (1, 1), 2)
 
 
 def test_differential_coefficient_single_commuting_generator():
     spec = AlgebraSpec.symbolic(1)
     complex_ = ReducedComplex(spec, ScalingAutomorphism.identity(1))
     for alpha in ((0,), (3,)):
-        assert not complex_.differential_coefficient(alpha, (1,), 1)
+        assert not differential_coefficient(complex_, alpha, (1,), 1)
 
 
 def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
-    value = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
+    value = differential_coefficient(CANONICAL2, (0, 0), (1, 0), 1)
     expected = 1 - P1
     assert isinstance(expected, QPolynomial)
     assert value == expected
@@ -50,10 +134,10 @@ def test_differential_coefficient_zero_iff_commutation_holds():
     sigma = canonical_automorphism(spec)
     complex_ = ReducedComplex(spec, sigma)
     from qhyperplane.hyperplane import sigma_commutes_at
-    for alpha, beta in complex_.basis_elements(4):
+    for alpha, beta in basis_elements(complex_, 4):
         gamma = add_index(alpha, beta)
         for i in (1, 2):
-            weight = complex_.differential_coefficient(alpha, beta, i)
+            weight = differential_coefficient(complex_, alpha, beta, i)
             assert (not weight) == sigma_commutes_at(spec, sigma, gamma, i)
 
 
@@ -105,13 +189,13 @@ def weight_cases(draw):
 @given(weight_cases())
 def test_differential_coefficient_factors_the_explicit_weight(case):
     spec, sigma, alpha, beta, i = case
-    value = ReducedComplex(spec, sigma).differential_coefficient(alpha, beta, i)
+    value = differential_coefficient(ReducedComplex(spec, sigma), alpha, beta, i)
     assert value == reference_differential_coefficient(spec, sigma, alpha, beta, i)
 
 
 def test_differential_coefficient_index_range():
     with pytest.raises(IndexError):
-        CANONICAL2.differential_coefficient((0, 0), (1, 0), 3)
+        differential_coefficient(CANONICAL2, (0, 0), (1, 0), 3)
 
 
 # -- differential ------------------------------------------------------------------
@@ -121,7 +205,7 @@ def test_differential_kills_top_class():
 
 
 def test_differential_vanishes_on_admissible_multidegrees():
-    for alpha, beta in CANONICAL2.basis_elements(5):
+    for alpha, beta in basis_elements(CANONICAL2, 5):
         if is_admissible(Q2, CANONICAL2.sigma, add_index(alpha, beta)):
             assert CANONICAL2.differential({(alpha, beta): 1}) == {}
 
@@ -134,7 +218,7 @@ def test_differential_single_term():
 
 
 def test_differential_lowers_degree_and_preserves_multidegree():
-    for alpha, beta in CANONICAL2.basis_elements(5):
+    for alpha, beta in basis_elements(CANONICAL2, 5):
         out = CANONICAL2.differential({(alpha, beta): 1})
         for a2, b2 in out:
             assert sum(b2) == sum(beta) - 1
@@ -164,9 +248,9 @@ def test_homotopy_weight_zero_cases():
 def test_homotopy_weight_inverts_differential_weight():
     # one failing index, so D = delta_1 and the round trip is D itself
     w = homotopy_weight(CANONICAL2, (1, 0), (0, 0), 1)
-    back = CANONICAL2.differential_coefficient((0, 0), (1, 0), 1)
-    assert w * back == CANONICAL2.defect_product((1, 0))
-    assert CANONICAL2.failing_indices((1, 0)) == (1,)
+    back = differential_coefficient(CANONICAL2, (0, 0), (1, 0), 1)
+    assert w * back == CANONICAL2.block((1, 0)).scale
+    assert failing_indices(CANONICAL2, (1, 0)) == (1,)
 
 
 def test_homotopy_weight_skips_commuting_positions():
@@ -190,9 +274,9 @@ def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     # distinct primes are generic, so the two scalar types must agree
     symbolic = ReducedComplex(Q3, sigma)
     numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.q))
-    expected = numeric.differential_coefficient(alpha, beta, i)
+    expected = differential_coefficient(numeric, alpha, beta, i)
     assert type(expected) is Fraction
-    value = symbolic.differential_coefficient(alpha, beta, i)
+    value = differential_coefficient(symbolic, alpha, beta, i)
     assert specialize(value, PRIMES3.q) == expected
     element = {(alpha, beta): Fraction(1)}
     expected = numeric.homotopy(element)
@@ -200,8 +284,8 @@ def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     value = symbolic.homotopy(element)
     assert {key: specialize(c, PRIMES3.q) for key, c in value.items()} == expected
     gamma = add_index(alpha, beta)
-    assert (specialize(symbolic.defect_product(gamma), PRIMES3.q)
-            == numeric.defect_product(gamma))
+    assert (specialize(symbolic.block(gamma).scale, PRIMES3.q)
+            == numeric.block(gamma).scale)
 
 
 # -- homotopy ---------------------------------------------------------------------------
@@ -225,7 +309,7 @@ def contraction(complex_, element):
 
 
 def test_contraction_on_one_element():
-    scale = CANONICAL2.defect_product((1, 0))
+    scale = CANONICAL2.block((1, 0)).scale
     assert scale == 1 - P1       # delta_1 = 1 - p_1
     assert contraction(CANONICAL2, ((1, 0), (0, 0))) == {((1, 0), (0, 0)): scale}
 
@@ -237,9 +321,10 @@ def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
     # multidegrees, which is_admissible decides without the defect table
     spec, sigma = algebra
     complex_ = ReducedComplex(spec, sigma)
-    for element in complex_.basis_elements(bound):
+    for element in basis_elements(complex_, bound):
         gamma = add_index(*element)
-        scale = complex_.defect_product(gamma)
+        scale = complex_.block(gamma).scale
+        assert scale == defect_product(complex_, gamma)
         assert contraction(complex_, element) == ({element: scale} if scale else {})
         assert (not scale) == is_admissible(spec, sigma, gamma)
 
@@ -247,50 +332,99 @@ def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
 # -- exhaustive checks ---------------------------------------------------------------------
 
 def test_d_squared_quantum_plane():
-    report = check_d_squared(Q2, canonical_automorphism(Q2), 6)
+    report = check_d_squared(ReducedComplex(Q2, canonical_automorphism(Q2)), 6)
     assert report.passed and report.checked > 0
 
 
 def test_d_squared_one_parameter():
     spec = AlgebraSpec.one_parameter(3, 3)
-    report = check_d_squared(spec, canonical_automorphism(spec), 5)
+    report = check_d_squared(ReducedComplex(spec, canonical_automorphism(spec)), 5)
     assert report.passed
 
 
 def test_d_squared_single_generator():
     spec = AlgebraSpec.symbolic(1)
-    report = check_d_squared(spec, canonical_automorphism(spec), 6)
+    report = check_d_squared(ReducedComplex(spec, canonical_automorphism(spec)), 6)
     assert report.passed
 
 
 def test_homotopy_identity_quantum_plane():
-    report = check_homotopy_identity(Q2, canonical_automorphism(Q2), 5)
+    report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 5)
     assert report.passed
 
 
 def test_homotopy_identity_identity_twist():
-    report = check_homotopy_identity(PRIMES3, ScalingAutomorphism.identity(3), 4)
+    report = check_homotopy_identity(ReducedComplex(PRIMES3, ScalingAutomorphism.identity(3)), 4)
     assert report.passed
 
 
 def test_homotopy_identity_explicit_twist():
-    report = check_homotopy_identity(Q2, ScalingAutomorphism.from_rationals([2, 3]), 4)
+    report = check_homotopy_identity(ReducedComplex(Q2, ScalingAutomorphism.from_rationals([2, 3])), 4)
     assert report.passed
 
 
+def tamper_blocks(monkeypatch, tamper):
+    """Pass every block the complex builds through tamper."""
+    build = ReducedComplex._build_block
+    monkeypatch.setattr(ReducedComplex, "_build_block",
+                        lambda self, gamma: tamper(build(self, gamma)))
+
+
 def test_checks_fail_on_tampered_coefficients(monkeypatch):
-    differential = ReducedComplex.differential_coefficient
-    homotopy = ReducedComplex.homotopy
-    # double the weight of every move back into slot 1
-    monkeypatch.setattr(ReducedComplex, "homotopy", lambda self, c: {
-        key: 2 * w if key[1][0] else w for key, w in homotopy(self, c).items()})
-    report = check_homotopy_identity(Q2, canonical_automorphism(Q2), 3)
-    assert not report.passed and report.failures
-    monkeypatch.setattr(ReducedComplex, "differential_coefficient",
-                        lambda self, alpha, beta, i:
-                        differential(self, alpha, beta, i) + (1 if i == 1 else 0))
-    report = check_d_squared(Q2, canonical_automorphism(Q2), 3)
-    assert not report.passed and report.failures
+    with monkeypatch.context() as patch:
+        # add 1 to the weight of every move out of slot 1
+        tamper_blocks(patch, lambda block: replace(block, d={
+            beta: [(target, w + 1 if beta[0] and not target[0] else w) for target, w in moves]
+            for beta, moves in block.d.items()}))
+        report = check_d_squared(ReducedComplex(Q3, canonical_automorphism(Q3)), 3)
+        assert not report.passed and report.failures
+    with monkeypatch.context() as patch:
+        # double the weight of every move back into slot 1
+        tamper_blocks(patch, lambda block: replace(block, h={
+            beta: [(target, 2 * w if target[0] and not beta[0] else w) for target, w in moves]
+            for beta, moves in block.h.items()}))
+        report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
+        assert not report.passed and report.failures
+    with monkeypatch.context() as patch:
+        tamper_blocks(patch, lambda block: replace(block, scale=2 * block.scale))
+        report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
+        assert not report.passed and report.failures
+
+
+def test_tampered_checks_report_the_reference_failures(monkeypatch):
+    # doubling the factor of slot 2 only where slot 1 sits below it is no change
+    # of basis, so both identities fail; blocks and reference read this factor
+    signed = ReducedComplex._signed_factor
+    monkeypatch.setattr(ReducedComplex, "_signed_factor", lambda self, alpha, beta, i:
+                        signed(self, alpha, beta, i) * (2 if i == 2 and beta[0] else 1))
+    for spec in (Q3, PRIMES3):
+        complex_ = ReducedComplex(spec, canonical_automorphism(spec))
+        d_squared, homotopy = reference_check_failures(complex_, 3)
+        assert d_squared and homotopy
+        for check, failures in ((check_d_squared, d_squared),
+                                (check_homotopy_identity, homotopy)):
+            report = check(complex_, 3)
+            assert report.failures == failures
+            assert report.checked == len(list(basis_elements(complex_, 3)))
+
+
+MINUS_ONE3 = AlgebraSpec.numeric(3, {pair: Fraction(-1) for pair in Q3.q})
+TWISTS3 = (canonical_automorphism, lambda spec: ScalingAutomorphism.identity(3),
+           lambda spec: ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)]))
+REFERENCE_CASES = [ReducedComplex(spec, twist(spec))
+                   for spec in (PRIMES3, MINUS_ONE3, Q3) for twist in TWISTS3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(REFERENCE_CASES), st.data())
+def test_block_chain_maps_equal_the_reference(complex_, data):
+    # numeric at distinct primes and at q = -1, and symbolic, under the
+    # canonical, identity and explicit twists
+    elements = list(basis_elements(complex_, 4))
+    chain = data.draw(st.dictionaries(st.sampled_from(elements),
+                                      st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    assert complex_.differential(chain) == reference_differential(complex_, chain)
+    assert complex_.homotopy(chain) == reference_homotopy(complex_, chain)
 
 
 # -- equivariance -----------------------------------------------------------------------------
@@ -303,7 +437,7 @@ def sigma_scale(complex_: ReducedComplex, c):
     return out
 
 
-elements2 = st.sampled_from(sorted(CANONICAL2.basis_elements(4)))
+elements2 = st.sampled_from(sorted(basis_elements(CANONICAL2, 4)))
 small_chains = st.dictionaries(elements2, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
 
 
