@@ -12,16 +12,22 @@ Koszul prediction, a cell was skipped because its chain basis exceeds
 --cap, a Koszul self-check failed, or a required top class is absent);
 2 bad configuration, including a config file that cannot be read or
 decoded and an --out path that cannot be written; 3 truncated enumeration
-without --allow-truncated.
+without --allow-truncated; 141 (128 + SIGPIPE) stdout was closed before the
+run had printed everything, as in `qhyperplane ... | head -1`.  Every
+command writes its --out report before it prints anything, so the report
+is complete whenever the code is not 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, starmap
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .hochschild import DEFAULT_CELL_CAP, compare_with_koszul
@@ -36,6 +42,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_CONFIG = 2
 EXIT_TRUNCATED = 3
+EXIT_BROKEN_PIPE = 141
 
 FORMAT_VERSION = "qhyperplane-report/2"
 
@@ -216,11 +223,50 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _write_json(write, obj, nl: str = "\n") -> None:
+    """Write obj byte for byte as json.dumps(obj, indent=2, sort_keys=True).
+
+    Only str-keyed dicts, lists, str, int, bool and None are written; any
+    other type, a float or a tuple say, raises TypeError.  A list of plain
+    ints (a multi-index) goes out as one string."""
+    kind = type(obj)
+    if kind is str:
+        write(encode_basestring_ascii(obj))
+    elif kind is int:
+        write(int.__repr__(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif kind is not list and kind is not dict:
+        raise TypeError(f"a report cannot hold {kind.__name__} {obj!r}")
+    elif not obj:
+        write("[]" if kind is list else "{}")
+    elif kind is list:
+        inner = nl + "  "
+        if set(map(type, obj)) == {int}:
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_json(write, item, inner)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):     # a key that is no str raises TypeError
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(write, obj[key], inner)
+            sep = "," + inner
+        write(nl + "}")
+
+
 def _emit(config: RunConfig, document: dict) -> None:
     if config.out:
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
         try:
-            Path(config.out).write_text(text)
+            with open(config.out, "w", encoding="ascii") as f:
+                _write_json(f.write, document)
+                f.write("\n")
         except OSError as e:
             raise ConfigError(f"cannot write --out {config.out}: {e.strerror or e}")
 
@@ -231,20 +277,27 @@ def _document(config: RunConfig, command: str, payload: dict) -> dict:
     return doc
 
 
-def _generator_label(alpha, beta) -> str:
-    symmetric = " ".join(f"x{i+1}" + (f"^{a}" if a > 1 else "")
-                         for i, a in enumerate(alpha) if a)
-    exterior = " ".join(f"dx{i+1}" for i, b in enumerate(beta) if b)
-    return " ".join(part for part in (symmetric, exterior) if part) or "1"
+def _generator_labels(n: int):
+    """label(alpha, beta) for N generators, such as "x1^2 x3 dx1 dx3", or
+    "1" for the unit; the x_i and dx_i names are built once."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    dxs = [f"d{x}" for x in xs]
+
+    def label(alpha, beta) -> str:
+        parts = [f"{x}^{a}" if a > 1 else x for x, a in zip(xs, alpha) if a]
+        parts += compress(dxs, beta)
+        return " ".join(parts) or "1"
+    return label
 
 
 def _print_homology_table(report: HomologyReport) -> None:
-    print(f"twisted homology: N={report.spec.n} mode={report.spec.mode} "
-          f"bound={report.bound} truncated={report.truncated}")
-    print(f"sigma: p = ({', '.join(str(c) for c in report.sigma.p)})")
-    for s in report.slices:
-        labels = ", ".join(_generator_label(a, b) for a, b in s.generators)
-        print(f"  n={s.n}  betti={s.betti}  [{labels}]")
+    label = _generator_labels(report.spec.n)
+    lines = [f"twisted homology: N={report.spec.n} mode={report.spec.mode} "
+             f"bound={report.bound} truncated={report.truncated}",
+             f"sigma: p = ({', '.join(str(c) for c in report.sigma.p)})"]
+    lines += [f"  n={s.n}  betti={s.betti}  [{', '.join(starmap(label, s.generators))}]"
+              for s in report.slices]
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +307,8 @@ def cmd_homology(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     report = build_report(spec, sigma, config.bound, config.n_max)
+    _emit(config, _document(config, "homology", report.to_dict()))
     _print_homology_table(report)
-    document = _document(config, "homology", report.to_dict())
-    _emit(config, document)
     if report.truncated and not config.allow_truncated:
         print("enumeration truncated at the bound; pass --allow-truncated to accept",
               file=sys.stderr)
@@ -296,6 +348,16 @@ def cmd_verify(config: RunConfig) -> int:
     if top_promised and not top_present:
         failures.append("promised top class is absent")
 
+    _emit(config, _document(config, "verify", {
+        "agreement": comparison.agreement,
+        "cells": [cell.to_dict() for cell in comparison.cells],
+        "checks": {"d_squared": d2.to_dict(),
+                   "homotopy_identity": homotopy.to_dict()},
+        "top_class": {"expected_gamma": list(top_gamma),
+                      "present": top_present,
+                      "required": top_promised},
+        "failures": failures}))
+
     print(f"verify: N={spec.n} bound={config.bound} n_max={config.n_max}")
     print(f"  koszul/oracle agreement: {comparison.agreement} "
           f"({total - skipped}/{total} cells checked)")
@@ -305,17 +367,6 @@ def cmd_verify(config: RunConfig) -> int:
           + (" (required)" if top_promised else ""))
     for cell in mismatches:
         print(f"  MISMATCH {cell.to_dict()}")
-
-    document = _document(config, "verify", {
-        "agreement": comparison.agreement,
-        "cells": [cell.to_dict() for cell in comparison.cells],
-        "checks": {"d_squared": d2.to_dict(),
-                   "homotopy_identity": homotopy.to_dict()},
-        "top_class": {"expected_gamma": list(top_gamma),
-                      "present": top_present,
-                      "required": top_promised},
-        "failures": failures})
-    _emit(config, document)
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
@@ -323,11 +374,11 @@ def cmd_csigma(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     admissible = enumerate_admissible(spec, sigma, config.bound)
+    _emit(config, _document(config, "csigma", admissible.to_dict()))
     print(f"admissible multidegrees up to |gamma| <= {config.bound} "
           f"(complete={admissible.complete}):")
     for gamma in admissible.members:
         print(f"  {gamma}")
-    _emit(config, _document(config, "csigma", admissible.to_dict()))
     if not admissible.complete and not config.allow_truncated:
         print("enumeration truncated at the bound; pass --allow-truncated to accept",
               file=sys.stderr)
@@ -338,24 +389,24 @@ def cmd_csigma(config: RunConfig) -> int:
 def cmd_canonical(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = canonical_automorphism(spec)
+    _emit(config, _document(config, "canonical",
+                            {"p": [str(c) for c in sigma.p]}))
     print("canonical scaling automorphism:")
     for i, c in enumerate(sigma.p, start=1):
         print(f"  p_{i} = {c}")
-    _emit(config, _document(config, "canonical",
-                            {"p": [str(c) for c in sigma.p]}))
     return EXIT_OK
 
 
 def cmd_generic_check(config: RunConfig) -> int:
     spec = config.build_spec()
     report = is_generic(spec, max(config.bound, 2))
+    _emit(config, _document(config, "generic-check", report.to_dict()))
     if report.structural:
         print("generic (structurally)")
     elif report.generic:
         print(f"generic up to |gamma| <= {report.bound}")
     else:
         print(f"NOT generic: witness {report.witness}")
-    _emit(config, _document(config, "generic-check", report.to_dict()))
     return EXIT_OK
 
 
@@ -414,10 +465,21 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
 
 
 def script_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the reader is gone: what is still buffered goes to the null
+        # device, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

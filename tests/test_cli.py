@@ -5,16 +5,21 @@ argument lists in GOLDEN; regenerate one with
 ``python -m qhyperplane.cli <args> --out tests/golden/<name>.json``.
 """
 
+import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_MISMATCH, EXIT_OK,
-                             EXIT_TRUNCATED, main)
+from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_BROKEN_PIPE, EXIT_MISMATCH,
+                             EXIT_OK, EXIT_TRUNCATED, _generator_labels,
+                             _write_json, main)
 from qhyperplane import homology, qscalar
 from qhyperplane.hyperplane import iter_multidegrees
 from qhyperplane.koszul import ReducedComplex
@@ -40,6 +45,11 @@ GOLDEN = {
     # exponents other than +-1 in sigma pin the symbolic coefficient strings
     "homology-solve-top": ["homology", "--symbolic", "--n", "3", "--automorphism",
                            "solve-top", "--alpha", "1,0,2", "--bound", "6"],
+    # every q_ij = 2: a one-parameter hyperplane, about 40 KB of generators
+    "homology-one-parameter": ["homology", "--n", "5",
+                               *(flag for i in range(1, 6) for j in range(i + 1, 6)
+                                 for flag in ("--q", f"{i},{j},2")),
+                               "--bound", "10", "--allow-truncated"],
 }
 
 
@@ -54,6 +64,84 @@ def test_golden_report_is_byte_identical(name, tmp_path):
         out = tmp_path / f"{attempt}.json"
         assert _run(GOLDEN[name], out) == EXIT_OK
         assert out.read_bytes() == expected
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-2**200, max_value=2**200)
+    | st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\\n\x00\x7f')),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_writer_matches_json_dumps(document):
+    chunks = []
+    _write_json(chunks.append, document)
+    assert "".join(chunks) == json.dumps(document, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("document", [
+    {"x": 1.5}, [0, 1.0], {"gamma": (1, 2)}, (1, 2), {1: "a"}, {"a": [{2: 0}]},
+])
+def test_writer_rejects_floats_tuples_and_non_str_keys(document):
+    with pytest.raises(TypeError):
+        _write_json(lambda text: None, document)
+
+
+def reference_generator_label(alpha, beta) -> str:
+    symmetric = " ".join(f"x{i+1}" + (f"^{a}" if a > 1 else "")
+                         for i, a in enumerate(alpha) if a)
+    exterior = " ".join(f"dx{i+1}" for i, b in enumerate(beta) if b)
+    return " ".join(part for part in (symmetric, exterior) if part) or "1"
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 30), min_size=n, max_size=n),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+def test_generator_labels_match_the_reference(alpha_beta):
+    alpha, beta = alpha_beta
+    label = _generator_labels(len(alpha))
+    assert label(tuple(alpha), tuple(beta)) == reference_generator_label(alpha, beta)
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    GOLDEN["homology-one-parameter"],
+    GOLDEN["verify"],
+    ["csigma", "--n", "2", "--bound", "4", "--automorphism", "identity"],
+])
+def test_closed_stdout_exits_broken_pipe_with_the_report_written(
+        argv, tmp_path, monkeypatch):
+    # the report is written before stdout, so a reader that stops early
+    # (| head -1) loses nothing of it, and the run never reads as failed
+    assert _run(argv, tmp_path / "normal.json") in (EXIT_OK, EXIT_TRUNCATED)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert _run(argv, tmp_path / "piped.json") == EXIT_BROKEN_PIPE
+    assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "normal.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["canonical", "homology-one-parameter"])
+def test_closed_stdout_pipe_exits_quietly(name, tmp_path):
+    # with stdout buffered, as it is by default, the short table is still in
+    # the buffer when main returns, so its broken pipe shows only at the
+    # final flush; neither case may print a traceback
+    out = tmp_path / "r.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen([sys.executable, "-m", "qhyperplane.cli", *GOLDEN[name],
+                              "--out", str(out)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == EXIT_BROKEN_PIPE
+    assert stderr == b""
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv, code", [
