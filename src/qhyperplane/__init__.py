@@ -7,7 +7,7 @@ truncated by multidegree.  All arithmetic is exact.
 """
 
 from .exactlinalg import SparseExactMatrix
-from .hochschild import CellTooLarge, HochschildComplex, compare_with_koszul
+from .hochschild import HochschildComplex, compare_with_koszul
 from .homology import (HomologyReport, build_report, enumerate_admissible,
                        one_parameter_admissible, predicted_dims, scan_admissible)
 from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
@@ -20,7 +20,7 @@ from .qscalar import QPolynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraSpec", "CellTooLarge", "HochschildComplex", "HomologyReport",
+    "AlgebraSpec", "HochschildComplex", "HomologyReport",
     "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
     "SparseExactMatrix", "apply_sigma", "automorphism_for_top_class",
     "build_report", "canonical_automorphism", "check_d_squared",

@@ -121,7 +121,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             file_config = json.loads(Path(args.config).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:
+            # ValueError: bad bytes, JSON or an overlong int; RecursionError: deep nesting
             raise ConfigError(f"cannot read config file: {e}")
         if not isinstance(file_config, dict):
             raise ConfigError("the config file must hold a JSON object")

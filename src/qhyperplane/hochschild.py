@@ -34,6 +34,7 @@ Within a multidegree the ranks go down in degree, from d_{n_max+1} on, so
 that each d_n is assembled with clearing: its columns that are pivot rows
 of the reduced d_{n+1} are left out.  As d_n d_{n+1} = 0 they lie in the
 span of the columns kept (see exactlinalg), so every rank stays exact.
+Which cells fit the basis cap is decided in compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
 mode; symbolic input is specialized at distinct primes that divide no
@@ -61,15 +62,10 @@ Tensor = tuple[MultiIndex, ...]
 DEFAULT_CELL_CAP = 20000
 
 
-class CellTooLarge(Exception):
-    """A chain space exceeded the configured basis cap."""
-
-
 class HochschildComplex:
     """Twisted Hochschild chains of one numeric algebra and scaling twist."""
 
-    def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism,
-                 cap: int = DEFAULT_CELL_CAP):
+    def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
         if not all(isinstance(c, Fraction) for c in (*spec.q.values(), *sigma.p)):
             raise ValueError("the oracle needs numeric parameters and twist; "
                              "specialize symbolic input at distinct primes first")
@@ -77,7 +73,6 @@ class HochschildComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self.cap = cap
         self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
         self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
 
@@ -95,8 +90,6 @@ class HochschildComplex:
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        if self.basis_size(n, gamma) > self.cap:
-            raise CellTooLarge(f"basis of C_{n}{gamma} exceeds cap {self.cap}")
         tensors = [(head,) + tail
                    for head in product(*(range(g + 1) for g in gamma))
                    for tail in self._tails(sub_index(gamma, head), n)]
@@ -228,8 +221,10 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     grading of the homology report of the same input, up to the bound.
 
     Only then is symbolic input specialized, at distinct primes that divide
-    no numerator or denominator in sigma.  Cells whose chain spaces exceed
-    the cap are reported as skipped, never guessed.
+    no numerator or denominator in sigma.  The cap is decided here alone:
+    cell (gamma, n) needs the bases of degrees 0..n+1, so it is computed
+    when none of them holds more than cap tensors and is reported as
+    skipped, never guessed, otherwise.
     """
     predicted = predicted_dims(build_report(spec, sigma, bound, n_max))
     if spec.mode != NUMERIC:
@@ -237,15 +232,12 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                                          for x in term(c)[0].as_integer_ratio()))
         sigma = specialize_automorphism(sigma, q)
         spec = AlgebraSpec.numeric(spec.n, q)
-    complex_ = HochschildComplex(spec, sigma, cap)
+    complex_ = HochschildComplex(spec, sigma)
     cells = []
     for gamma in iter_multidegrees(spec.n, bound):
-        feasible_n = -1
-        for n in range(n_max + 1):
-            if all(complex_.basis_size(k, gamma) <= cap for k in range(n + 2)):
-                feasible_n = n
-            else:
-                break
+        # the largest n <= n_max whose bases in degrees 0..n+1 all fit the cap
+        feasible_n = next((k for k in range(n_max + 2)
+                           if complex_.basis_size(k, gamma) > cap), n_max + 2) - 2
         natural = complex_.natural_dims(gamma, feasible_n)
         for n in range(n_max + 1):
             cells.append(ComparisonCell(gamma, n,

@@ -30,9 +30,9 @@ multidegree, built on first use: the d weights beta -> beta - e_i, the h
 weights beta -> beta + e_i and D(gamma).  An edge beta -> beta + e_i has one
 signed factor s, giving d the weight s delta_i and h the weight s^{-1} prod_{j
 in F, j != i} delta_j, and that product is formed once per (gamma, i) rather
-than once per chain term.  The chain maps read the blocks, and the checks
-d^2 = 0 and dh + hd = D(gamma) id compose them for every beta of every gamma
-up to the bound; handed one complex, the two checks build each block once.
+than once per chain term.  The checks d^2 = 0 and dh + hd = D(gamma) id
+compose the block maps for every beta of every gamma up to the bound; handed
+one complex, the two checks build each block once.
 
 Coefficients are exact and use +, - and * only, never a quotient: every
 weight in numeric mode is a Fraction, and every symbolic one a QPolynomial.
@@ -49,8 +49,6 @@ from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index
                          sub_index, support, unit)
 from .qscalar import Scalar
 
-BasisElement = tuple[MultiIndex, MultiIndex]      # (alpha, beta)
-Chain = dict[BasisElement, Scalar]
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
 
@@ -78,7 +76,7 @@ class Block:
 
 
 class ReducedComplex:
-    """Differential, homotopy and per-multidegree blocks for one (Q, sigma)."""
+    """Per-multidegree blocks of d and the scaled h for one (Q, sigma)."""
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
         if sigma.n != spec.n:
@@ -125,25 +123,6 @@ class ReducedComplex:
                     h[beta].append((up, s ** -1 * rest))
         scale = prod((defects[i - 1] for i in failing), start=Fraction(len(failing)))
         return Block(d, h, scale)
-
-    # -- chain maps ---------------------------------------------------------
-
-    def differential(self, c: Chain) -> Chain:
-        return self._apply(c, lambda block: block.d)
-
-    def homotopy(self, c: Chain) -> Chain:
-        """D(gamma) times the contracting homotopy: each failing x_i of x^alpha
-        moves back into its empty slot i with weight
-        sign * c_i(u)^{-1} * prod_{j in F, j != i} delta_j(gamma)."""
-        return self._apply(c, lambda block: block.h)
-
-    def _apply(self, c: Chain, moves) -> Chain:
-        out: Chain = {}
-        for (alpha, beta), coeff in c.items():
-            gamma = add_index(alpha, beta)
-            for target, w in moves(self.block(gamma))[beta]:
-                _accumulate(out, (sub_index(gamma, target), target), w * coeff)
-        return out
 
 
 def _accumulate(out: dict, key, value) -> None:

@@ -10,10 +10,10 @@ nonzero, so equality and hashing are those of tuples and the empty tuple is
 1.  A polynomial is a dict from monomial to nonzero Fraction, held by a
 QPolynomial; a single term c * q^m is the polynomial {m: c}, ``symbol``
 builds the term q_ij, and ``term`` reads (c, m) back.  Both kinds mix under
-+, - and *, and ``specialize`` evaluates either at a table of nonzero
-rationals, one per pair i < j, such as ``distinct_primes`` returns.  No
-quotient of polynomials exists: a single term is inverted by ``** -1``, and
-nothing else symbolic is ever divided.
++ and *, negate, and subtract from a rational, and ``specialize`` evaluates
+either at a table of nonzero rationals, one per pair i < j, such as
+``distinct_primes`` returns.  No quotient of polynomials exists: a single
+term is inverted by ``** -1``, and nothing else symbolic is ever divided.
 
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
@@ -162,9 +162,6 @@ class QPolynomial:
     def __neg__(self) -> "QPolynomial":
         return QPolynomial({m: -c for m, c in self.num.items()})
 
-    def __sub__(self, other) -> "QPolynomial":
-        return self + (-other)
-
     def __rsub__(self, other) -> "QPolynomial":
         return -self + other
 
@@ -189,9 +186,6 @@ class QPolynomial:
 
     def __str__(self) -> str:
         return _poly_str(self.num)
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({self.num!r})"
 
 
 Scalar = Fraction | QPolynomial

@@ -144,6 +144,14 @@ def test_closed_stdout_pipe_exits_quietly(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+CONFIG_FILES = {
+    # nested deeper than the decoder's recursion limit
+    "deep.json": "[" * 200000 + "]" * 200000,
+    # an int of more digits than int() converts from a string
+    "long-int.json": '{"n": 0, "bound": ' + "1" * 5000 + "}",
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["homology", "--n", "2"], EXIT_OK),
     (["verify", "--n", "2", "--bound", "5", "--cap", "5"], EXIT_MISMATCH),
@@ -172,9 +180,18 @@ def test_closed_stdout_pipe_exits_quietly(name, tmp_path):
     # canonical and generic-check use no twist, so they take none
     (["canonical", "--n", "2", "--automorphism", "identity"], EXIT_BAD_CONFIG),
     (["generic-check", "--n", "2", "--automorphism", "canonical"], EXIT_BAD_CONFIG),
+    # config files that json cannot decode into Python objects
+    (["homology", "--config", "deep.json"], EXIT_BAD_CONFIG),
+    (["homology", "--config", "long-int.json"], EXIT_BAD_CONFIG),
 ])
-def test_exit_codes(argv, code):
+def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        name = argv[argv.index("--config") + 1]
+        (tmp_path / name).write_text(CONFIG_FILES[name])
     assert main(argv) == code
+    if code == EXIT_BAD_CONFIG:
+        assert "configuration error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from linalg_reference import matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
-from qhyperplane.hochschild import (CellTooLarge, HochschildComplex,
-                                    compare_with_koszul)
+from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
                                     canonical_automorphism, compositions,
                                     is_admissible, iter_multidegrees,
@@ -290,11 +289,31 @@ def test_natural_dims_quantum_plane_canonical_twist():
         assert complex_.natural_dims(gamma, 2) == [0, 0, 0]
 
 
-def test_basis_over_the_cap_raises():
-    complex_ = HochschildComplex(PLANE, canonical_automorphism(PLANE), cap=5)
-    assert len(complex_.basis(1, (2, 1))) == 5
-    with pytest.raises(CellTooLarge):
-        complex_.basis(2, (2, 1))          # 7 tensors
+@pytest.mark.parametrize("spec, n_max, bound, cap", [
+    (PLANE, 2, 4, 5), (PRIMES3, 3, 4, 10)], ids=["plane", "primes3"])
+def test_compare_builds_no_basis_over_the_cap(spec, n_max, bound, cap, monkeypatch):
+    # compare_with_koszul alone decides the cap: it asks for no basis larger
+    # than cap, and skips cell (gamma, n) exactly when a basis in some degree
+    # k <= n + 1 at gamma is larger
+    sigma = canonical_automorphism(spec)
+    built = []
+    basis = HochschildComplex.basis
+
+    def spy(self, n, gamma):
+        tensors = basis(self, n, gamma)
+        built.append(len(tensors))
+        return tensors
+
+    monkeypatch.setattr(HochschildComplex, "basis", spy)
+    report = compare_with_koszul(spec, sigma, n_max, bound, cap=cap)
+    assert built and max(built) <= cap
+    monkeypatch.undo()
+    sizes = HochschildComplex(spec, sigma)
+    skipped = [(cell.gamma, cell.n) for cell in report.cells if cell.skipped]
+    assert skipped and len(skipped) < len(report.cells)
+    assert skipped == [(cell.gamma, cell.n) for cell in report.cells
+                       if any(len(sizes.basis(k, cell.gamma)) > cap
+                              for k in range(cell.n + 2))]
 
 
 def test_oracle_rejects_symbolic_input():
