@@ -458,8 +458,11 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):    # argparse reads "-2,3" as an option
+        if argv[k - 1] == "--p" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
+            argv[k - 1:k + 1] = [f"--p={argv[k]}"]
+    args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
         return COMMANDS[args.command](config)

@@ -165,6 +165,7 @@ class HochschildComplex:
             rank = d_n.rank()
             dims.append(len(self.basis(n, gamma)) - rank - rank_above)
             rank_above, cleared = rank, d_n.pivot_rows
+        self._basis_cache.clear()       # the next call is at another gamma
         return dims[:0:-1]      # ascending, without degree n_max + 1
 
 

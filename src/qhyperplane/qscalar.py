@@ -5,16 +5,27 @@ All coefficients are exact, and there are two kinds of scalar:
     Fraction     a scalar with no q in it, in symbolic and numeric mode alike
     QPolynomial  a Laurent polynomial in the q_ij (one symbol per pair i < j)
 
-A Laurent monomial is a plain sorted tuple of ((i, j), e) with i < j and e
-nonzero, so equality and hashing are those of tuples and the empty tuple is
-1.  A polynomial is a dict from monomial to nonzero Fraction, held by a
-QPolynomial; a single term c * q^m is the polynomial {m: c}, ``symbol``
-builds the term q_ij, and ``term`` reads (c, m) back.  Both kinds mix under
-+ and *, negate, and subtract from a rational, and ``specialize`` evaluates
-either at a table of nonzero rationals, one per pair i < j, such as
-``distinct_primes`` returns.  No quotient of polynomials exists: a single
-term is inverted by ``** -1``, and nothing else symbolic is ever divided.
+A polynomial is a dict from Laurent monomial to nonzero coefficient, held by
+a QPolynomial.  A coefficient is an int, and a Fraction only where its
+denominator is not 1: every operation stores an integer as an int, so the
+canonical and solve-top twists compute in ints alone.  A single term c * q^m
+is the polynomial {m: c}, ``symbol`` builds the term q_ij, and ``term`` reads
+c and m's exponents back.
 
+A monomial prod q_ij^e is one int, sum e * 2^(W k) (Kronecker substitution):
+k = (j-1)(j-2)/2 + i-1 numbers the pairs i < j whatever N is, and each
+signed exponent has a W = 64 bit field.  So 0 is the monomial 1, a product
+is a sum and a power a multiple; only printing, ``specialize`` and ``term``
+decode exponents.  The packing is injective while every exponent is below
+2^63 in magnitude.  A power n with |n| > 1 raises OverflowError when an
+exponent of its result reaches 2^32, and ** +-1 only negates, so every
+exponent is a sum of exponents below 2^32, one per symbol or power factor:
+a field overflows only in a product of 2^31 or more factors.
+
+Both kinds of scalar mix under + and *, negate, and subtract from a rational,
+and ``specialize`` evaluates either at nonzero rationals, one per pair i < j,
+such as ``distinct_primes`` returns.  No quotient of polynomials exists: a
+single term is inverted by ``** -1``, and nothing else symbolic is divided.
 No floating point appears anywhere; homology ranks are discrete and
 unforgiving of rounding.
 """
@@ -22,11 +33,18 @@ unforgiving of rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 Pair = tuple[int, int]
-Monomial = tuple[tuple[Pair, int], ...]
-Polynomial = dict[Monomial, Fraction]
+Coefficient = int | Fraction
+Monomial = int                               # packed exponents, 0 is 1
+Exponents = tuple[tuple[Pair, int], ...]     # ((i, j), e), e nonzero, sorted
+Polynomial = dict[Monomial, Coefficient]
+
+W = 64
+_HALF = 1 << (W - 1)
+_MASK = (1 << W) - 1
 
 
 def all_pairs(n: int) -> list[Pair]:
@@ -52,53 +70,49 @@ def distinct_primes(n: int, coprime_to: int = 1) -> dict[Pair, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent monomials
+# Laurent monomials, packed into ints
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for pair, e in b:
-        merged[pair] = merged.get(pair, 0) + e
-    return tuple(sorted(item for item in merged.items() if item[1]))
-
-
-def _mono_pow(a: Monomial, n: int) -> Monomial:
-    return tuple((pair, e * n) for pair, e in a) if n else ()
-
-
-def _mono_value(a: Monomial, q: Mapping[Pair, Fraction]) -> Fraction:
-    value = Fraction(1)
-    for pair, e in a:
-        value *= q[pair] ** e
-    return value
+def _mono_items(a: Monomial) -> Exponents:
+    """The nonzero exponents of a packed monomial, lexicographic in (i, j)."""
+    items = []
+    i, j = 1, 2
+    while a:
+        e = ((a + _HALF) & _MASK) - _HALF        # the signed low field
+        if e:
+            items.append(((i, j), e))
+        a = (a - e) >> W
+        i, j = (i + 1, j) if i + 1 < j else (1, j + 1)
+    return tuple(sorted(items))
 
 
 def _mono_str(a: Monomial) -> str:
     return "*".join(f"q({i},{j})" + (f"^{e}" if e != 1 else "")
-                    for (i, j), e in a) or "1"
+                    for (i, j), e in _mono_items(a)) or "1"
 
 
 def specialize(value, q: Mapping[Pair, Fraction]) -> Fraction:
     """Evaluate any scalar at the values q[i, j] of the q_ij, i < j; a
     rational is its own value."""
     if isinstance(value, QPolynomial):
-        return sum((c * _mono_value(m, q) for m, c in value.num.items()),
-                   Fraction(0))
+        return sum((c * prod((q[pair] ** e for pair, e in _mono_items(m)), start=Fraction(1))
+                    for m, c in value.num.items()), Fraction(0))
     return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
-# polynomials: dicts from monomial to nonzero Fraction
+# polynomials: dicts from packed monomial to nonzero coefficient
+
+def _coef(c: Fraction | int) -> Coefficient:
+    """A rational coefficient as an int when its denominator is 1."""
+    return c.numerator if c.denominator == 1 else c
+
 
 def _poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     out = dict(a)
     for m, c in b.items():
         s = out[m] + c if m in out else c
         if s:
-            out[m] = s
+            out[m] = _coef(s)
         else:
             del out[m]
     return out
@@ -111,18 +125,18 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         if len(single) == 1:
             (m, c), = single.items()
             if c == 1:
-                return {_mono_mul(m2, m): c2 for m2, c2 in other.items()}
+                return {m2 + m: c2 for m2, c2 in other.items()}
             if c == -1:
-                return {_mono_mul(m2, m): -c2 for m2, c2 in other.items()}
+                return {m2 + m: -c2 for m2, c2 in other.items()}
     out: Polynomial = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m, c = _mono_mul(m1, m2), c1 * c2
+            m, c = m1 + m2, c1 * c2
             out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if c}
+    return {m: _coef(c) for m, c in out.items() if c}
 
 
-def _term_str(c: Fraction, m: Monomial) -> str:
+def _term_str(c: Coefficient, m: Monomial) -> str:
     if not m:
         return str(c)
     if c == 1:
@@ -140,8 +154,9 @@ def _poly_str(a: Polynomial) -> str:
 
 
 class QPolynomial:
-    """Laurent polynomial in the q_ij: a dict from monomial to nonzero
-    Fraction, canonical term by term, so equality is dict equality.
+    """Laurent polynomial in the q_ij: a dict from packed monomial to nonzero
+    int or Fraction coefficient, canonical term by term, so equality is dict
+    equality.
 
     Operands may be QPolynomials, Fractions or ints; a rational factor
     scales the terms without a polynomial product.  There is no division:
@@ -167,14 +182,17 @@ class QPolynomial:
 
     def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, (Fraction, int)):
-            return QPolynomial({m: c * other for m, c in self.num.items()} if other else {})
+            other = _coef(other)
+            return QPolynomial({m: _coef(c * other) for m, c in self.num.items()} if other else {})
         return QPolynomial(_poly_mul(self.num, _lift(other).num))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPolynomial":
-        c, m = term(self)
-        return QPolynomial({_mono_pow(m, n): c if c == 1 else c ** n})
+        c, m = _single(self)
+        if abs(n) > 1 and any(abs(e) >= 1 << 32 for _, e in _mono_items(m * n)):
+            raise OverflowError(f"({self}) ** {n} has an exponent of 2^32 or more")
+        return QPolynomial({m * n: c ** abs(n) if c in (1, -1) else _coef(Fraction(c) ** n)})
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -193,14 +211,22 @@ Scalar = Fraction | QPolynomial
 
 def symbol(i: int, j: int) -> QPolynomial:
     """The symbol q_ij, i < j, as the one-term polynomial q_ij."""
-    return QPolynomial({(((i, j), 1),): Fraction(1)})
+    if not 1 <= i < j:
+        raise ValueError(f"q({i},{j}) needs 1 <= i < j")
+    return QPolynomial({1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)): 1})
 
 
-def term(value: Scalar) -> tuple[Fraction, Monomial]:
-    """(c, m) for a scalar that is the single term c * q^m; a rational is
-    its own term.  A sum, or the zero polynomial, raises ValueError."""
+def term(value: Scalar) -> tuple[Coefficient, Exponents]:
+    """(c, exponents of m) for a scalar that is the single term c * q^m; a
+    rational is its own term.  A sum, or the zero polynomial, raises
+    ValueError."""
     if not isinstance(value, QPolynomial):
         return Fraction(value), ()
+    c, m = _single(value)
+    return c, _mono_items(m)
+
+
+def _single(value: QPolynomial) -> tuple[Coefficient, Monomial]:
     if len(value.num) != 1:
         raise ValueError(f"{value} is not a single term")
     (m, c), = value.num.items()
@@ -210,4 +236,4 @@ def term(value: Scalar) -> tuple[Fraction, Monomial]:
 def _lift(value: "Scalar | int") -> QPolynomial:
     if isinstance(value, QPolynomial):
         return value
-    return QPolynomial({(): Fraction(value)} if value else {})
+    return QPolynomial({0: _coef(value)} if value else {})

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,11 @@ CONFIG_FILES = {
     # config files that json cannot decode into Python objects
     (["homology", "--config", "deep.json"], EXIT_BAD_CONFIG),
     (["homology", "--config", "long-int.json"], EXIT_BAD_CONFIG),
+    # a --p value may start with a minus sign, as --p=-2,3 always could
+    (["homology", "--n", "2", "--automorphism", "explicit", "--p", "-2,3",
+      "--bound", "4"], EXIT_OK),
+    (["homology", "--n", "2", "--automorphism", "explicit", "--p", "-2/3"],
+     EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -216,6 +222,38 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     for module in callers:
         monkeypatch.setattr(module, "symbol", refuse_symbol)
     assert main(argv) == EXIT_OK
+
+
+def _stored_coefficients(monkeypatch) -> list:
+    """Every coefficient stored in a QPolynomial from now on, by a spy on
+    its constructor."""
+    stored = []
+    init = QPolynomial.__init__
+
+    def spy(self, num):
+        stored.extend(num.values())
+        init(self, num)
+
+    monkeypatch.setattr(QPolynomial, "__init__", spy)
+    return stored
+
+
+def test_symbolic_checks_compute_in_ints(monkeypatch):
+    # the canonical twist keeps every symbolic coefficient an integer, and
+    # each one is stored as an int, never as a Fraction
+    stored = _stored_coefficients(monkeypatch)
+    assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0", "--symbolic"]) == EXIT_OK
+    assert stored and all(type(c) is int for c in stored)
+
+
+def test_a_proper_fraction_in_sigma_falls_back_to_fractions(monkeypatch):
+    # p_1 = 2/3 brings Fractions in; an integer is still stored as an int
+    stored = _stored_coefficients(monkeypatch)
+    assert main(["verify", "--symbolic", "--n", "2", "--automorphism", "explicit",
+                 "--p", "2/3,5"]) == EXIT_OK
+    assert any(type(c) is Fraction for c in stored)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in stored)
 
 
 @pytest.mark.parametrize("argv, key, value", [

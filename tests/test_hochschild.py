@@ -289,6 +289,17 @@ def test_natural_dims_quantum_plane_canonical_twist():
         assert complex_.natural_dims(gamma, 2) == [0, 0, 0]
 
 
+def test_natural_dims_releases_the_bases_of_its_multidegree():
+    # each multidegree's bases are dropped once its dims are known; the
+    # tails, shared across multidegrees, stay
+    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
+    for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
+        dims = complex_.natural_dims(gamma, 3)
+        assert not complex_._basis_cache
+        assert complex_._tail_cache
+        assert dims == COMPLEXES[2].natural_dims(gamma, 3)
+
+
 @pytest.mark.parametrize("spec, n_max, bound, cap", [
     (PLANE, 2, 4, 5), (PRIMES3, 3, 4, 10)], ids=["plane", "primes3"])
 def test_compare_builds_no_basis_over_the_cap(spec, n_max, bound, cap, monkeypatch):

@@ -1,5 +1,6 @@
-"""Coefficient arithmetic: group laws, specialization, exactness, and the
-single terms c * q^m, which are one-term QPolynomials."""
+"""Coefficient arithmetic: group laws, specialization, exactness, the
+single terms c * q^m, which are one-term QPolynomials, the edge of the packed
+exponent fields, and agreement with the tuple-and-Fraction reference."""
 
 from fractions import Fraction
 
@@ -7,27 +8,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhyperplane.hyperplane import AlgebraSpec
-from qhyperplane.qscalar import (QPolynomial, distinct_primes, specialize,
+from qhyperplane.qscalar import (QPolynomial, all_pairs, distinct_primes, specialize,
                                  symbol, term)
+from qscalar_reference import RefPolynomial, mono
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
-def mono(exps=()):
-    """The monomial with the given ((i, j), e) exponents, i < j."""
-    return tuple(sorted((pair, e) for pair, e in dict(exps).items() if e))
-
-
 def qc(scalar, exps=()):
-    """The single term scalar * monomial as a one-term QPolynomial, or the
-    zero polynomial when the scalar is zero."""
-    return QPolynomial({mono(exps): Fraction(scalar)} if scalar else {})
+    """The single term scalar * prod q_ij^e over the ((i, j), e) given, built
+    from symbols, powers and the rational, as a QPolynomial; the zero
+    polynomial when the scalar is zero."""
+    out = symbol(1, 2) ** 0 * scalar          # a QPolynomial even without a symbol
+    for (i, j), e in dict(exps).items():
+        out = out * symbol(i, j) ** e
+    return out
 
 
 def lift(a):
-    if isinstance(a, QPolynomial):
-        return a
-    return QPolynomial({mono(): Fraction(a)} if a else {})
+    return a if isinstance(a, QPolynomial) else qc(a)
 
 
 nonzero_scalars = st.fractions(min_value=-8, max_value=8).filter(lambda f: f != 0)
@@ -58,7 +57,7 @@ def test_mul_disjoint_monomials():
 
 def test_mul_zero_absorbs():
     assert Fraction(0) * qc(5, {(1, 2): 3}.items()) == 0
-    assert (qc(5, {(1, 2): 3}.items()) * 0).num == {}
+    assert not qc(5, {(1, 2): 3}.items()) * 0
 
 
 def test_inverse_componentwise():
@@ -101,11 +100,18 @@ def test_symbol_is_the_one_term_q_ij():
     assert symbol(1, 3) == qc(1, {(1, 3): 1}.items())
 
 
+def test_symbol_needs_a_pair_i_below_j():
+    # each pair has its own exponent field; no other pair may alias one
+    for i, j in ((3, 3), (2, 1), (0, 1), (-1, 4)):
+        with pytest.raises(ValueError):
+            symbol(i, j)
+
+
 def test_zero_is_canonical():
     a = qc(3, {(1, 2): 5}.items())
     for z in (a * 0, 0 * a, a + (-a)):
         assert z == 0 and not z
-        assert z.num == {}
+        assert str(z) == "0" and z == qc(0)
 
 
 # -- group and homomorphism properties ---------------------------------------
@@ -128,9 +134,10 @@ def test_specialize_is_a_homomorphism(a, b):
 def test_is_one_iff_prime_specialization_is_one(a):
     # distinct primes are multiplicatively independent over the rationals, so
     # a monic monomial specializes to 1 only when it is trivial; the rational
-    # factor is divided out first, since 1/3 * q13 specializes to 1 at q13 = 3
+    # factor is divided out first, since 1/3 * q13 specializes to 1 at q13 = 3;
+    # term's coefficient may be an int, so the division is made in Fractions
     nu = prime_assignment()
-    monic = a * (1 / term(a)[0])
+    monic = a * (Fraction(1) / term(a)[0])
     assert (monic == 1) == (specialize(monic, nu) == 1)
 
 
@@ -155,44 +162,51 @@ def poly(*cs):
 
 def test_polynomial_cancellation():
     a = qc(1, {(1, 2): 1}.items())
-    assert (poly(a) + (-poly(a))).num == {}
-    assert poly(a, -a).num == {}
+    assert not poly(a) + (-poly(a))
+    assert poly(a, -a) == 0
 
 
 def test_polynomial_stores_fractions():
-    # an int coefficient is stored as a Fraction, so reports print it alike
-    p = poly(3, qc(Fraction(1, 2), {(1, 2): 1}.items()))
-    assert all(type(c) is Fraction for c in p.num.values())
-    assert p.num[mono()] == 3
+    # a Fraction is stored only where its denominator is not 1; an integer
+    # one is stored as an int, and the two print alike
+    p = poly(Fraction(3), qc(Fraction(1, 2), {(1, 2): 1}.items()))
+    assert sorted(type(c).__name__ for c in p.num.values()) == ["Fraction", "int"]
+    assert p + -qc(Fraction(1, 2), {(1, 2): 1}.items()) == 3
     assert str(p) == "3 + 1/2*q(1,2)"
+    # and so do lifts, rational factors, powers, products and sums
+    half, third = qc(Fraction(1, 2), {(1, 2): 1}.items()), qc(Fraction(1, 3), {(1, 3): 1}.items())
+    for t in (qc(Fraction(4, 2), {(1, 2): 1}.items()), qc(2) * Fraction(3, 3),
+              half ** -1, qc(-1) ** -3, half * (third * 6), third + third * 2 + half * 2,
+              (half + Fraction(1, 2)) * (third * 6 + 2)):
+        assert all(type(c) is int for c in t.num.values())
 
 
 def test_polynomial_product_expands():
     a = qc(1, {(1, 2): 1}.items())
     p = poly(Fraction(1), -a)                 # 1 - q12
     q = poly(Fraction(1), a)                  # 1 + q12
-    assert (p * q).num == poly(Fraction(1), -(a * a)).num
     assert p * q == poly(Fraction(1), -(a * a))
+    assert str(p * q) == "1 + -q(1,2)^2"
 
 
 unit_terms = st.builds(lambda s, e: qc(s, e.items()), st.sampled_from([1, -1]),
                        exponent_maps)
 
 
-@given(st.lists(coefficients, max_size=4), unit_terms)
+@given(st.lists(st.tuples(nonzero_scalars, exponent_maps), max_size=4), unit_terms)
 def test_product_with_a_unit_term_shifts_the_monomials(cs, u):
     # +-q^m times a sum adds m to each exponent and copies or negates each
     # coefficient; nothing merges and nothing cancels
-    p = poly(*cs)
-    (shift, sign), = u.num.items()
-    expected = {}
-    for m, c in p.num.items():
-        exps = dict(m)
-        for pair, e in shift:
-            exps[pair] = exps.get(pair, 0) + e
-        expected[mono(exps.items())] = sign * c
-    assert (p * u).num == expected
-    assert (u * p).num == expected
+    p = poly(*(qc(c, e.items()) for c, e in cs))
+    sign, shift = term(u)
+    expected = poly()
+    for c, e in cs:
+        exps = dict(e)
+        for pair, k in shift:
+            exps[pair] = exps.get(pair, 0) + k
+        expected = expected + qc(sign * c, exps.items())
+    assert p * u == expected and u * p == expected
+    assert len((p * u).num) == len(p.num)
 
 
 def test_fraction_field_laws_on_binomials():
@@ -281,3 +295,77 @@ def test_every_exported_name_resolves():
     assert len(set(qhyperplane.__all__)) == len(qhyperplane.__all__)
     for name in qhyperplane.__all__:
         assert getattr(qhyperplane, name) is not None
+
+
+# -- packed exponent fields ---------------------------------------------------
+
+def test_exponents_at_the_edge_of_a_field_stay_apart():
+    # a power may reach 2^32 - 1 in magnitude; a field holds up to 2^63 - 1,
+    # and its neighbours do not see it
+    top = (1 << 32) - 1
+    q12, q13, q23 = symbol(1, 2), symbol(1, 3), symbol(2, 3)
+    edge = q12 ** top * q13 ** -top
+    assert term(edge) == (1, (((1, 2), top), ((1, 3), -top)))
+    assert term(edge * q12 * q23 ** -1) == (1, (((1, 2), top + 1), ((1, 3), -top),
+                                               ((2, 3), -1)))
+    doubled = edge
+    for _ in range(31):
+        doubled = doubled * doubled
+    assert term(doubled) == (1, (((1, 2), top << 31), ((1, 3), -top << 31)))
+    assert specialize(edge * q12 ** -top * q13 ** top, {}) == 1
+    assert term(edge ** -1) == (1, (((1, 2), -top), ((1, 3), top)))
+
+
+@pytest.mark.parametrize("base, n", [
+    (symbol(1, 2), 1 << 32), (symbol(1, 2), -(1 << 32)),
+    (symbol(1, 2) ** (1 << 16), 1 << 16),
+    (symbol(1, 3) * symbol(2, 4) ** -((1 << 31) + 1), 2),
+    (symbol(7, 9) ** -3, 1 << 31)])
+def test_power_refuses_an_exponent_of_two_to_the_32(base, n):
+    with pytest.raises(OverflowError):
+        base ** n
+
+
+# -- agreement with the tuple-and-Fraction reference ----------------------------
+
+PAIRS5 = all_pairs(5)
+# mostly integers, which take the int fast path, and some proper fractions
+sums = st.lists(st.tuples(st.integers(-4, 4).filter(bool) | nonzero_scalars,
+                          st.dictionaries(st.sampled_from(PAIRS5), st.integers(-3, 3),
+                                          max_size=3)),
+                max_size=4)
+
+
+def both(terms):
+    """The sum of the terms as a QPolynomial and as a RefPolynomial."""
+    packed, ref = qc(0), RefPolynomial.term(0)
+    for c, e in terms:
+        packed, ref = packed + qc(c, e.items()), ref + RefPolynomial.term(c, e.items())
+    return packed, ref
+
+
+def assert_agree(packed, ref):
+    assert str(packed) == str(ref)
+    for q in (distinct_primes(5), {pair: Fraction(-k - 1, 3) for k, pair in enumerate(PAIRS5)}):
+        assert specialize(packed, q) == ref.specialize(q)
+    if len(ref.num) == 1:
+        assert term(packed) == ref.single()
+    else:
+        with pytest.raises(ValueError):
+            term(packed)
+
+
+@given(sums, sums, st.integers(-3, 3), st.integers(-3, 3) | nonzero_scalars)
+def test_packed_arithmetic_agrees_with_the_reference(a, b, n, r):
+    (pa, ra), (pb, rb) = both(a), both(b)
+    for packed, ref in ((pa, ra), (pa + pb, ra + rb), (pa * pb, ra * rb), (-pa, -ra),
+                        (pa * r, ra * r), (r - pa, r + (-ra))):
+        assert_agree(packed, ref)
+        assert (packed == pa) == (ref == ra) and (packed == pb) == (ref == rb)
+        assert (packed == r) == (ref == r)
+    assert both(a[::-1])[0] == pa
+    if len(ra.num) == 1:
+        assert_agree(pa ** n, ra ** n)
+    else:
+        with pytest.raises(ValueError):
+            pa ** n
