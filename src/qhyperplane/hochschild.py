@@ -30,10 +30,18 @@ sigma only, never from the Koszul side's commutation defects: that
 chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.  The change
 of basis is diagonal, so every rank is that of the plain boundary.
 
-Within a multidegree the ranks go down in degree, from d_{n_max+1} on, so
-that each d_n is assembled with clearing: its columns that are pivot rows
-of the reduced d_{n+1} are left out.  As d_n d_{n+1} = 0 they lie in the
-span of the columns kept (see exactlinalg), so every rank stays exact.
+Within a multidegree the ranks go up in degree, on the coboundary d_n
+transposed: its column for a tensor b of degree n-1 holds the cofaces of b.
+Each splits one slot of b in two, slot i as (x, y) with entry (-1)^i, or
+b_0 as x + y into (x, b_1, ..., b_{n-1}, y) with entry (-1)^n chi_gamma(y).
+Row a is scaled by den(a), the denominator of chi_gamma(a_n), which moves
+no pivot (see exactlinalg), so every entry is an int.  Each coboundary is
+assembled with clearing: its columns that are pivot rows of the reduced
+coboundary one degree below are left out.  As d_n^T d_{n-1}^T = 0 they lie
+in the span of the columns kept, so every rank stays exact, and the kept
+columns that reduce to zero number dim H_{n-1}: only homology costs a
+reduction to zero, where going down from d_{n_max+1}, whose columns nothing
+clears, costs one for most of its kernel.
 Which cells fit the basis cap is decided in compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
@@ -49,12 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from operator import sub
 
 from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         add_index, apply_sigma, iter_multidegrees,
-                         monomial_product, specialize_automorphism, sub_index)
+                         apply_sigma, iter_multidegrees, monomial_product,
+                         specialize_automorphism, sub_index)
 from .qscalar import distinct_primes, term
 
 Tensor = tuple[MultiIndex, ...]
@@ -75,6 +84,8 @@ class HochschildComplex:
         self.sigma = sigma
         self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
         self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
+        self._chi_cache: dict[MultiIndex, dict[MultiIndex, tuple[int, int]]] = {}
+        self._split_cache: dict[MultiIndex, list[tuple[MultiIndex, MultiIndex]]] = {}
 
     # -- bases ----------------------------------------------------------------
 
@@ -111,62 +122,71 @@ class HochschildComplex:
             self._tail_cache[key] = tails
         return tails
 
-    # -- the boundary -----------------------------------------------------------
+    # -- the coboundary ---------------------------------------------------------
 
     def boundary_matrix(self, n: int, gamma: MultiIndex,
                         cleared: frozenset[int] = frozenset()) -> SparseExactMatrix:
-        """Matrix of the boundary from degree n to degree n-1 at one
-        multidegree, in the rescaled lexicographic bases f; the columns in
-        cleared are left zero.  Entries are ints, apart from the wrap-around
-        weights, which are Fractions."""
+        """d_n transposed at one multidegree, in the rescaled lexicographic
+        bases f: a column for each tensor b of degree n-1 not in cleared,
+        holding its cofaces a, with row a scaled by den(a) so that every
+        entry is an int."""
         if n < 1:
-            return SparseExactMatrix(0, len(self.basis(0, gamma)))
-        rows = {t: r for r, t in enumerate(self.basis(n - 1, gamma))}
-        cols = self.basis(n, gamma)
-        wrap: dict[MultiIndex, Fraction] = {}       # (-1)^n chi_gamma, by last slot
-        entries: dict[tuple[int, int], Fraction | int] = {}
-        for c, a in enumerate(cols):
+            return SparseExactMatrix(len(self.basis(0, gamma)), 0)
+        rows = {t: r for r, t in enumerate(self.basis(n, gamma))}
+        chi = self._chi_cache.get(gamma)    # slot -> (num, den) of chi_gamma
+        if chi is None:
+            chi = self._chi_cache[gamma] = {
+                y: self._chi(gamma, y)
+                for y in product(*(range(g + 1) for g in gamma)) if any(y)}
+        splits, entries = self._split_cache, {}
+        cols = self.basis(n - 1, gamma)
+        for c, b in enumerate(cols):
             if c in cleared:
                 continue
-            last = a[n]
-            weight = wrap.get(last)
-            if weight is None:
-                weight = wrap[last] = (-1) ** n * self._chi(gamma, last)
-            faces = [(a[:i] + (add_index(a[i], a[i + 1]),) + a[i + 2:], -1 if i & 1 else 1)
-                     for i in range(n)]
-            faces.append(((add_index(last, a[0]),) + a[1:n], weight))
-            for face, coeff in faces:
-                key = (rows[face], c)
-                if key not in entries:
-                    entries[key] = coeff
-                elif merged := entries[key] + coeff:
-                    entries[key] = merged
-                else:
-                    del entries[key]
+            den = chi[b[-1]][1] if n > 1 else 0     # den(a) while a_n = b_{n-1}
+            cofaces = []
+            for i, slot in enumerate(b):
+                pairs = splits.get(slot) or splits.setdefault(slot, _splits(slot))
+                head, tail, sign = b[:i], b[i + 1:], -1 if i & 1 else 1
+                cofaces += [(head + (x, y) + tail, sign * (den if tail else chi[y][1]))
+                            for x, y in (pairs if i == 0 else pairs[1:])]
+            sign = -1 if n & 1 else 1
+            cofaces += [((x,) + b[1:] + (y,), sign * chi[y][0]) for x, y in splits[b[0]]]
+            for a, coeff in cofaces:
+                key = (rows[a], c)
+                entries[key] = entries.get(key, 0) + coeff
         return SparseExactMatrix(len(rows), len(cols), entries)
 
-    def _chi(self, gamma: MultiIndex, a: MultiIndex) -> Fraction:
-        """chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a)."""
+    def _chi(self, gamma: MultiIndex, a: MultiIndex) -> tuple[int, int]:
+        """chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a), in lowest terms."""
         rest = sub_index(gamma, a)
         forward, _ = monomial_product(self.spec, a, rest)
         backward, _ = monomial_product(self.spec, rest, a)
-        return apply_sigma(self.sigma, a) * forward / backward
+        chi = apply_sigma(self.sigma, a) * forward / backward
+        return chi.numerator, chi.denominator
 
     # -- homology dimensions ----------------------------------------------------
 
     def natural_dims(self, gamma: MultiIndex, n_max: int) -> list[int]:
         """dim H_n for n = 0..n_max by rank-nullity at one multidegree, going
-        down in degree so that each d_n is cleared by the pivots of d_{n+1}."""
-        if n_max < 0:
-            return []
-        dims, rank_above, cleared = [], 0, frozenset()
-        for n in range(n_max + 1, -1, -1):
-            d_n = self.boundary_matrix(n, gamma, cleared)
-            rank = d_n.rank()
-            dims.append(len(self.basis(n, gamma)) - rank - rank_above)
-            rank_above, cleared = rank, d_n.pivot_rows
+        up in degree so that each coboundary is cleared by the pivot rows of
+        the one below: dim H_{n-1} = dim C_{n-1} - r_{n-1} - r_n."""
+        dims, rank_below, cleared = [], 0, frozenset()
+        for n in range(1, n_max + 2):
+            delta = self.boundary_matrix(n, gamma, cleared)
+            rank = delta.rank()
+            dims.append(delta.n_cols - rank_below - rank)
+            rank_below, cleared = rank, delta.pivot_rows
         self._basis_cache.clear()       # the next call is at another gamma
-        return dims[:0:-1]      # ascending, without degree n_max + 1
+        self._chi_cache.clear()
+        return dims
+
+
+def _splits(m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
+    """The pairs (x, y) with x + y = m and y nonunit, x ascending, so that
+    (0, m) comes first whenever m is nonunit."""
+    return [(x, tuple(map(sub, m, x))) for x in product(*(range(v + 1) for v in m))
+            if x != m]
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,44 @@
 """Test-only helpers for SparseExactMatrix: construction from dense rows,
-products, and the row-elimination rank that column reduction replaced,
-kept as a reference to compare against."""
+scaling a rational matrix to ints, products, and the row-elimination rank
+that column reduction replaced, kept as a reference to compare against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
-from qhyperplane.exactlinalg import SparseExactMatrix, _integerize, _strip_gcd
+from qhyperplane.exactlinalg import SparseExactMatrix, _strip_gcd
+
+
+def integerize(vector: dict[int, Fraction | int]) -> dict[int, int]:
+    """Scale a sparse rational vector by the lcm of its denominators."""
+    lcm = 1
+    for v in vector.values():
+        lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+    return {k: int(v * lcm) for k, v in vector.items()}
+
+
+def integerized(m: SparseExactMatrix) -> SparseExactMatrix:
+    """The matrix with each column scaled to integers: the same rank and the
+    same pivot rows, with int entries that rank accepts; an integer matrix
+    is left as it is."""
+    columns: dict[int, dict[int, Fraction | int]] = {}
+    for (r, c), v in m.entries.items():
+        columns.setdefault(c, {})[r] = v
+    return SparseExactMatrix(m.n_rows, m.n_cols,
+                             {(r, c): v for c, col in columns.items()
+                              for r, v in integerize(col).items()})
 
 
 def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
+    """A matrix from dense rational rows, its columns scaled to ints."""
     rows = [list(r) for r in rows]
     n_cols = len(rows[0]) if rows else 0
     entries = {(i, j): Fraction(v)
                for i, row in enumerate(rows)
                for j, v in enumerate(row) if v}
-    return SparseExactMatrix(len(rows), n_cols, entries)
+    return integerized(SparseExactMatrix(len(rows), n_cols, entries))
 
 
 def row_dicts(m: SparseExactMatrix) -> list[dict[int, Fraction]]:
@@ -43,7 +65,7 @@ def reference_rank(m: SparseExactMatrix) -> int:
     Within a column the pivot is the row whose entry has the smallest bit
     length, to contain coefficient blowup.
     """
-    rows = [(tag, _integerize(row)) for tag, row in enumerate(row_dicts(m)) if row]
+    rows = [(tag, _strip_gcd(integerize(row))) for tag, row in enumerate(row_dicts(m)) if row]
     rank = 0
     while rows:
         col = min(min(row) for _, row in rows)

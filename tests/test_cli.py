@@ -22,6 +22,7 @@ from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_BROKEN_PIPE, EXIT_MISMATCH,
                              EXIT_OK, EXIT_TRUNCATED, _generator_labels,
                              _write_json, main)
 from qhyperplane import homology, qscalar
+from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hyperplane import iter_multidegrees
 from qhyperplane.koszul import ReducedComplex
 from qhyperplane.qscalar import QPolynomial
@@ -254,6 +255,26 @@ def test_a_proper_fraction_in_sigma_falls_back_to_fractions(monkeypatch):
     assert any(type(c) is Fraction for c in stored)
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in stored)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--bound", "3"],
+    ["verify", "--symbolic", "--n", "2", "--bound", "3"],
+    ["verify", "--n", "2", "--automorphism", "explicit", "--p", "2/3,5", "--bound", "3"],
+])
+def test_no_fraction_reaches_rank(argv, monkeypatch, capsys):
+    # the oracle scales each row of a coboundary to ints, numeric and
+    # symbolic input alike, and with a twist of proper fractions
+    seen = []
+    rank = SparseExactMatrix.rank
+
+    def spy(self):
+        seen.extend(type(v) for v in self.entries.values())
+        return rank(self)
+
+    monkeypatch.setattr(SparseExactMatrix, "rank", spy)
+    assert main(argv) == EXIT_OK
+    assert seen and set(seen) == {int}
 
 
 @pytest.mark.parametrize("argv, key, value", [

@@ -19,7 +19,7 @@ def kernel_basis(m: SparseExactMatrix) -> list[dict[int, Fraction]]:
     rows, cols = m.n_rows, m.n_cols
     dense = [[Fraction(0)] * cols for _ in range(rows)]
     for (r, c), v in m.entries.items():
-        dense[r][c] = v
+        dense[r][c] = Fraction(v)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -88,6 +88,18 @@ def test_pivot_rows_carry_the_rank(rows):
     rank = m.rank()
     assert len(m.pivot_rows) == rank
     assert reference_rank(from_rows([rows[r] for r in sorted(m.pivot_rows)])) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.lists(st.integers(1, 6) | st.integers(-6, -1),
+                                min_size=5, max_size=5))
+def test_row_scaling_moves_no_pivot(rows, factors):
+    m = from_rows(rows)
+    rank = m.rank()
+    scaled = SparseExactMatrix(m.n_rows, m.n_cols, {
+        (r, c): factors[r] * v for (r, c), v in m.entries.items()})
+    assert scaled.rank() == rank
+    assert scaled.pivot_rows == m.pivot_rows
 
 
 @settings(max_examples=40, deadline=None)

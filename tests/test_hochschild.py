@@ -1,7 +1,7 @@
-"""The bar-complex oracle: normalized chain bases, d o d = 0, clearing,
-the rescaled boundary against the plain one, agreement with the full bar
-complex, hand-computed homology, the basis cap, and agreement with the
-reduced Koszul complex."""
+"""The bar-complex oracle: normalized chain bases, d o d = 0, clearing the
+coboundaries going up, the rescaled coboundary against the plain boundary,
+agreement with the full bar complex, hand-computed homology, the basis cap,
+and agreement with the reduced Koszul complex."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linalg_reference import matmul, reference_rank
+from linalg_reference import integerized, matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
@@ -132,6 +132,13 @@ def _weight(spec, tensor):
     return weight
 
 
+def _den(complex_, tensor):
+    """den(a): the denominator of chi_gamma(a_n), read off the plain
+    wrap-around face of a in the rescaled basis."""
+    face, coeff = reference_faces(complex_, tensor)[-1]
+    return (_weight(complex_.spec, face) / _weight(complex_.spec, tensor) * coeff).denominator
+
+
 RESCALING_COMPLEXES = COMPLEXES + [
     HochschildComplex(AlgebraSpec.one_parameter(2, Q61), canonical_automorphism(
         AlgebraSpec.one_parameter(2, Q61))),
@@ -141,19 +148,23 @@ RESCALING_COMPLEXES = COMPLEXES + [
 
 @pytest.mark.parametrize("complex_", RESCALING_COMPLEXES)
 def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
-    # d_n[b, a] = W(b) / W(a) * plain d_n[b, a]: inner faces are +-1, and the
-    # wrap-around face carries chi of the last slot
+    # entry (a, b) of d_n transposed is den(a) W(b) / W(a) * plain d_n[b, a],
+    # an int: inner faces are +-den(a), and the wrap-around face carries the
+    # numerator of chi of the last slot
     spec = complex_.spec
     for gamma in _cells(spec.n) + [(3, 2)[:spec.n] + (1,) * (spec.n - 2)]:
         for n in (1, 2, 3):
             rescaled = complex_.boundary_matrix(n, gamma)
             plain = _normalized_reference(complex_, n, gamma)
-            rows, cols = complex_.basis(n - 1, gamma), complex_.basis(n, gamma)
-            expected = {(r, c): _weight(spec, rows[r]) / _weight(spec, cols[c]) * v
-                        for (r, c), v in plain.entries.items() if v}
+            rows, cols = complex_.basis(n, gamma), complex_.basis(n - 1, gamma)
+            expected = {(a, b): _den(complex_, rows[a]) * _weight(spec, cols[b])
+                        / _weight(spec, rows[a]) * v
+                        for (b, a), v in plain.entries.items()}
             assert rescaled.entries == expected
-            assert all(v in (1, -1) for (r, c), v in rescaled.entries.items()
-                       if rows[r][1:] != cols[c][1:n])
+            assert all(type(v) is int for v in rescaled.entries.values())
+            assert all(abs(v) == _den(complex_, rows[a])
+                       for (a, b), v in rescaled.entries.items()
+                       if cols[b][1:] != rows[a][1:n])
 
 
 @settings(max_examples=120, deadline=None)
@@ -181,33 +192,42 @@ def test_natural_dims_match_the_plain_boundary(case, n_max):
         len(complex_.basis(k, gamma)) - rank(k) - rank(k + 1) for k in range(n_max + 1)]
 
 
+def _transposed_boundary(complex_, n, gamma):
+    """d_n transposed: the rows of boundary_matrix(n, gamma) divided by den."""
+    delta, rows = complex_.boundary_matrix(n, gamma), complex_.basis(n, gamma)
+    return SparseExactMatrix(delta.n_rows, delta.n_cols, {
+        (a, b): Fraction(v, _den(complex_, rows[a])) for (a, b), v in delta.entries.items()})
+
+
 @pytest.mark.parametrize("complex_", COMPLEXES)
 def test_boundary_squares_to_zero(complex_):
+    # d_n d_{n+1} = 0 read on the coboundaries, their rows divided by den;
     # holds for every scaling twist, canonical or not
     for gamma in _cells(complex_.spec.n):
         for n in (1, 2):
-            d_n = complex_.boundary_matrix(n, gamma)
-            d_next = complex_.boundary_matrix(n + 1, gamma)
-            assert not matmul(d_n, d_next).entries
+            delta_n = _transposed_boundary(complex_, n, gamma)
+            delta_next = _transposed_boundary(complex_, n + 1, gamma)
+            assert not matmul(delta_next, delta_n).entries
 
 
 @pytest.mark.parametrize("complex_", COMPLEXES)
 def test_cleared_columns_leave_the_rank_unchanged(complex_):
+    # each coboundary is cleared by the pivots of the degree below
     for gamma in _cells(complex_.spec.n):
         for n in (1, 2, 3):
-            d_next = complex_.boundary_matrix(n + 1, gamma)
-            rank_next = d_next.rank()
-            assert len(d_next.pivot_rows) == rank_next
-            d_n = complex_.boundary_matrix(n, gamma)
-            cleared = complex_.boundary_matrix(n, gamma, d_next.pivot_rows)
-            assert not any(c in d_next.pivot_rows for _, c in cleared.entries)
-            assert cleared.rank() == d_n.rank()
+            below = complex_.boundary_matrix(n, gamma)
+            rank_below = below.rank()
+            assert len(below.pivot_rows) == rank_below
+            delta = complex_.boundary_matrix(n + 1, gamma)
+            cleared = complex_.boundary_matrix(n + 1, gamma, below.pivot_rows)
+            assert not any(c in below.pivot_rows for _, c in cleared.entries)
+            assert cleared.rank() == delta.rank()
 
 
-def test_clearing_uses_the_pivots_of_the_next_degree():
-    # (3, 4) is not admissible for the identity twist.  Clearing d_n with the
-    # pivots of d_{n+2} instead of d_{n+1} gives the right dimensions in
-    # nearly every small cell; this is one where it does not
+def test_clearing_uses_the_pivots_of_the_degree_below():
+    # (3, 4) is not admissible for the identity twist.  Clearing a coboundary
+    # with the pivots from two degrees below instead of one gives the right
+    # dimensions in nearly every small cell; this is one where it does not
     complex_ = HochschildComplex(PLANE, ScalingAutomorphism.identity(2))
     assert complex_.natural_dims((3, 4), 5) == [0] * 6
 
@@ -252,8 +272,8 @@ def _full_natural_dims(complex_, gamma, n_max):
     def rank(n):
         if n < 1:
             return 0
-        return reference_matrix(complex_, n, gamma, _full_basis(n - 1, gamma),
-                                _full_basis(n, gamma)).rank()
+        return integerized(reference_matrix(complex_, n, gamma, _full_basis(n - 1, gamma),
+                                            _full_basis(n, gamma))).rank()
 
     return [len(_full_basis(n, gamma)) - rank(n) - rank(n + 1)
             for n in range(n_max + 1)]
@@ -290,14 +310,59 @@ def test_natural_dims_quantum_plane_canonical_twist():
 
 
 def test_natural_dims_releases_the_bases_of_its_multidegree():
-    # each multidegree's bases are dropped once its dims are known; the
-    # tails, shared across multidegrees, stay
+    # each multidegree's bases and chi weights are dropped once its dims are
+    # known; the tails, shared across multidegrees, stay
     complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
     for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
         dims = complex_.natural_dims(gamma, 3)
         assert not complex_._basis_cache
+        assert not complex_._chi_cache
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
+
+
+@pytest.mark.parametrize("spec, sigma", [
+    (PLANE, canonical_automorphism(PLANE)),
+    (PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7]))],
+    ids=["plane", "primes3-explicit"])
+def test_a_second_multidegree_gets_its_own_weights(spec, sigma):
+    # chi is cached per (gamma, slot): a complex that has built matrices at
+    # one gamma builds the same matrix at another as a fresh complex does
+    first, second = (2, 1, 1)[:spec.n], (3, 1, 1)[:spec.n]
+    complex_ = HochschildComplex(spec, sigma)
+    for n in (1, 2, 3):
+        complex_.boundary_matrix(n, first)
+    for n in (1, 2, 3):
+        fresh = HochschildComplex(spec, sigma).boundary_matrix(n, second)
+        assert complex_.boundary_matrix(n, second).entries == fresh.entries
+
+
+@pytest.mark.parametrize("complex_, bound", [
+    (COMPLEXES[0], 4), (COMPLEXES[2], 4), (RESCALING_COMPLEXES[3], 6)],
+    ids=["plane", "primes3", "q61"])
+def test_only_homology_reduces_to_zero(complex_, bound, monkeypatch):
+    # going up in degree, each coboundary is cleared by the pivot rows of the
+    # one below, so the columns kept that reduce to zero number exactly the
+    # homology.  Going down, nothing clears the top boundary, and every
+    # column of its kernel would reduce to zero as well
+    calls = []
+    boundary_matrix, rank = HochschildComplex.boundary_matrix, SparseExactMatrix.rank
+
+    def matrix_spy(self, n, gamma, cleared=frozenset()):
+        calls.append(len(cleared))
+        return boundary_matrix(self, n, gamma, cleared)
+
+    def rank_spy(self):
+        result = rank(self)
+        calls.append(self.n_cols - calls.pop() - result)
+        return result
+
+    monkeypatch.setattr(HochschildComplex, "boundary_matrix", matrix_spy)
+    monkeypatch.setattr(SparseExactMatrix, "rank", rank_spy)
+    for gamma in iter_multidegrees(complex_.spec.n, bound):
+        calls.clear()
+        dims = complex_.natural_dims(gamma, 2)
+        assert len(calls) == 3 and sum(calls) == sum(dims)
 
 
 @pytest.mark.parametrize("spec, n_max, bound, cap", [
