@@ -204,13 +204,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if alpha is None or len(alpha) != n or any(a < 0 for a in alpha):
             raise ConfigError("solve-top needs --alpha with N nonnegative entries")
 
-    bound = args.bound if args.bound is not None else parse_int(file_config.get("bound", 2 * n))
+    bound = parse_int(args.bound if args.bound is not None else file_config.get("bound", 2 * n))
     if bound < 0:
         raise ConfigError("--bound must be nonnegative")
-    n_max = args.nmax if args.nmax is not None else parse_int(file_config.get("n_max", n))
+    n_max = parse_int(args.nmax if args.nmax is not None else file_config.get("n_max", n))
     if n_max < 0:
         raise ConfigError("--nmax must be nonnegative")
-    if args.cap < 1:
+    cap = parse_int(args.cap)
+    if cap < 1:
         raise ConfigError("--cap must be at least 1")
 
     return RunConfig(n=n, mode=mode, q_values=tuple(sorted(q_entries)),
@@ -218,7 +219,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      bound=bound, n_max=n_max, out=args.out,
                      allow_truncated=args.allow_truncated,
                      expect_top=args.expect_top,
-                     cap=args.cap)
+                     cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,11 @@ def _write_json(write, obj, nl: str = "\n") -> None:
         write(nl + "}")
 
 
-def _emit(config: RunConfig, document: dict) -> None:
+def _emit(config: RunConfig, command: str, payload: dict) -> None:
+    """Write command's report, headed by format, command and config, to --out."""
     if config.out:
+        document = {"format": FORMAT_VERSION, "command": command,
+                    "config": config.echo(), **payload}
         try:
             with open(config.out, "w", encoding="ascii") as f:
                 _write_json(f.write, document)
@@ -272,10 +276,14 @@ def _emit(config: RunConfig, document: dict) -> None:
             raise ConfigError(f"cannot write --out {config.out}: {e.strerror or e}")
 
 
-def _document(config: RunConfig, command: str, payload: dict) -> dict:
-    doc = {"format": FORMAT_VERSION, "command": command, "config": config.echo()}
-    doc.update(payload)
-    return doc
+def _truncation_exit(config: RunConfig, complete: bool) -> int:
+    """EXIT_TRUNCATED, with a note on stderr, for an incomplete enumeration
+    that --allow-truncated does not accept."""
+    if complete or config.allow_truncated:
+        return EXIT_OK
+    print("enumeration truncated at the bound; pass --allow-truncated to accept",
+          file=sys.stderr)
+    return EXIT_TRUNCATED
 
 
 def _generator_labels(n: int):
@@ -308,13 +316,9 @@ def cmd_homology(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     report = build_report(spec, sigma, config.bound, config.n_max)
-    _emit(config, _document(config, "homology", report.to_dict()))
+    _emit(config, "homology", report.to_dict())
     _print_homology_table(report)
-    if report.truncated and not config.allow_truncated:
-        print("enumeration truncated at the bound; pass --allow-truncated to accept",
-              file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _truncation_exit(config, not report.truncated)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -349,7 +353,7 @@ def cmd_verify(config: RunConfig) -> int:
     if top_promised and not top_present:
         failures.append("promised top class is absent")
 
-    _emit(config, _document(config, "verify", {
+    _emit(config, "verify", {
         "agreement": comparison.agreement,
         "cells": [cell.to_dict() for cell in comparison.cells],
         "checks": {"d_squared": d2.to_dict(),
@@ -357,7 +361,7 @@ def cmd_verify(config: RunConfig) -> int:
         "top_class": {"expected_gamma": list(top_gamma),
                       "present": top_present,
                       "required": top_promised},
-        "failures": failures}))
+        "failures": failures})
 
     print(f"verify: N={spec.n} bound={config.bound} n_max={config.n_max}")
     print(f"  koszul/oracle agreement: {comparison.agreement} "
@@ -375,23 +379,18 @@ def cmd_csigma(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     admissible = enumerate_admissible(spec, sigma, config.bound)
-    _emit(config, _document(config, "csigma", admissible.to_dict()))
+    _emit(config, "csigma", admissible.to_dict())
     print(f"admissible multidegrees up to |gamma| <= {config.bound} "
           f"(complete={admissible.complete}):")
     for gamma in admissible.members:
         print(f"  {gamma}")
-    if not admissible.complete and not config.allow_truncated:
-        print("enumeration truncated at the bound; pass --allow-truncated to accept",
-              file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _truncation_exit(config, admissible.complete)
 
 
 def cmd_canonical(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = canonical_automorphism(spec)
-    _emit(config, _document(config, "canonical",
-                            {"p": [str(c) for c in sigma.p]}))
+    _emit(config, "canonical", {"p": [str(c) for c in sigma.p]})
     print("canonical scaling automorphism:")
     for i, c in enumerate(sigma.p, start=1):
         print(f"  p_{i} = {c}")
@@ -401,7 +400,7 @@ def cmd_canonical(config: RunConfig) -> int:
 def cmd_generic_check(config: RunConfig) -> int:
     spec = config.build_spec()
     report = is_generic(spec, max(config.bound, 2))
-    _emit(config, _document(config, "generic-check", report.to_dict()))
+    _emit(config, "generic-check", report.to_dict())
     if report.structural:
         print("generic (structurally)")
     elif report.generic:
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("homology", "verify", "csigma", "canonical", "generic-check"):
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None, help="number of generators")
+        p.add_argument("--n", default=None, help="number of generators")
         p.add_argument("--q", action="append", metavar="I,J,VALUE",
                        help="numeric value of q_ij as an exact rational")
         p.add_argument("--symbolic", action="store_true",
@@ -433,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", default=None, help="explicit p list, comma separated")
         p.add_argument("--alpha", default=None,
                        help="multi-index for solve-top, comma separated")
-        p.add_argument("--bound", type=int, default=None,
+        p.add_argument("--bound", default=None,
                        help="total-degree bound (default 2N)")
-        p.add_argument("--nmax", type=int, default=None,
+        p.add_argument("--nmax", default=None,
                        help="largest homological degree (default N)")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--allow-truncated", action="store_true")
         p.add_argument("--expect-top", action="store_true",
                        help="fail verification if the top class is absent")
-        p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP,
+        p.add_argument("--cap", default=DEFAULT_CELL_CAP,
                        help="largest normalized chain basis the oracle will "
                             "build (at least 1)")
         p.add_argument("--config", default=None, help="JSON config file")

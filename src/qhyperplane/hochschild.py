@@ -42,6 +42,11 @@ in the span of the columns kept, so every rank stays exact, and the kept
 columns that reduce to zero number dim H_{n-1}: only homology costs a
 reduction to zero, where going down from d_{n_max+1}, whose columns nothing
 clears, costs one for most of its kernel.
+
+Divisors are enumerated once, in a split table per complex of the pairs
+(x, y) with x + y = m and y nonunit.  Tails, hence bases, recurse through it
+and the chi weights of gamma are read off its splits; tails and splits are
+shared by all multidegrees, the chi weights held for the current one only.
 Which cells fit the basis cap is decided in compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
@@ -63,7 +68,7 @@ from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          apply_sigma, iter_multidegrees, monomial_product,
-                         specialize_automorphism, sub_index)
+                         specialize_automorphism)
 from .qscalar import distinct_primes, term
 
 Tensor = tuple[MultiIndex, ...]
@@ -82,10 +87,9 @@ class HochschildComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._basis_cache: dict[tuple[int, MultiIndex], list[Tensor]] = {}
         self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
-        self._chi_cache: dict[MultiIndex, dict[MultiIndex, tuple[int, int]]] = {}
         self._split_cache: dict[MultiIndex, list[tuple[MultiIndex, MultiIndex]]] = {}
+        self._chi_at: tuple[MultiIndex, dict[MultiIndex, tuple[int, int]]] = ((), {})
 
     # -- bases ----------------------------------------------------------------
 
@@ -96,16 +100,10 @@ class HochschildComplex:
                    for k in range(n + 1))
 
     def basis(self, n: int, gamma: MultiIndex) -> list[Tensor]:
-        """Basis tensors of degree n and multidegree gamma, lexicographic."""
-        key = (n, gamma)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        tensors = [(head,) + tail
-                   for head in product(*(range(g + 1) for g in gamma))
-                   for tail in self._tails(sub_index(gamma, head), n)]
-        self._basis_cache[key] = tensors
-        return tensors
+        """Basis tensors of degree n and multidegree gamma, lexicographic:
+        the unit before each n-slot tail, then the (n+1)-slot tails."""
+        unit = (0,) * len(gamma)
+        return [(unit,) + tail for tail in self._tails(gamma, n)] + self._tails(gamma, n + 1)
 
     def _tails(self, gamma: MultiIndex, slots: int) -> list[Tensor]:
         """Tuples of `slots` nonunit monomials with total gamma,
@@ -115,12 +113,20 @@ class HochschildComplex:
         if tails is None:
             if slots == 0:
                 tails = [] if any(gamma) else [()]
-            else:
-                tails = [(head,) + tail
-                         for head in product(*(range(g + 1) for g in gamma)) if any(head)
-                         for tail in self._tails(sub_index(gamma, head), slots - 1)]
+            else:   # x descending is the head y ascending
+                tails = [(y,) + tail for x, y in reversed(self._splits(gamma))
+                         for tail in self._tails(x, slots - 1)]
             self._tail_cache[key] = tails
         return tails
+
+    def _splits(self, m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
+        """The pairs (x, y) with x + y = m and y nonunit, x ascending, so that
+        (0, m) comes first whenever m is nonunit; built once per complex."""
+        pairs = self._split_cache.get(m)
+        if pairs is None:
+            pairs = self._split_cache[m] = [(x, tuple(map(sub, m, x))) for x in
+                                            product(*(range(v + 1) for v in m)) if x != m]
+        return pairs
 
     # -- the coboundary ---------------------------------------------------------
 
@@ -133,12 +139,11 @@ class HochschildComplex:
         if n < 1:
             return SparseExactMatrix(len(self.basis(0, gamma)), 0)
         rows = {t: r for r, t in enumerate(self.basis(n, gamma))}
-        chi = self._chi_cache.get(gamma)    # slot -> (num, den) of chi_gamma
-        if chi is None:
-            chi = self._chi_cache[gamma] = {
-                y: self._chi(gamma, y)
-                for y in product(*(range(g + 1) for g in gamma)) if any(y)}
-        splits, entries = self._split_cache, {}
+        at, chi = self._chi_at      # slot -> (num, den) of chi_gamma, for one gamma
+        if at != gamma:
+            chi = {y: self._chi(y, x) for x, y in self._splits(gamma)}
+            self._chi_at = gamma, chi
+        entries = {}
         cols = self.basis(n - 1, gamma)
         for c, b in enumerate(cols):
             if c in cleared:
@@ -146,20 +151,21 @@ class HochschildComplex:
             den = chi[b[-1]][1] if n > 1 else 0     # den(a) while a_n = b_{n-1}
             cofaces = []
             for i, slot in enumerate(b):
-                pairs = splits.get(slot) or splits.setdefault(slot, _splits(slot))
+                pairs = self._splits(slot)
                 head, tail, sign = b[:i], b[i + 1:], -1 if i & 1 else 1
                 cofaces += [(head + (x, y) + tail, sign * (den if tail else chi[y][1]))
                             for x, y in (pairs if i == 0 else pairs[1:])]
             sign = -1 if n & 1 else 1
-            cofaces += [((x,) + b[1:] + (y,), sign * chi[y][0]) for x, y in splits[b[0]]]
+            cofaces += [((x,) + b[1:] + (y,), sign * chi[y][0])
+                        for x, y in self._splits(b[0])]
             for a, coeff in cofaces:
                 key = (rows[a], c)
                 entries[key] = entries.get(key, 0) + coeff
         return SparseExactMatrix(len(rows), len(cols), entries)
 
-    def _chi(self, gamma: MultiIndex, a: MultiIndex) -> tuple[int, int]:
-        """chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a), in lowest terms."""
-        rest = sub_index(gamma, a)
+    def _chi(self, a: MultiIndex, rest: MultiIndex) -> tuple[int, int]:
+        """chi_gamma(a) = p^a m(a, rest) / m(rest, a) with rest = gamma - a,
+        in lowest terms."""
         forward, _ = monomial_product(self.spec, a, rest)
         backward, _ = monomial_product(self.spec, rest, a)
         chi = apply_sigma(self.sigma, a) * forward / backward
@@ -170,23 +176,15 @@ class HochschildComplex:
     def natural_dims(self, gamma: MultiIndex, n_max: int) -> list[int]:
         """dim H_n for n = 0..n_max by rank-nullity at one multidegree, going
         up in degree so that each coboundary is cleared by the pivot rows of
-        the one below: dim H_{n-1} = dim C_{n-1} - r_{n-1} - r_n."""
+        the one below: dim H_{n-1} = dim C_{n-1} - r_{n-1} - r_n.  No basis
+        is kept, so nothing of gamma needs releasing."""
         dims, rank_below, cleared = [], 0, frozenset()
         for n in range(1, n_max + 2):
             delta = self.boundary_matrix(n, gamma, cleared)
             rank = delta.rank()
             dims.append(delta.n_cols - rank_below - rank)
             rank_below, cleared = rank, delta.pivot_rows
-        self._basis_cache.clear()       # the next call is at another gamma
-        self._chi_cache.clear()
         return dims
-
-
-def _splits(m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
-    """The pairs (x, y) with x + y = m and y nonunit, x ascending, so that
-    (0, m) comes first whenever m is nonunit."""
-    return [(x, tuple(map(sub, m, x))) for x in product(*(range(v + 1) for v in m))
-            if x != m]
 
 
 # ---------------------------------------------------------------------------

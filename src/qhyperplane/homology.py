@@ -15,6 +15,7 @@ no member (each has degree at least its size), so the visit stops there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd, inf, lcm
 from typing import Iterable
@@ -22,7 +23,7 @@ from typing import Iterable
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
                          canonical_automorphism, degree, exterior_under,
                          is_admissible, iter_multidegrees, sub_index, support)
-from .qscalar import Scalar, term
+from .qscalar import Scalar, all_pairs, term
 
 Generator = tuple[MultiIndex, MultiIndex]
 
@@ -89,8 +90,9 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
 
 
 def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
-    """Admissible set of the one-parameter hyperplane (q = 2), canonical twist."""
-    spec = AlgebraSpec.one_parameter(n, 2)
+    """Admissible set of the one-parameter hyperplane x_i x_j = 2 x_j x_i for
+    i > j, that is q_ij = 1/2 for i < j, with the canonical twist."""
+    spec = AlgebraSpec.numeric(n, dict.fromkeys(all_pairs(n), Fraction(1, 2)))
     return enumerate_admissible(spec, canonical_automorphism(spec), bound)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -118,17 +119,6 @@ class AlgebraSpec:
     def numeric(cls, n: int, values: Mapping[Pair, Fraction]) -> "AlgebraSpec":
         return cls(n, NUMERIC, {pair: Fraction(v) for pair, v in values.items()})
 
-    @classmethod
-    def one_parameter(cls, n: int, q) -> "AlgebraSpec":
-        """The one-parameter hyperplane x_i x_j = q x_j x_i for i > j.
-
-        In the stored convention this means q_ij = 1/q for every i < j.
-        """
-        q = Fraction(q)
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        return cls.numeric(n, dict.fromkeys(all_pairs(n), 1 / q))
-
     def q_power(self, i: int, j: int, e: int = 1) -> Scalar:
         """q_ij^e, with q_ji = q_ij^{-1} and q_ii = 1."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -150,26 +140,14 @@ def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> Scalar:
     """
     if not 1 <= i <= spec.n:
         raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-    c = Fraction(1)
-    for k, g in enumerate(gamma, start=1):
-        if g == 0 or k == i:
-            continue
-        if k < i:
-            c = c * spec.q_power(k, i, g)
-        else:
-            c = c * spec.q_power(i, k, -g)
-    return c
+    return prod((spec.q_power(k, i, g) for k, g in enumerate(gamma, start=1)
+                 if g and k != i), start=Fraction(1))
 
 
 def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[Scalar, MultiIndex]:
     """x^a * x^b = c * x^{a+b}; c collects one q_jk^{-1} per inversion."""
-    coeff = Fraction(1)
-    for j in range(1, spec.n + 1):
-        if b[j - 1] == 0:
-            continue
-        for k in range(j + 1, spec.n + 1):
-            if a[k - 1]:
-                coeff = coeff * spec.q_power(j, k, -a[k - 1] * b[j - 1])
+    coeff = prod((spec.q_power(j, k, -a_k * b_j) for j, b_j in enumerate(b, start=1) if b_j
+                  for k, a_k in enumerate(a[j:], start=j + 1) if a_k), start=Fraction(1))
     return coeff, add_index(a, b)
 
 
@@ -201,11 +179,7 @@ class ScalingAutomorphism:
 
 def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> Scalar:
     """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}."""
-    out = Fraction(1)
-    for c, a in zip(sigma.p, alpha):
-        if a:
-            out = out * c ** a
-    return out
+    return prod((c ** a for c, a in zip(sigma.p, alpha) if a), start=Fraction(1))
 
 
 def canonical_automorphism(spec: AlgebraSpec) -> ScalingAutomorphism:

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_BROKEN_PIPE, EXIT_MISMATCH,
                              EXIT_OK, EXIT_TRUNCATED, _generator_labels,
                              _write_json, main)
+import qhyperplane
 from qhyperplane import homology, qscalar
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hyperplane import iter_multidegrees
@@ -28,6 +29,7 @@ from qhyperplane.koszul import ReducedComplex
 from qhyperplane.qscalar import QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(qhyperplane.__file__).parent.parent
 
 GOLDEN = {
     "homology": ["homology", "--n", "2", "--bound", "4"],
@@ -136,6 +138,9 @@ def test_closed_stdout_pipe_exits_quietly(name, tmp_path):
     # final flush; neither case may print a traceback
     out = tmp_path / "r.json"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # the child finds the package where this process does, with or without
+    # PYTHONPATH set
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.Popen([sys.executable, "-m", "qhyperplane.cli", *GOLDEN[name],
                               "--out", str(out)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -190,6 +195,11 @@ CONFIG_FILES = {
       "--bound", "4"], EXIT_OK),
     (["homology", "--n", "2", "--automorphism", "explicit", "--p", "-2/3"],
      EXIT_BAD_CONFIG),
+    # integer flags are parsed as the same keys in a config file are
+    (["homology", "--n", "x"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--bound", "2.5"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--nmax", "two"], EXIT_BAD_CONFIG),
+    (["verify", "--n", "2", "--bound", "3", "--cap", "1e3"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

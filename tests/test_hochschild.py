@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebras import one_parameter
 from linalg_reference import integerized, matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
@@ -140,8 +141,8 @@ def _den(complex_, tensor):
 
 
 RESCALING_COMPLEXES = COMPLEXES + [
-    HochschildComplex(AlgebraSpec.one_parameter(2, Q61), canonical_automorphism(
-        AlgebraSpec.one_parameter(2, Q61))),
+    HochschildComplex(one_parameter(2, Q61), canonical_automorphism(
+        one_parameter(2, Q61))),
     HochschildComplex(PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7])),
 ]
 
@@ -177,8 +178,8 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
 def test_natural_dims_match_the_plain_boundary(case, n_max):
     gamma, algebra, twist = case
     gamma, n = tuple(gamma), len(gamma)
-    spec = {"primes": primes_spec(n), "q61": AlgebraSpec.one_parameter(n, Q61),
-            "minus-one": AlgebraSpec.one_parameter(n, -1)}[algebra]
+    spec = {"primes": primes_spec(n), "q61": one_parameter(n, Q61),
+            "minus-one": one_parameter(n, -1)}[algebra]
     sigma = {"canonical": canonical_automorphism(spec),
              "identity": ScalingAutomorphism.identity(n),
              "explicit": ScalingAutomorphism.from_rationals(
@@ -251,7 +252,7 @@ def test_clearing_matches_uncleared_reference_ranks(case, n_max):
     gamma, algebra, twist = case
     gamma, n = tuple(gamma), len(gamma)
     spec = (primes_spec(n) if algebra == "primes"
-            else AlgebraSpec.one_parameter(n, Q61))
+            else one_parameter(n, Q61))
     sigma = {"canonical": canonical_automorphism(spec),
              "identity": ScalingAutomorphism.identity(n),
              "explicit": ScalingAutomorphism.from_rationals(
@@ -310,13 +311,14 @@ def test_natural_dims_quantum_plane_canonical_twist():
 
 
 def test_natural_dims_releases_the_bases_of_its_multidegree():
-    # each multidegree's bases and chi weights are dropped once its dims are
-    # known; the tails, shared across multidegrees, stay
+    # no basis is kept, and the chi weights are held for one multidegree
+    # alone; the tails and splits, shared across multidegrees, stay
     complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
     for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
         dims = complex_.natural_dims(gamma, 3)
-        assert not complex_._basis_cache
-        assert not complex_._chi_cache
+        assert set(vars(complex_)) == {"spec", "sigma", "_tail_cache", "_split_cache",
+                                       "_chi_at"}
+        assert complex_._chi_at[0] == gamma
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
 
@@ -326,8 +328,9 @@ def test_natural_dims_releases_the_bases_of_its_multidegree():
     (PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7]))],
     ids=["plane", "primes3-explicit"])
 def test_a_second_multidegree_gets_its_own_weights(spec, sigma):
-    # chi is cached per (gamma, slot): a complex that has built matrices at
-    # one gamma builds the same matrix at another as a fresh complex does
+    # chi is held for the current gamma only: a complex that has built
+    # matrices at one gamma builds the same matrix at another as a fresh
+    # complex does
     first, second = (2, 1, 1)[:spec.n], (3, 1, 1)[:spec.n]
     complex_ = HochschildComplex(spec, sigma)
     for n in (1, 2, 3):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebras import one_parameter
 from koszul_reference import differential
 import qhyperplane.homology
 import qhyperplane.hyperplane
@@ -114,7 +115,7 @@ def test_one_parameter_single_generator():
 
 def test_one_parameter_matches_scan():
     for n in (1, 2, 3, 4):
-        spec = AlgebraSpec.one_parameter(n, 3)
+        spec = one_parameter(n, 3)
         sigma = canonical_automorphism(spec)
         for bound in (0, 1, 4, 8):
             assert one_parameter_admissible(n, bound).members == \
@@ -122,14 +123,14 @@ def test_one_parameter_matches_scan():
 
 
 def test_uniform_numeric_values_match_scan():
-    spec = AlgebraSpec.one_parameter(3, 3)
+    spec = one_parameter(3, 3)
     sigma = canonical_automorphism(spec)
     smart = enumerate_admissible(spec, sigma, 8)
     assert smart.members == scan_admissible(spec, sigma, 8)
     # the infinite middle ray makes completeness impossible here
     assert not smart.complete
-    n4 = enumerate_admissible(AlgebraSpec.one_parameter(4, 3),
-                              canonical_automorphism(AlgebraSpec.one_parameter(4, 3)), 8)
+    n4 = enumerate_admissible(one_parameter(4, 3),
+                              canonical_automorphism(one_parameter(4, 3)), 8)
     assert n4.complete
 
 
@@ -254,7 +255,7 @@ def test_signs_and_integrality_repeat_with_the_period():
 
 def test_two_free_variables_are_never_complete():
     # q = -1 leaves no exponent rows on the support (1, 2): every (odd, odd)
-    spec = AlgebraSpec.one_parameter(2, -1)
+    spec = one_parameter(2, -1)
     out = enumerate_admissible(spec, canonical_automorphism(spec), 4)
     assert out.members == ((0, 0), (1, 1), (1, 3), (3, 1))
     assert not out.complete
@@ -263,7 +264,7 @@ def test_two_free_variables_are_never_complete():
 def test_long_bounded_family_is_not_scanned(monkeypatch):
     # one segment of solutions reaches degree 10**4 + 2; the solver must
     # look at one period of it, not all of it
-    spec = AlgebraSpec.one_parameter(3, 2)
+    spec = one_parameter(3, 2)
     sigma = ScalingAutomorphism(tuple(commutation_factor(spec, (1, 10**4, 1), i)
                                       for i in (1, 2, 3)))
     calls = []
@@ -287,7 +288,7 @@ def test_quantum_plane_basis_by_degree():
 
 def test_one_parameter_top_class_unique():
     for n in (2, 3, 4):
-        spec = AlgebraSpec.one_parameter(n, 3)
+        spec = one_parameter(n, 3)
         sigma = canonical_automorphism(spec)
         top = build_report(spec, sigma, n + 3).slices[n]
         assert top.generators == (((0,) * n, (1,) * n),)
@@ -313,7 +314,7 @@ def test_identity_twist_no_homology_above_degree_one():
 
 def test_generators_are_cycles():
     cases = [(Q2, canonical_automorphism(Q2)),
-             (AlgebraSpec.one_parameter(3, 3), canonical_automorphism(AlgebraSpec.one_parameter(3, 3))),
+             (one_parameter(3, 3), canonical_automorphism(one_parameter(3, 3))),
              (primes_spec(2), ScalingAutomorphism.identity(2))]
     for spec, sigma in cases:
         complex_ = ReducedComplex(spec, sigma)
@@ -334,7 +335,7 @@ def test_generators_are_sigma_invariant():
 
 
 def test_grading_totals_match_betti():
-    spec = AlgebraSpec.one_parameter(3, 3)
+    spec = one_parameter(3, 3)
     report = build_report(spec, canonical_automorphism(spec), 5)
     for s in report.slices:
         assert sum(count for _, count in s.grading) == s.betti
@@ -350,7 +351,7 @@ def test_report_metadata():
 
 
 def test_predicted_dims_track_the_basis():
-    spec = AlgebraSpec.one_parameter(3, 3)
+    spec = one_parameter(3, 3)
     predicted = predicted_dims(build_report(spec, canonical_automorphism(spec), 3))
     assert predicted[(1, 1, 1), 3] == 1
     assert predicted[(1, 1, 1), 1] == 3

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from algebras import one_parameter
 from qhyperplane.hyperplane import (NUMERIC, SYMBOLIC, AlgebraSpec,
                                     ScalingAutomorphism, apply_sigma,
                                     automorphism_for_top_class,
@@ -176,7 +177,7 @@ def test_canonical_automorphism_quantum_plane():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_canonical_automorphism_one_parameter(n):
     base = Fraction(3)
-    spec = AlgebraSpec.one_parameter(n, base)
+    spec = one_parameter(n, base)
     sigma = canonical_automorphism(spec)
     for i in range(1, n + 1):
         assert sigma.p[i - 1] == base ** (n - 2 * i + 1)
@@ -189,7 +190,7 @@ def test_canonical_automorphism_single_generator():
 
 
 def test_canonical_fixes_admissible_multidegrees():
-    for spec in (Q2, Q3, AlgebraSpec.one_parameter(3, 5)):
+    for spec in (Q2, Q3, one_parameter(3, 5)):
         sigma = canonical_automorphism(spec)
         for gamma in iter_multidegrees(spec.n, 5):
             if is_admissible(spec, sigma, gamma):
@@ -271,7 +272,7 @@ def test_not_generic_finds_witness():
 
 
 def test_one_parameter_algebra_is_generic():
-    report = is_generic(AlgebraSpec.one_parameter(4, 3), 6)
+    report = is_generic(one_parameter(4, 3), 6)
     assert report.generic
 
 

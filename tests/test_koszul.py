@@ -9,6 +9,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebras import one_parameter
 from koszul_reference import differential, homotopy
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     apply_sigma, automorphism_for_top_class,
@@ -338,7 +339,7 @@ def test_d_squared_quantum_plane():
 
 
 def test_d_squared_one_parameter():
-    spec = AlgebraSpec.one_parameter(3, 3)
+    spec = one_parameter(3, 3)
     report = check_d_squared(ReducedComplex(spec, canonical_automorphism(spec)), 5)
     assert report.passed
 

@@ -57,8 +57,6 @@ ALLOWED = {
     "qhyperplane.homology:one_parameter_admissible":
         "bench/tracing.py counts its calls by name until the bench reads the "
         "program's own metrics",
-    "qhyperplane.hyperplane:AlgebraSpec.one_parameter":
-        "called only by one_parameter_admissible",
 }
 
 
