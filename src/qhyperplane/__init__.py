@@ -10,10 +10,9 @@ from .exactlinalg import SparseExactMatrix
 from .hochschild import HochschildComplex, compare_with_koszul
 from .homology import (HomologyReport, build_report, enumerate_admissible,
                        one_parameter_admissible, predicted_dims, scan_admissible)
-from .hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
-                         automorphism_for_top_class, canonical_automorphism,
-                         commutation_factor, is_admissible, is_generic,
-                         monomial_product, sigma_commutes_at)
+from .hyperplane import (AlgebraSpec, ScalingAutomorphism, automorphism_for_top_class,
+                         canonical_automorphism, commutation_factor, is_admissible,
+                         is_generic, monomial_product, sigma_commutes_at)
 from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
 from .qscalar import QPolynomial
 
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraSpec", "HochschildComplex", "HomologyReport",
     "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
-    "SparseExactMatrix", "apply_sigma", "automorphism_for_top_class",
+    "SparseExactMatrix", "automorphism_for_top_class",
     "build_report", "canonical_automorphism", "check_d_squared",
     "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
     "enumerate_admissible", "is_admissible", "is_generic",

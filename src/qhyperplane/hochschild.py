@@ -25,10 +25,12 @@ in the basis f it is (-1)^n chi_gamma(a_n), where
 
     chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a)
 
-depends on the last slot alone.  It is built from the monomial products and
-sigma only, never from the Koszul side's commutation defects: that
-chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.  The change
-of basis is diagonal, so every rank is that of the plain boundary.
+depends on the last slot alone.  As m(b, c) = prod_{j<k} s_jk^(b_k c_j), one
+swap scalar x_k x_j = s_jk x_j x_k per inversion, chi_gamma(a) = p^a prod_{j<k}
+s_jk^(a_k r_j - r_k a_j) with r = gamma - a, made in ints split by split from
+the p_i and the s_jk that monomial_product gives, never from the Koszul
+defects: chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.
+The change of basis is diagonal, so every rank is that of the plain boundary.
 
 Within a multidegree the ranks go up in degree, on the coboundary d_n
 transposed: its column for a tensor b of degree n-1 holds the cofaces of b.
@@ -46,7 +48,7 @@ clears, costs one for most of its kernel.
 Divisors are enumerated once, in a split table per complex of the pairs
 (x, y) with x + y = m and y nonunit.  Tails, hence bases, recurse through it
 and the chi weights of gamma are read off its splits; tails and splits are
-shared by all multidegrees, the chi weights held for the current one only.
+kept for later multidegrees, gamma's top tails and chi weights are not.
 Which cells fit the basis cap is decided in compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
@@ -60,15 +62,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, gcd, prod
 from operator import sub
 
 from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
 from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
-                         apply_sigma, iter_multidegrees, monomial_product,
-                         specialize_automorphism)
+                         iter_multidegrees, monomial_product, specialize_automorphism, unit)
 from .qscalar import distinct_primes, term
 
 Tensor = tuple[MultiIndex, ...]
@@ -90,6 +91,7 @@ class HochschildComplex:
         self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
         self._split_cache: dict[MultiIndex, list[tuple[MultiIndex, MultiIndex]]] = {}
         self._chi_at: tuple[MultiIndex, dict[MultiIndex, tuple[int, int]]] = ((), {})
+        self._p = [c.as_integer_ratio() for c in sigma.p]
 
     # -- bases ----------------------------------------------------------------
 
@@ -139,10 +141,9 @@ class HochschildComplex:
         if n < 1:
             return SparseExactMatrix(len(self.basis(0, gamma)), 0)
         rows = {t: r for r, t in enumerate(self.basis(n, gamma))}
-        at, chi = self._chi_at      # slot -> (num, den) of chi_gamma, for one gamma
-        if at != gamma:
-            chi = {y: self._chi(y, x) for x, y in self._splits(gamma)}
-            self._chi_at = gamma, chi
+        if self._chi_at[0] != gamma:
+            self._chi_at = gamma, self._chi(gamma)
+        chi = self._chi_at[1]       # slot -> (num, den) of chi_gamma, for one gamma
         entries = {}
         cols = self.basis(n - 1, gamma)
         for c, b in enumerate(cols):
@@ -163,13 +164,24 @@ class HochschildComplex:
                 entries[key] = entries.get(key, 0) + coeff
         return SparseExactMatrix(len(rows), len(cols), entries)
 
-    def _chi(self, a: MultiIndex, rest: MultiIndex) -> tuple[int, int]:
-        """chi_gamma(a) = p^a m(a, rest) / m(rest, a) with rest = gamma - a,
-        in lowest terms."""
-        forward, _ = monomial_product(self.spec, a, rest)
-        backward, _ = monomial_product(self.spec, rest, a)
-        chi = apply_sigma(self.sigma, a) * forward / backward
-        return chi.numerator, chi.denominator
+    def _chi(self, gamma: MultiIndex) -> dict[MultiIndex, tuple[int, int]]:
+        """(num, den) of chi_gamma(a) in lowest terms for the last slot a of
+        each split (r, a) of gamma, from the swap scalars s_jk of its support."""
+        n, inside = self.spec.n, [i for i, g in enumerate(gamma, start=1) if g]
+        swaps = [(j - 1, k - 1, *monomial_product(self.spec, unit(n, k), unit(n, j))[0]
+                  .as_integer_ratio()) for j, k in combinations(inside, 2)]
+        weights = {}
+        for r, a in self._splits(gamma):
+            num = den = 1
+            for (p_num, p_den), e in zip(self._p, a):
+                num, den = num * p_num ** e, den * p_den ** e
+            for j, k, s_num, s_den in swaps:
+                e = a[k] * r[j] - r[k] * a[j]
+                up, down = (s_num, s_den) if e > 0 else (s_den, s_num)
+                num, den = num * up ** abs(e), den * down ** abs(e)
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            weights[a] = num // g, den // g
+        return weights
 
     # -- homology dimensions ----------------------------------------------------
 
@@ -177,13 +189,14 @@ class HochschildComplex:
         """dim H_n for n = 0..n_max by rank-nullity at one multidegree, going
         up in degree so that each coboundary is cleared by the pivot rows of
         the one below: dim H_{n-1} = dim C_{n-1} - r_{n-1} - r_n.  No basis
-        is kept, so nothing of gamma needs releasing."""
+        is kept, and the (n_max+2)-slot tails, read by the top basis alone, go."""
         dims, rank_below, cleared = [], 0, frozenset()
         for n in range(1, n_max + 2):
             delta = self.boundary_matrix(n, gamma, cleared)
             rank = delta.rank()
             dims.append(delta.n_cols - rank_below - rank)
             rank_below, cleared = rank, delta.pivot_rows
+        self._tail_cache.pop((gamma, n_max + 2), None)
         return dims
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
-from .qscalar import Pair, Scalar, all_pairs, specialize, symbol
+from .qscalar import Pair, Scalar, all_pairs, scalar_prod, specialize, symbol
 
 MultiIndex = tuple[int, ...]
 
@@ -140,14 +139,14 @@ def commutation_factor(spec: AlgebraSpec, gamma: MultiIndex, i: int) -> Scalar:
     """
     if not 1 <= i <= spec.n:
         raise IndexError(f"generator index {i} out of range 1..{spec.n}")
-    return prod((spec.q_power(k, i, g) for k, g in enumerate(gamma, start=1)
-                 if g and k != i), start=Fraction(1))
+    return scalar_prod(spec.q_power(k, i, g) for k, g in enumerate(gamma, start=1)
+                       if g and k != i)
 
 
 def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[Scalar, MultiIndex]:
     """x^a * x^b = c * x^{a+b}; c collects one q_jk^{-1} per inversion."""
-    coeff = prod((spec.q_power(j, k, -a_k * b_j) for j, b_j in enumerate(b, start=1) if b_j
-                  for k, a_k in enumerate(a[j:], start=j + 1) if a_k), start=Fraction(1))
+    coeff = scalar_prod(spec.q_power(j, k, -a_k * b_j) for j, b_j in enumerate(b, start=1) if b_j
+                        for k, a_k in enumerate(a[j:], start=j + 1) if a_k)
     return coeff, add_index(a, b)
 
 
@@ -175,11 +174,6 @@ class ScalingAutomorphism:
     @property
     def n(self) -> int:
         return len(self.p)
-
-
-def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> Scalar:
-    """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}."""
-    return prod((c ** a for c, a in zip(sigma.p, alpha) if a), start=Fraction(1))
 
 
 def canonical_automorphism(spec: AlgebraSpec) -> ScalingAutomorphism:

@@ -41,13 +41,11 @@ weight in numeric mode is a Fraction, and every symbolic one a QPolynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
                          sub_index, support, unit)
-from .qscalar import Scalar
+from .qscalar import Scalar, scalar_prod
 
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
@@ -113,15 +111,15 @@ class ReducedComplex:
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
         for i in failing:
-            rest = prod((defects[j - 1] for j in failing if j != i), start=Fraction(1))
+            rest = scalar_prod(defects[j - 1] for j in failing if j != i)
             e = unit(self.spec.n, i)
             for beta in betas:
                 if not beta[i - 1]:
                     s = self._signed_factor(sub_index(gamma, beta), beta, i)
                     up = add_index(beta, e)
-                    d[up].append((beta, s * defects[i - 1]))
-                    h[beta].append((up, s ** -1 * rest))
-        scale = prod((defects[i - 1] for i in failing), start=Fraction(len(failing)))
+                    d[up].append((beta, defects[i - 1] * s))
+                    h[beta].append((up, rest * s ** -1))
+        scale = scalar_prod(defects[i - 1] for i in failing) * len(failing)
         return Block(d, h, scale)
 
 

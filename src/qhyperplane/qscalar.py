@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Mapping
+from typing import Iterator, Mapping
 
 Pair = tuple[int, int]
 Coefficient = int | Fraction
@@ -207,6 +207,12 @@ class QPolynomial:
 
 
 Scalar = Fraction | QPolynomial
+
+
+def scalar_prod(factors: Iterator[Scalar]) -> Scalar:
+    """The product, Fraction(1) if empty, started at the first factor: no
+    QPolynomial goes through Fraction.__mul__ to its own __rmul__."""
+    return prod(factors, start=next(factors, Fraction(1)))
 
 
 def symbol(i: int, j: int) -> QPolynomial:

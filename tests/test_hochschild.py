@@ -1,7 +1,8 @@
 """The bar-complex oracle: normalized chain bases, d o d = 0, clearing the
 coboundaries going up, the rescaled coboundary against the plain boundary,
 agreement with the full bar complex, hand-computed homology, the basis cap,
-and agreement with the reduced Koszul complex."""
+agreement with the reduced Koszul complex, at random q too, and chi in ints
+against its Fraction formula."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,15 +11,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebras import one_parameter
+import qhyperplane.hochschild
+from algebras import apply_sigma, one_parameter
 from linalg_reference import integerized, matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
-from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
+from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
+                                    automorphism_for_top_class,
                                     canonical_automorphism, compositions,
                                     is_admissible, iter_multidegrees,
                                     monomial_product, support)
-from qhyperplane.qscalar import distinct_primes
+from qhyperplane.qscalar import all_pairs, distinct_primes, scalar_prod
 
 
 def primes_spec(n):
@@ -312,15 +315,31 @@ def test_natural_dims_quantum_plane_canonical_twist():
 
 def test_natural_dims_releases_the_bases_of_its_multidegree():
     # no basis is kept, and the chi weights are held for one multidegree
-    # alone; the tails and splits, shared across multidegrees, stay
+    # alone; the tails and splits, shared across multidegrees, stay, and so
+    # do the p_i as int pairs
     complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
     for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
         dims = complex_.natural_dims(gamma, 3)
         assert set(vars(complex_)) == {"spec", "sigma", "_tail_cache", "_split_cache",
-                                       "_chi_at"}
+                                       "_chi_at", "_p"}
         assert complex_._chi_at[0] == gamma
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
+
+
+def test_natural_dims_drops_the_top_tails_of_its_multidegree():
+    # only basis(n_max + 1, gamma) reads the (n_max + 2)-slot tails of gamma,
+    # so they are gone once natural_dims returns; the one-slot-shorter ones
+    # stay, and every later multidegree gets the dimensions a fresh complex
+    # gives
+    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
+    for gamma in iter_multidegrees(3, 5):
+        dims = complex_.natural_dims(gamma, 2)
+        assert (gamma, 4) not in complex_._tail_cache
+        assert (gamma, 3) in complex_._tail_cache
+        assert dims == HochschildComplex(PRIMES3, complex_.sigma).natural_dims(gamma, 2)
+    # what is dropped was there: four nonunit slots fit in total degree 4
+    assert complex_._tails((1, 1, 2), 4)
 
 
 @pytest.mark.parametrize("spec, sigma", [
@@ -444,3 +463,83 @@ def test_skipped_cells_are_no_agreement():
     assert report.skipped_cells
     assert not report.mismatches()
     assert not report.agreement
+
+
+# -- chi in ints, and the product it is read from ----------------------------------
+
+CHI_VALUES = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, Fraction(2, 3), Q61]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.lists(st.sampled_from(CHI_VALUES), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2),
+           st.lists(st.sampled_from(CHI_VALUES), min_size=n, max_size=n),
+           st.lists(st.integers(0, 4), min_size=n, max_size=n)
+           .filter(lambda g: sum(g) <= 4))))
+def test_chi_is_the_fraction_formula(case):
+    # chi_gamma(y) = p^y m(y, x) / m(x, y) for every split x + y = gamma with
+    # y nonunit, in lowest terms with a positive denominator, against the
+    # products and sigma in Fraction arithmetic
+    q, p, gamma = case
+    n, gamma = len(p), tuple(gamma)
+    spec = AlgebraSpec.numeric(n, dict(zip(all_pairs(n), map(Fraction, q))))
+    sigma = ScalingAutomorphism.from_rationals(p)
+    weights = HochschildComplex(spec, sigma)._chi(gamma)
+    expected = {}
+    for y in product(*(range(g + 1) for g in gamma)):
+        if any(y):
+            x = tuple(g - v for g, v in zip(gamma, y))
+            chi = (apply_sigma(sigma, y) * monomial_product(spec, y, x)[0]
+                   / monomial_product(spec, x, y)[0])
+            expected[y] = chi.numerator, chi.denominator
+    assert weights == expected
+
+
+def _swapped_product(spec, a, b):
+    """monomial_product with q_kj read where q_jk belongs: a fault in the
+    product that only the oracle reads."""
+    coeff = scalar_prod(spec.q_power(k, j, -a_k * b_j) for j, b_j in enumerate(b, start=1) if b_j
+                        for k, a_k in enumerate(a[j:], start=j + 1) if a_k)
+    return coeff, add_index(a, b)
+
+
+def test_the_oracle_multiplies_through_monomial_product(monkeypatch):
+    # the swap scalars come from the algebra's product, so a fault there
+    # reaches the oracle and not the Koszul prediction
+    spec = AlgebraSpec.numeric(3, {(1, 2): 2, (1, 3): 3, (2, 3): 5})
+    sigma = canonical_automorphism(spec)
+    assert compare_with_koszul(spec, sigma, 3, 4).agreement
+    monkeypatch.setattr(qhyperplane.hochschild, "monomial_product", _swapped_product)
+    assert compare_with_koszul(spec, sigma, 3, 4).mismatches()
+
+
+Q_VALUES = [1, -1, 2, -2, Fraction(1, 2), 3, Fraction(2, 3), Fraction(-1, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+           st.lists(st.sampled_from(Q_VALUES), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2),
+           st.sampled_from(["identity", "canonical", "solve-top", "explicit", "tied"]),
+           st.lists(st.sampled_from(Q_VALUES), min_size=n, max_size=n),
+           st.lists(st.integers(-1, 2), min_size=n * n, max_size=n * n))),
+       st.integers(1, 4), st.integers(0, 3))
+def test_random_q_agreement(case, bound, n_max):
+    # an independent q per pair, under every kind of twist: explicit p either
+    # drawn at random, which leaves few admissible multidegrees, or tied to q
+    # as p_i = prod_k q_ki^e_ik; solve-top takes alpha from the same draws
+    q, twist, p, exponents = case
+    n = len(p)
+    spec = AlgebraSpec.numeric(n, dict(zip(all_pairs(n), map(Fraction, q))))
+    rows = [exponents[n * i:n * i + n] for i in range(n)]
+    sigma = {"identity": lambda: ScalingAutomorphism.identity(n),
+             "canonical": lambda: canonical_automorphism(spec),
+             "solve-top": lambda: automorphism_for_top_class(
+                 spec, tuple(e + 1 for e in rows[0])),
+             "explicit": lambda: ScalingAutomorphism.from_rationals(p),
+             "tied": lambda: ScalingAutomorphism(tuple(
+                 scalar_prod(spec.q_power(k, i, e) for k, e in enumerate(row, start=1))
+                 for i, row in enumerate(rows, start=1)))}[twist]()
+    report = compare_with_koszul(spec, sigma, n_max, bound)
+    assert report.agreement, report.mismatches()

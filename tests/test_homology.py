@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebras import one_parameter
+from algebras import apply_sigma, one_parameter
 from koszul_reference import differential
 import qhyperplane.homology
 import qhyperplane.hyperplane
 from qhyperplane.homology import (build_report, enumerate_admissible,
                                   one_parameter_admissible, predicted_dims,
                                   scan_admissible)
-from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, apply_sigma,
+from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     is_generic, unit)

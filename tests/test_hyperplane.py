@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from algebras import one_parameter
+from algebras import apply_sigma, one_parameter
 from qhyperplane.hyperplane import (NUMERIC, SYMBOLIC, AlgebraSpec,
-                                    ScalingAutomorphism, apply_sigma,
-                                    automorphism_for_top_class,
+                                    ScalingAutomorphism, automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     add_index, degree, is_admissible, is_generic,
                                     iter_multidegrees, monomial_product,

@@ -2,6 +2,8 @@
 contraction identity dh + hd = D(gamma) id for the homotopy scaled by the
 defect product D(gamma), zero exactly on the admissible multidegrees."""
 
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
@@ -9,13 +11,15 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebras import one_parameter
+from algebras import apply_sigma, one_parameter
 from koszul_reference import differential, homotopy
+from qhyperplane.cli import EXIT_OK, main
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
-                                    apply_sigma, automorphism_for_top_class,
-                                    canonical_automorphism, exterior_under,
-                                    is_admissible, iter_multidegrees,
-                                    specialize_automorphism, sub_index, unit)
+                                    automorphism_for_top_class,
+                                    canonical_automorphism, commutation_factor,
+                                    exterior_under, is_admissible, iter_multidegrees,
+                                    monomial_product, specialize_automorphism,
+                                    sub_index, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
 from qhyperplane.qscalar import QPolynomial, distinct_primes, specialize, symbol
@@ -450,3 +454,26 @@ def test_differential_and_homotopy_are_equivariant(terms):
         lhs = op(CANONICAL2, sigma_scale(CANONICAL2, terms))
         rhs = sigma_scale(CANONICAL2, op(CANONICAL2, terms))
         assert lhs == rhs
+
+
+def test_symbolic_products_start_at_their_first_factor(monkeypatch, capsys):
+    # a product started at Fraction(1) hands its first QPolynomial factor to
+    # Fraction.__mul__, which gives up, and then to QPolynomial.__rmul__.  The
+    # monomial calculus and the block weights start at their first factor;
+    # only _compose still meets a rational 1 on the left, an h weight over the
+    # multidegree of one generator, whichever order it multiplies in
+    callers = Counter()
+    rmul = QPolynomial.__rmul__
+
+    def spy(self, other):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return rmul(self, other)
+
+    monkeypatch.setattr(QPolynomial, "__rmul__", spy)
+    spec = AlgebraSpec.symbolic(3)
+    assert monomial_product(spec, (2, 1, 1), (1, 2, 1))[0] == (
+        symbol(1, 2) ** -1 * symbol(1, 3) ** -1 * symbol(2, 3) ** -2)
+    assert commutation_factor(spec, (2, 1, 1), 2) == symbol(1, 2) ** 2 * symbol(2, 3) ** -1
+    assert not callers
+    assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0", "--symbolic"]) == EXIT_OK
+    assert set(callers) <= {"_compose"}
