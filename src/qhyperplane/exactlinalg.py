@@ -1,8 +1,9 @@
 """Exact rank of sparse integer matrices by fraction-free column reduction.
 
-Entries are ints; a matrix over the rationals is first scaled by rows or
-columns to one.  Columns are reduced in index order, each stripped of its
-content gcd.
+A matrix is kept as its int columns, dicts {row: entry} without zeros, which
+the constructor drops; it checks each column by its least and largest row.
+Columns are reduced in index order, each a copy stripped of its content gcd,
+so rank leaves the matrix as it was.
 A column's pivot is its largest row index.  While another reduced column
 already owns that pivot, the column is replaced by a*col - b*pivot_col, with
 a and b first divided by their gcd and the content gcd stripped afterwards,
@@ -35,35 +36,39 @@ from typing import Mapping
 
 
 class SparseExactMatrix:
-    """A sparse matrix of ints; zero entries are never stored.
+    """A sparse matrix of ints, stored as its nonempty columns {c: {r: v}};
+    zero entries are never stored.
 
     rank() also sets pivot_rows, the pivot rows of the reduced matrix."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "pivot_rows")
+    __slots__ = ("n_rows", "n_cols", "columns", "pivot_rows")
 
     def __init__(self, n_rows: int, n_cols: int,
-                 entries: Mapping[tuple[int, int], int] | None = None):
+                 columns: Mapping[int, dict[int, int]] | None = None):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        cleaned: dict[tuple[int, int], int] = {}
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise IndexError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-            if v:
-                cleaned[r, c] = v
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.entries = cleaned
+        self.columns: dict[int, dict[int, int]] = {}
+        for c, col in (columns or {}).items():
+            if 0 in col.values():
+                col = {r: v for r, v in col.items() if v}
+            if not col:
+                continue
+            if not (0 <= c < n_cols and 0 <= min(col) and max(col) < n_rows):
+                raise IndexError(f"column {c} reaches outside {n_rows}x{n_cols}")
+            self.columns[c] = col
+        self.n_rows, self.n_cols = n_rows, n_cols
         self.pivot_rows: frozenset[int] | None = None
 
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero entries by (row, column), read off the columns."""
+        return {(r, c): v for c, col in self.columns.items() for r, v in col.items()}
+
     def rank(self) -> int:
-        """Exact rank by column reduction; records pivot_rows."""
-        columns: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.entries.items():
-            columns.setdefault(c, {})[r] = v
+        """Exact rank by column reduction on copies; records pivot_rows."""
         reduced: dict[int, dict[int, int]] = {}
-        for c in sorted(columns):
-            col = _strip_gcd(columns[c])
+        for c in sorted(self.columns):
+            col = _strip_gcd(dict(self.columns[c]))
             while col:
                 low = max(col)
                 pivot_col = reduced.get(low)
@@ -87,11 +92,5 @@ class SparseExactMatrix:
 
 
 def _strip_gcd(col: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
+    g = gcd(*col.values())
+    return {r: v // g for r, v in col.items()} if g > 1 else col

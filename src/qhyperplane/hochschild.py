@@ -33,23 +33,26 @@ defects: chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.
 The change of basis is diagonal, so every rank is that of the plain boundary.
 
 Within a multidegree the ranks go up in degree, on the coboundary d_n
-transposed: its column for a tensor b of degree n-1 holds the cofaces of b.
-Each splits one slot of b in two, slot i as (x, y) with entry (-1)^i, or
-b_0 as x + y into (x, b_1, ..., b_{n-1}, y) with entry (-1)^n chi_gamma(y).
-Row a is scaled by den(a), the denominator of chi_gamma(a_n), which moves
-no pivot (see exactlinalg), so every entry is an int.  Each coboundary is
-assembled with clearing: its columns that are pivot rows of the reduced
-coboundary one degree below are left out.  As d_n^T d_{n-1}^T = 0 they lie
-in the span of the columns kept, so every rank stays exact, and the kept
-columns that reduce to zero number dim H_{n-1}: only homology costs a
-reduction to zero, where going down from d_{n_max+1}, whose columns nothing
-clears, costs one for most of its kernel.
+transposed: its column for a tensor b of degree n-1, a dict {row: int}, holds
+the cofaces of b.  Each splits one slot of b in two, slot i as (x, y) with
+entry (-1)^i, or b_0 as x + y into (x, b_1, ..., b_{n-1}, y) with entry
+(-1)^n chi_gamma(y).  Row a is scaled by den(a), the denominator of
+chi_gamma(a_n), which moves no pivot (see exactlinalg), so every entry is an
+int.  Each coboundary is assembled with clearing: its columns that are pivot
+rows of the reduced coboundary one degree below are left out.  As d_n^T
+d_{n-1}^T = 0 they lie in the span of the columns kept, so every rank stays
+exact, and the kept columns that reduce to zero number dim H_{n-1}; going
+down, most of the kernel of the uncleared d_{n_max+1} would reduce to zero.
 
-Divisors are enumerated once, in a split table per complex of the pairs
-(x, y) with x + y = m and y nonunit.  Tails, hence bases, recurse through it
-and the chi weights of gamma are read off its splits; tails and splits are
-kept for later multidegrees, gamma's top tails and chi weights are not.
-Which cells fit the basis cap is decided in compare_with_koszul alone.
+A slot is packed into the int sum of a_i R^(N-i), R = bound + 1.  With no
+coordinate past the bound, int order is lex order and y = m - x is one
+subtraction; a gamma past the bound is refused, never aliased.  Divisors are
+enumerated once, in a split table per complex of the pairs (x, y) with
+x + y = m and y nonunit; only it and chi decode digits.  Tails, hence
+bases, recurse through it and the chi weights of gamma are read off its
+splits; tails and splits are kept for later multidegrees, gamma's top tails
+and chi weights are not.  Which cells fit the basis cap is decided in
+compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
 mode; symbolic input is specialized at distinct primes that divide no
@@ -62,9 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, gcd, prod
-from operator import sub
 
 from .exactlinalg import SparseExactMatrix
 from .homology import build_report, predicted_dims
@@ -72,7 +74,7 @@ from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          iter_multidegrees, monomial_product, specialize_automorphism, unit)
 from .qscalar import distinct_primes, term
 
-Tensor = tuple[MultiIndex, ...]
+Tensor = tuple[int, ...]    # packed slots
 
 DEFAULT_CELL_CAP = 20000
 
@@ -80,7 +82,7 @@ DEFAULT_CELL_CAP = 20000
 class HochschildComplex:
     """Twisted Hochschild chains of one numeric algebra and scaling twist."""
 
-    def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
+    def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int):
         if not all(isinstance(c, Fraction) for c in (*spec.q.values(), *sigma.p)):
             raise ValueError("the oracle needs numeric parameters and twist; "
                              "specialize symbolic input at distinct primes first")
@@ -88,10 +90,24 @@ class HochschildComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._tail_cache: dict[tuple[MultiIndex, int], list[Tensor]] = {}
-        self._split_cache: dict[MultiIndex, list[tuple[MultiIndex, MultiIndex]]] = {}
-        self._chi_at: tuple[MultiIndex, dict[MultiIndex, tuple[int, int]]] = ((), {})
+        self._radix = bound + 1
+        self._tail_cache: dict[tuple[int, int], list[Tensor]] = {}
+        self._split_cache: dict[int, list[tuple[int, int]]] = {}
+        self._chi_at: tuple[MultiIndex, dict[int, tuple[int, int]]] = ((), {})
         self._p = [c.as_integer_ratio() for c in sigma.p]
+
+    def _pack(self, gamma: MultiIndex) -> int:
+        """gamma as the int sum of gamma_i R^(N-i), refused past the bound."""
+        radix, m = self._radix, 0
+        if max(gamma) >= radix:
+            raise ValueError(f"multidegree {gamma} has a coordinate over the bound {radix - 1}")
+        for g in gamma:
+            m = m * radix + g
+        return m
+
+    def _digits(self, m: int) -> MultiIndex:
+        """The multi-index packed as m."""
+        return tuple(m // self._radix ** e % self._radix for e in range(self.spec.n - 1, -1, -1))
 
     # -- bases ----------------------------------------------------------------
 
@@ -102,76 +118,81 @@ class HochschildComplex:
                    for k in range(n + 1))
 
     def basis(self, n: int, gamma: MultiIndex) -> list[Tensor]:
-        """Basis tensors of degree n and multidegree gamma, lexicographic:
+        """Basis tensors of degree n and multidegree gamma, packed, lexicographic:
         the unit before each n-slot tail, then the (n+1)-slot tails."""
-        unit = (0,) * len(gamma)
-        return [(unit,) + tail for tail in self._tails(gamma, n)] + self._tails(gamma, n + 1)
+        m = self._pack(gamma)
+        return [(0,) + tail for tail in self._tails(m, n)] + self._tails(m, n + 1)
 
-    def _tails(self, gamma: MultiIndex, slots: int) -> list[Tensor]:
-        """Tuples of `slots` nonunit monomials with total gamma,
-        lexicographic; each list is built once per complex."""
-        key = (gamma, slots)
+    def _tails(self, m: int, slots: int) -> list[Tensor]:
+        """Tuples of `slots` nonunit monomials with total m, lexicographic;
+        each list is built once per complex."""
+        key = (m, slots)
         tails = self._tail_cache.get(key)
         if tails is None:
             if slots == 0:
-                tails = [] if any(gamma) else [()]
+                tails = [] if m else [()]
             else:   # x descending is the head y ascending
-                tails = [(y,) + tail for x, y in reversed(self._splits(gamma))
+                tails = [(y,) + tail for x, y in reversed(self._splits(m))
                          for tail in self._tails(x, slots - 1)]
             self._tail_cache[key] = tails
         return tails
 
-    def _splits(self, m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
+    def _splits(self, m: int) -> list[tuple[int, int]]:
         """The pairs (x, y) with x + y = m and y nonunit, x ascending, so that
         (0, m) comes first whenever m is nonunit; built once per complex."""
         pairs = self._split_cache.get(m)
         if pairs is None:
-            pairs = self._split_cache[m] = [(x, tuple(map(sub, m, x))) for x in
-                                            product(*(range(v + 1) for v in m)) if x != m]
+            xs = [0]
+            for v in self._digits(m):
+                xs = [x * self._radix + k for x in xs for k in range(v + 1)]
+            pairs = self._split_cache[m] = [(x, m - x) for x in xs[:-1]]
         return pairs
 
     # -- the coboundary ---------------------------------------------------------
 
     def boundary_matrix(self, n: int, gamma: MultiIndex,
                         cleared: frozenset[int] = frozenset()) -> SparseExactMatrix:
-        """d_n transposed at one multidegree, in the rescaled lexicographic
-        bases f: a column for each tensor b of degree n-1 not in cleared,
-        holding its cofaces a, with row a scaled by den(a) so that every
-        entry is an int."""
+        """d_n transposed at one multidegree in the rescaled lexicographic bases
+        f: a column of the cofaces a of each tensor b of degree n-1 not in
+        cleared, row a scaled by den(a) so that every entry is an int."""
         if n < 1:
             return SparseExactMatrix(len(self.basis(0, gamma)), 0)
         rows = {t: r for r, t in enumerate(self.basis(n, gamma))}
         if self._chi_at[0] != gamma:
             self._chi_at = gamma, self._chi(gamma)
         chi = self._chi_at[1]       # slot -> (num, den) of chi_gamma, for one gamma
-        entries = {}
-        cols = self.basis(n - 1, gamma)
+        splits, wrap = self._splits, -1 if n & 1 else 1
+        columns, cols = {}, self.basis(n - 1, gamma)
         for c, b in enumerate(cols):
             if c in cleared:
                 continue
-            den = chi[b[-1]][1] if n > 1 else 0     # den(a) while a_n = b_{n-1}
-            cofaces = []
+            col = {}    # cofaces from distinct slots never coincide
             for i, slot in enumerate(b):
-                pairs = self._splits(slot)
+                pairs = splits(slot) if i == 0 else splits(slot)[1:]
                 head, tail, sign = b[:i], b[i + 1:], -1 if i & 1 else 1
-                cofaces += [(head + (x, y) + tail, sign * (den if tail else chi[y][1]))
-                            for x, y in (pairs if i == 0 else pairs[1:])]
-            sign = -1 if n & 1 else 1
-            cofaces += [((x,) + b[1:] + (y,), sign * chi[y][0])
-                        for x, y in self._splits(b[0])]
-            for a, coeff in cofaces:
-                key = (rows[a], c)
-                entries[key] = entries.get(key, 0) + coeff
-        return SparseExactMatrix(len(rows), len(cols), entries)
+                if tail:
+                    v = sign * chi[b[-1]][1]    # den(a) while a_n = b_{n-1}
+                    for pair in pairs:
+                        col[rows[head + pair + tail]] = v
+                else:
+                    for pair in pairs:
+                        col[rows[head + pair]] = sign * chi[pair[1]][1]
+            rest = b[1:]
+            for x, y in splits(b[0]):
+                a = rows[(x,) + rest + (y,)]
+                col[a] = col.get(a, 0) + wrap * chi[y][0]
+            columns[c] = col
+        return SparseExactMatrix(len(rows), len(cols), columns)
 
-    def _chi(self, gamma: MultiIndex) -> dict[MultiIndex, tuple[int, int]]:
+    def _chi(self, gamma: MultiIndex) -> dict[int, tuple[int, int]]:
         """(num, den) of chi_gamma(a) in lowest terms for the last slot a of
         each split (r, a) of gamma, from the swap scalars s_jk of its support."""
         n, inside = self.spec.n, [i for i, g in enumerate(gamma, start=1) if g]
         swaps = [(j - 1, k - 1, *monomial_product(self.spec, unit(n, k), unit(n, j))[0]
                   .as_integer_ratio()) for j, k in combinations(inside, 2)]
         weights = {}
-        for r, a in self._splits(gamma):
+        for x, y in self._splits(self._pack(gamma)):
+            r, a = self._digits(x), self._digits(y)
             num = den = 1
             for (p_num, p_den), e in zip(self._p, a):
                 num, den = num * p_num ** e, den * p_den ** e
@@ -180,7 +201,7 @@ class HochschildComplex:
                 up, down = (s_num, s_den) if e > 0 else (s_den, s_num)
                 num, den = num * up ** abs(e), den * down ** abs(e)
             g = gcd(num, den) if den > 0 else -gcd(num, den)
-            weights[a] = num // g, den // g
+            weights[y] = num // g, den // g
         return weights
 
     # -- homology dimensions ----------------------------------------------------
@@ -196,7 +217,7 @@ class HochschildComplex:
             rank = delta.rank()
             dims.append(delta.n_cols - rank_below - rank)
             rank_below, cleared = rank, delta.pivot_rows
-        self._tail_cache.pop((gamma, n_max + 2), None)
+        self._tail_cache.pop((self._pack(gamma), n_max + 2), None)
         return dims
 
 
@@ -264,7 +285,7 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                                          for x in term(c)[0].as_integer_ratio()))
         sigma = specialize_automorphism(sigma, q)
         spec = AlgebraSpec.numeric(spec.n, q)
-    complex_ = HochschildComplex(spec, sigma)
+    complex_ = HochschildComplex(spec, sigma, bound)
     cells = []
     for gamma in iter_multidegrees(spec.n, bound):
         # the largest n <= n_max whose bases in degrees 0..n+1 all fit the cap

@@ -1,4 +1,4 @@
-"""Test-only helpers for SparseExactMatrix: construction from dense rows,
+"""Test-only helpers for SparseExactMatrix: construction from entries or dense rows,
 scaling a rational matrix to ints, products, and the row-elimination rank
 that column reduction replaced, kept as a reference to compare against."""
 
@@ -19,16 +19,21 @@ def integerize(vector: dict[int, Fraction | int]) -> dict[int, int]:
     return {k: int(v * lcm) for k, v in vector.items()}
 
 
+def from_entries(n_rows: int, n_cols: int,
+                 entries: dict[tuple[int, int], Fraction | int]) -> SparseExactMatrix:
+    """A matrix from its entries by (row, column), grouped into columns."""
+    columns: dict[int, dict[int, Fraction | int]] = {}
+    for (r, c), v in entries.items():
+        columns.setdefault(c, {})[r] = v
+    return SparseExactMatrix(n_rows, n_cols, columns)
+
+
 def integerized(m: SparseExactMatrix) -> SparseExactMatrix:
     """The matrix with each column scaled to integers: the same rank and the
     same pivot rows, with int entries that rank accepts; an integer matrix
     is left as it is."""
-    columns: dict[int, dict[int, Fraction | int]] = {}
-    for (r, c), v in m.entries.items():
-        columns.setdefault(c, {})[r] = v
     return SparseExactMatrix(m.n_rows, m.n_cols,
-                             {(r, c): v for c, col in columns.items()
-                              for r, v in integerize(col).items()})
+                             {c: integerize(col) for c, col in m.columns.items()})
 
 
 def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
@@ -38,7 +43,7 @@ def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
     entries = {(i, j): Fraction(v)
                for i, row in enumerate(rows)
                for j, v in enumerate(row) if v}
-    return integerized(SparseExactMatrix(len(rows), n_cols, entries))
+    return integerized(from_entries(len(rows), n_cols, entries))
 
 
 def row_dicts(m: SparseExactMatrix) -> list[dict[int, Fraction]]:
@@ -56,7 +61,7 @@ def matmul(a: SparseExactMatrix, b: SparseExactMatrix) -> SparseExactMatrix:
     for (r, k), v in a.entries.items():
         for c, w in b_rows[k].items():
             out[(r, c)] = out.get((r, c), Fraction(0)) + v * w
-    return SparseExactMatrix(a.n_rows, b.n_cols, out)
+    return from_entries(a.n_rows, b.n_cols, out)
 
 
 def reference_rank(m: SparseExactMatrix) -> int:

@@ -3,10 +3,10 @@ reference), its pivot rows, plus structural invariances."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import sympy
 
-from linalg_reference import from_rows, matmul, reference_rank, row_dicts
+from linalg_reference import from_entries, from_rows, matmul, reference_rank, row_dicts
 from qhyperplane.exactlinalg import SparseExactMatrix
 
 
@@ -96,7 +96,7 @@ def test_pivot_rows_carry_the_rank(rows):
 def test_row_scaling_moves_no_pivot(rows, factors):
     m = from_rows(rows)
     rank = m.rank()
-    scaled = SparseExactMatrix(m.n_rows, m.n_cols, {
+    scaled = from_entries(m.n_rows, m.n_cols, {
         (r, c): factors[r] * v for (r, c), v in m.entries.items()})
     assert scaled.rank() == rank
     assert scaled.pivot_rows == m.pivot_rows
@@ -132,6 +132,16 @@ def test_kernel_basis_spans_the_kernel(rows):
             assert sum(row.get(c, Fraction(0)) * v for c, v in vec.items()) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+@example([[1, 1]])  # the second column reduces to zero against the first
+def test_rank_leaves_the_matrix_as_it_found_it(rows):
+    m = from_rows(rows)
+    before = m.entries
+    m.rank()
+    assert m.entries == before
+
+
 def test_matmul_and_is_zero():
     a = from_rows([[1, 2], [3, 4]])
     b = from_rows([[2, 0], [-1, 1]])
@@ -146,4 +156,4 @@ def test_rejects_out_of_range_entries():
     import pytest
 
     with pytest.raises(IndexError):
-        SparseExactMatrix(1, 1, {(1, 0): Fraction(1)})
+        from_entries(1, 1, {(1, 0): Fraction(1)})

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qhyperplane.hochschild
 from algebras import apply_sigma, one_parameter
-from linalg_reference import integerized, matmul, reference_rank
+from linalg_reference import from_entries, integerized, matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
@@ -32,12 +32,30 @@ def primes_spec(n):
 PLANE = AlgebraSpec.numeric(2, {(1, 2): Fraction(2)})
 PRIMES3 = primes_spec(3)
 Q61 = 2 ** 61 - 1
+BOUND = 6   # the largest total degree the fixed complexes below are asked for
 
 COMPLEXES = [
-    HochschildComplex(PLANE, canonical_automorphism(PLANE)),
-    HochschildComplex(PLANE, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5])),
-    HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3)),
+    HochschildComplex(PLANE, canonical_automorphism(PLANE), BOUND),
+    HochschildComplex(PLANE, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5]), BOUND),
+    HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3), BOUND),
 ]
+
+
+def unpacked(complex_, tensor):
+    """A tensor of packed slots as a tuple of multi-indices: slot m holds
+    the digits of m in radix R = bound + 1, the first generator's leading."""
+    def digits(m):
+        out = []
+        for _ in range(complex_.spec.n):
+            m, d = divmod(m, complex_._radix)
+            out.append(d)
+        return tuple(reversed(out))
+
+    return tuple(map(digits, tensor))
+
+
+def unpacked_basis(complex_, n, gamma):
+    return [unpacked(complex_, t) for t in complex_.basis(n, gamma)]
 
 
 def _cells(n_generators):
@@ -60,8 +78,8 @@ def test_basis_has_the_counted_size(complex_):
 def test_basis_is_sorted_normalized_and_counted(gamma, n):
     gamma = tuple(gamma)
     spec = primes_spec(len(gamma))
-    complex_ = HochschildComplex(spec, canonical_automorphism(spec))
-    basis = complex_.basis(n, gamma)
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec), 4)
+    basis = unpacked_basis(complex_, n, gamma)
     assert len(basis) == complex_.basis_size(n, gamma)
     assert basis == sorted(set(basis))
     for tensor in basis:
@@ -72,10 +90,33 @@ def test_basis_is_sorted_normalized_and_counted(gamma, n):
         assert basis == []
 
 
+def test_slots_pack_the_lexicographic_basis():
+    # in radix R = bound + 1, a coordinate equal to the bound is the digit
+    # R - 1; int order on the packed slots is lex order on the multi-indices
+    spec = primes_spec(3)
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec), 3)
+    for gamma in ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 2, 0), (1, 1, 1)):
+        for n in range(4):
+            expected = [t for t in _full_basis(n, gamma) if all(map(any, t[1:]))]
+            assert unpacked_basis(complex_, n, gamma) == expected
+            assert complex_.basis(n, gamma) == sorted(complex_.basis(n, gamma))
+
+
+def test_a_coordinate_over_the_bound_is_refused():
+    # with R = 4, (0, 0, 4) would alias (0, 1, 0)
+    spec = primes_spec(3)
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec), 3)
+    for build in (lambda: complex_.basis(1, (0, 0, 4)),
+                  lambda: complex_.boundary_matrix(1, (0, 0, 4)),
+                  lambda: complex_.natural_dims((4, 0, 0), 1)):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_normalized_basis_sizes():
     # full bar complex: 3,375 and 15,876 tensors
     spec = primes_spec(4)
-    complex_ = HochschildComplex(spec, canonical_automorphism(spec))
+    complex_ = HochschildComplex(spec, canonical_automorphism(spec), 6)
     assert complex_.basis_size(4, (2, 2, 2)) == 564
     assert len(complex_.basis(5, (2, 2, 1, 1))) == 690
 
@@ -117,14 +158,14 @@ def reference_matrix(complex_, n, gamma, row_basis, col_basis):
         for face, coeff in reference_faces(complex_, tensor):
             key = (rows[face], c)
             entries[key] = entries.get(key, 0) + coeff
-    return SparseExactMatrix(len(rows), len(col_basis), entries)
+    return from_entries(len(rows), len(col_basis), entries)
 
 
 def _normalized_reference(complex_, n, gamma):
     if n < 1:
         return SparseExactMatrix(0, len(complex_.basis(0, gamma)))
-    return reference_matrix(complex_, n, gamma, complex_.basis(n - 1, gamma),
-                            complex_.basis(n, gamma))
+    return reference_matrix(complex_, n, gamma, unpacked_basis(complex_, n - 1, gamma),
+                            unpacked_basis(complex_, n, gamma))
 
 
 def _weight(spec, tensor):
@@ -145,8 +186,9 @@ def _den(complex_, tensor):
 
 RESCALING_COMPLEXES = COMPLEXES + [
     HochschildComplex(one_parameter(2, Q61), canonical_automorphism(
-        one_parameter(2, Q61))),
-    HochschildComplex(PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7])),
+        one_parameter(2, Q61)), BOUND),
+    HochschildComplex(PRIMES3, ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, -7]),
+                      BOUND),
 ]
 
 
@@ -160,7 +202,8 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
         for n in (1, 2, 3):
             rescaled = complex_.boundary_matrix(n, gamma)
             plain = _normalized_reference(complex_, n, gamma)
-            rows, cols = complex_.basis(n, gamma), complex_.basis(n - 1, gamma)
+            rows = unpacked_basis(complex_, n, gamma)
+            cols = unpacked_basis(complex_, n - 1, gamma)
             expected = {(a, b): _den(complex_, rows[a]) * _weight(spec, cols[b])
                         / _weight(spec, rows[a]) * v
                         for (b, a), v in plain.entries.items()}
@@ -169,6 +212,21 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
             assert all(abs(v) == _den(complex_, rows[a])
                        for (a, b), v in rescaled.entries.items()
                        if cols[b][1:] != rows[a][1:n])
+
+
+@pytest.mark.parametrize("complex_", RESCALING_COMPLEXES + [
+    HochschildComplex(PLANE, ScalingAutomorphism.identity(2), BOUND)])
+def test_stored_columns_hold_nonzero_ints_in_range(complex_):
+    # boundary_matrix hands its columns to the matrix as they are, so each
+    # must hold only nonzero ints on rows of the basis: under the identity
+    # twist the wrap-around face cancels an inner one, and the zero is dropped
+    for gamma in _cells(complex_.spec.n):
+        for n in (1, 2, 3):
+            delta = complex_.boundary_matrix(n, gamma)
+            for c, column in delta.columns.items():
+                assert 0 <= c < delta.n_cols and column
+                assert all(type(v) is int and v != 0 for v in column.values())
+                assert all(0 <= r < delta.n_rows for r in column)
 
 
 @settings(max_examples=120, deadline=None)
@@ -187,7 +245,7 @@ def test_natural_dims_match_the_plain_boundary(case, n_max):
              "identity": ScalingAutomorphism.identity(n),
              "explicit": ScalingAutomorphism.from_rationals(
                  [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
-    complex_ = HochschildComplex(spec, sigma)
+    complex_ = HochschildComplex(spec, sigma, 4)
 
     def rank(k):
         return reference_rank(_normalized_reference(complex_, k, gamma))
@@ -198,8 +256,8 @@ def test_natural_dims_match_the_plain_boundary(case, n_max):
 
 def _transposed_boundary(complex_, n, gamma):
     """d_n transposed: the rows of boundary_matrix(n, gamma) divided by den."""
-    delta, rows = complex_.boundary_matrix(n, gamma), complex_.basis(n, gamma)
-    return SparseExactMatrix(delta.n_rows, delta.n_cols, {
+    delta, rows = complex_.boundary_matrix(n, gamma), unpacked_basis(complex_, n, gamma)
+    return from_entries(delta.n_rows, delta.n_cols, {
         (a, b): Fraction(v, _den(complex_, rows[a])) for (a, b), v in delta.entries.items()})
 
 
@@ -232,7 +290,7 @@ def test_clearing_uses_the_pivots_of_the_degree_below():
     # (3, 4) is not admissible for the identity twist.  Clearing a coboundary
     # with the pivots from two degrees below instead of one gives the right
     # dimensions in nearly every small cell; this is one where it does not
-    complex_ = HochschildComplex(PLANE, ScalingAutomorphism.identity(2))
+    complex_ = HochschildComplex(PLANE, ScalingAutomorphism.identity(2), 7)
     assert complex_.natural_dims((3, 4), 5) == [0] * 6
 
 
@@ -260,7 +318,7 @@ def test_clearing_matches_uncleared_reference_ranks(case, n_max):
              "identity": ScalingAutomorphism.identity(n),
              "explicit": ScalingAutomorphism.from_rationals(
                  [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
-    complex_ = HochschildComplex(spec, sigma)
+    complex_ = HochschildComplex(spec, sigma, 4)
     assert complex_.natural_dims(gamma, n_max) == _uncleared_dims(complex_, gamma, n_max)
 
 
@@ -288,10 +346,10 @@ def _twisted_complexes(n):
     minus_one = AlgebraSpec.numeric(n, {(i, j): Fraction(-1) for i in range(1, n + 1)
                                         for j in range(i + 1, n + 1)})
     explicit = ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)][:n])
-    return [HochschildComplex(primes, canonical_automorphism(primes)),
-            HochschildComplex(primes, ScalingAutomorphism.identity(n)),
-            HochschildComplex(primes, explicit),
-            HochschildComplex(minus_one, canonical_automorphism(minus_one))]
+    return [HochschildComplex(primes, canonical_automorphism(primes), 3),
+            HochschildComplex(primes, ScalingAutomorphism.identity(n), 3),
+            HochschildComplex(primes, explicit, 3),
+            HochschildComplex(minus_one, canonical_automorphism(minus_one), 3)]
 
 
 @pytest.mark.parametrize("n_generators", [1, 2, 3])
@@ -316,12 +374,12 @@ def test_natural_dims_quantum_plane_canonical_twist():
 def test_natural_dims_releases_the_bases_of_its_multidegree():
     # no basis is kept, and the chi weights are held for one multidegree
     # alone; the tails and splits, shared across multidegrees, stay, and so
-    # do the p_i as int pairs
-    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
+    # do the p_i as int pairs and the radix of the packed slots
+    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3), BOUND)
     for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
         dims = complex_.natural_dims(gamma, 3)
         assert set(vars(complex_)) == {"spec", "sigma", "_tail_cache", "_split_cache",
-                                       "_chi_at", "_p"}
+                                       "_chi_at", "_p", "_radix"}
         assert complex_._chi_at[0] == gamma
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
@@ -332,14 +390,14 @@ def test_natural_dims_drops_the_top_tails_of_its_multidegree():
     # so they are gone once natural_dims returns; the one-slot-shorter ones
     # stay, and every later multidegree gets the dimensions a fresh complex
     # gives
-    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3))
+    complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3), 5)
     for gamma in iter_multidegrees(3, 5):
         dims = complex_.natural_dims(gamma, 2)
-        assert (gamma, 4) not in complex_._tail_cache
-        assert (gamma, 3) in complex_._tail_cache
-        assert dims == HochschildComplex(PRIMES3, complex_.sigma).natural_dims(gamma, 2)
+        assert (complex_._pack(gamma), 4) not in complex_._tail_cache
+        assert (complex_._pack(gamma), 3) in complex_._tail_cache
+        assert dims == HochschildComplex(PRIMES3, complex_.sigma, 5).natural_dims(gamma, 2)
     # what is dropped was there: four nonunit slots fit in total degree 4
-    assert complex_._tails((1, 1, 2), 4)
+    assert complex_._tails(complex_._pack((1, 1, 2)), 4)
 
 
 @pytest.mark.parametrize("spec, sigma", [
@@ -351,11 +409,11 @@ def test_a_second_multidegree_gets_its_own_weights(spec, sigma):
     # matrices at one gamma builds the same matrix at another as a fresh
     # complex does
     first, second = (2, 1, 1)[:spec.n], (3, 1, 1)[:spec.n]
-    complex_ = HochschildComplex(spec, sigma)
+    complex_ = HochschildComplex(spec, sigma, 5)
     for n in (1, 2, 3):
         complex_.boundary_matrix(n, first)
     for n in (1, 2, 3):
-        fresh = HochschildComplex(spec, sigma).boundary_matrix(n, second)
+        fresh = HochschildComplex(spec, sigma, 5).boundary_matrix(n, second)
         assert complex_.boundary_matrix(n, second).entries == fresh.entries
 
 
@@ -406,7 +464,7 @@ def test_compare_builds_no_basis_over_the_cap(spec, n_max, bound, cap, monkeypat
     report = compare_with_koszul(spec, sigma, n_max, bound, cap=cap)
     assert built and max(built) <= cap
     monkeypatch.undo()
-    sizes = HochschildComplex(spec, sigma)
+    sizes = HochschildComplex(spec, sigma, bound)
     skipped = [(cell.gamma, cell.n) for cell in report.cells if cell.skipped]
     assert skipped and len(skipped) < len(report.cells)
     assert skipped == [(cell.gamma, cell.n) for cell in report.cells
@@ -416,9 +474,9 @@ def test_compare_builds_no_basis_over_the_cap(spec, n_max, bound, cap, monkeypat
 
 def test_oracle_rejects_symbolic_input():
     with pytest.raises(ValueError):
-        HochschildComplex(AlgebraSpec.symbolic(2), ScalingAutomorphism.identity(2))
+        HochschildComplex(AlgebraSpec.symbolic(2), ScalingAutomorphism.identity(2), 2)
     with pytest.raises(ValueError):
-        HochschildComplex(PLANE, canonical_automorphism(AlgebraSpec.symbolic(2)))
+        HochschildComplex(PLANE, canonical_automorphism(AlgebraSpec.symbolic(2)), 2)
 
 
 @pytest.mark.parametrize("spec", [AlgebraSpec.symbolic(2), PLANE])
@@ -485,7 +543,8 @@ def test_chi_is_the_fraction_formula(case):
     n, gamma = len(p), tuple(gamma)
     spec = AlgebraSpec.numeric(n, dict(zip(all_pairs(n), map(Fraction, q))))
     sigma = ScalingAutomorphism.from_rationals(p)
-    weights = HochschildComplex(spec, sigma)._chi(gamma)
+    complex_ = HochschildComplex(spec, sigma, 4)
+    weights = {unpacked(complex_, (y,))[0]: v for y, v in complex_._chi(gamma).items()}
     expected = {}
     for y in product(*(range(g + 1) for g in gamma)):
         if any(y):
