@@ -459,8 +459,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for k in range(len(argv) - 1, 0, -1):    # argparse reads "-2,3" as an option
-        if argv[k - 1] == "--p" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
-            argv[k - 1:k + 1] = [f"--p={argv[k]}"]
+        if argv[k - 1] in ("--p", "--alpha") and argv[k][:1] == "-" and argv[k][1:2].isdigit():
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)

@@ -17,22 +17,23 @@ once per multidegree.  It vanishes exactly when x_i sigma-commutes with
 x^gamma, so the failing indices F(gamma) are its nonzero entries on the
 support.
 
-The contracting homotopy would divide by these defects, so it is built
-scaled by D(gamma) = |F(gamma)| prod_{i in F} delta_i(gamma), and the check is
-dh + hd = D(gamma) id on every multidegree.  D(gamma) is zero exactly where F
-is empty, on the admissible multidegrees; elsewhere it is a nonzero element of
-Q or of the Laurent polynomials over Q, both integral domains, so the scaled
-identity holds exactly when the unscaled homotopy contracts.
+The contracting homotopy would divide by these defects, so it is built scaled.
+Multiplication by one delta_i is already null-homotopic on a Koszul complex,
+through the move of x_i back into slot i, so h moves only the first failing
+slot i0 = min F(gamma) and the check is dh + hd = D(gamma) id with D(gamma) =
+delta_{i0}(gamma), or 0 where F is empty, on the admissible multidegrees.
+Elsewhere D(gamma) is a nonzero element of Q or of the Laurent polynomials
+over Q, both integral domains, so the scaled identity holds exactly when the
+unscaled homotopy contracts.
 
 Since d and h keep gamma fixed and a basis element over gamma is just its
 exterior part beta inside supp gamma, the complex is held as one block per
 multidegree, built on first use: the d weights beta -> beta - e_i, the h
-weights beta -> beta + e_i and D(gamma).  An edge beta -> beta + e_i has one
-signed factor s, giving d the weight s delta_i and h the weight s^{-1} prod_{j
-in F, j != i} delta_j, and that product is formed once per (gamma, i) rather
-than once per chain term.  The checks d^2 = 0 and dh + hd = D(gamma) id
-compose the block maps for every beta of every gamma up to the bound; handed
-one complex, the two checks build each block once.
+weights beta -> beta + e_{i0} and D(gamma).  An edge beta -> beta + e_i has
+one signed factor s, giving d the weight s delta_i and, if i = i0, h the
+weight s^{-1}.  The checks d^2 = 0 and dh + hd = D(gamma) id compose the block
+maps for every beta of every gamma up to the bound; handed one complex, the
+two checks build each block once.
 
 Coefficients are exact and use +, - and * only, never a quotient: every
 weight in numeric mode is a Fraction, and every symbolic one a QPolynomial.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
                          sub_index, support, unit)
-from .qscalar import Scalar, scalar_prod
+from .qscalar import Scalar
 
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
@@ -65,9 +66,8 @@ class CheckReport:
 @dataclass(frozen=True)
 class Block:
     """The complex over one multidegree gamma, where a basis element is its
-    exterior part beta (alpha = gamma - beta).  d and the scaled h map each
-    beta, keyed in exterior_under order, to its (target beta, weight) pairs;
-    scale is D(gamma)."""
+    exterior part beta: d and the scaled h (slot i0 only) map each beta, in
+    exterior_under order, to its (target beta, weight) pairs; scale is D(gamma)."""
     d: BlockMap
     h: BlockMap
     scale: Scalar
@@ -103,24 +103,23 @@ class ReducedComplex:
         return cached
 
     def _build_block(self, gamma: MultiIndex) -> Block:
-        """Every weight of gamma's block; only the failing slots i carry
-        moves, as delta_i(gamma) is zero on the others."""
+        """Every weight of gamma's block: d moves the failing slots i only, as
+        delta_i(gamma) is zero on the others, and h the first of them only."""
         defects = self.defects(gamma)
         failing = [i for i in support(gamma) if defects[i - 1]]
         betas = exterior_under(gamma)
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
         for i in failing:
-            rest = scalar_prod(defects[j - 1] for j in failing if j != i)
             e = unit(self.spec.n, i)
             for beta in betas:
                 if not beta[i - 1]:
                     s = self._signed_factor(sub_index(gamma, beta), beta, i)
                     up = add_index(beta, e)
                     d[up].append((beta, defects[i - 1] * s))
-                    h[beta].append((up, rest * s ** -1))
-        scale = scalar_prod(defects[i - 1] for i in failing) * len(failing)
-        return Block(d, h, scale)
+                    if i == failing[0]:
+                        h[beta].append((up, s ** -1))
+        return Block(d, h, defects[failing[0] - 1] if failing else 0)
 
 
 def _accumulate(out: dict, key, value) -> None:

@@ -16,9 +16,9 @@ def differential(complex_: ReducedComplex, chain: dict) -> dict:
 
 
 def homotopy(complex_: ReducedComplex, chain: dict) -> dict:
-    """D(gamma) times the contracting homotopy: each failing x_i of x^alpha
-    moves back into its empty slot i with weight
-    sign * c_i(u)^{-1} * prod_{j in F, j != i} delta_j(gamma)."""
+    """D(gamma) times the contracting homotopy, D(gamma) = delta_{i0}(gamma):
+    x_{i0} of x^alpha, i0 = min F(gamma), moves back into its empty slot i0
+    with weight sign * c_{i0}(u)^{-1}, and no other slot moves."""
     return _apply(complex_, chain, lambda block: block.h)
 
 

@@ -200,6 +200,12 @@ CONFIG_FILES = {
     (["homology", "--n", "2", "--bound", "2.5"], EXIT_BAD_CONFIG),
     (["homology", "--n", "2", "--nmax", "two"], EXIT_BAD_CONFIG),
     (["verify", "--n", "2", "--bound", "3", "--cap", "1e3"], EXIT_BAD_CONFIG),
+    # an --alpha value may start with a minus sign too; solve-top refuses it
+    (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "-1,0"],
+     EXIT_BAD_CONFIG),
+    # symbolic mode takes no q values, given or chosen
+    (["homology", "--n", "2", "--symbolic", "--q", "1,2,3"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--symbolic", "--auto-primes"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

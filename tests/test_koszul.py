@@ -1,12 +1,12 @@
 """The reduced complex: differential and homotopy weights, d^2 = 0, and the
-contraction identity dh + hd = D(gamma) id for the homotopy scaled by the
-defect product D(gamma), zero exactly on the admissible multidegrees."""
+contraction identity dh + hd = D(gamma) id for the homotopy that moves only
+the first failing slot i0 = min F(gamma), scaled by its defect
+D(gamma) = delta_{i0}(gamma), zero exactly on the admissible multidegrees."""
 
 import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,11 +54,11 @@ def failing_indices(complex_, gamma):
                  if g and d)
 
 
-def defect_product(complex_, gamma):
-    """D(gamma) = |F| * prod_{i in F} delta_i(gamma)."""
+def first_defect(complex_, gamma):
+    """D(gamma) = delta_{i0}(gamma) for the first failing slot i0, zero when
+    no slot fails."""
     failing = failing_indices(complex_, gamma)
-    return prod((complex_.defects(gamma)[i - 1] for i in failing),
-                start=Fraction(len(failing)))
+    return complex_.defects(gamma)[failing[0] - 1] if failing else Fraction(0)
 
 
 def _add_term(out, key, value):
@@ -83,15 +83,13 @@ def reference_differential(complex_, c):
 def reference_homotopy(complex_, c):
     out = {}
     for (alpha, beta), coeff in c.items():
-        gamma = add_index(alpha, beta)
-        failing = failing_indices(complex_, gamma)
-        for i in failing:
-            if beta[i - 1]:
-                continue
-            w = prod((complex_.defects(gamma)[j - 1] for j in failing if j != i),
-                     start=complex_._signed_factor(alpha, beta, i) ** -1)
-            e = unit(complex_.spec.n, i)
-            _add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
+        failing = failing_indices(complex_, add_index(alpha, beta))
+        if not failing or beta[failing[0] - 1]:
+            continue
+        i = failing[0]
+        w = complex_._signed_factor(alpha, beta, i) ** -1
+        e = unit(complex_.spec.n, i)
+        _add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
     return out
 
 
@@ -105,7 +103,7 @@ def reference_check_failures(complex_, bound):
         total = reference_differential(complex_, reference_homotopy(complex_, one))
         for key, c in reference_homotopy(complex_, reference_differential(complex_, one)).items():
             _add_term(total, key, c)
-        _add_term(total, element, -defect_product(complex_, add_index(*element)))
+        _add_term(total, element, -first_defect(complex_, add_index(*element)))
         if total:
             homotopy.append(f"(dh+hd){element} != D*id")
     return tuple(d_squared), tuple(homotopy)
@@ -330,7 +328,7 @@ def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
     for element in basis_elements(complex_, bound):
         gamma = add_index(*element)
         scale = complex_.block(gamma).scale
-        assert scale == defect_product(complex_, gamma)
+        assert scale == first_defect(complex_, gamma)
         assert contraction(complex_, element) == ({element: scale} if scale else {})
         assert (not scale) == is_admissible(spec, sigma, gamma)
 
@@ -460,8 +458,9 @@ def test_symbolic_products_start_at_their_first_factor(monkeypatch, capsys):
     # a product started at Fraction(1) hands its first QPolynomial factor to
     # Fraction.__mul__, which gives up, and then to QPolynomial.__rmul__.  The
     # monomial calculus and the block weights start at their first factor;
-    # only _compose still meets a rational 1 on the left, an h weight over the
-    # multidegree of one generator, whichever order it multiplies in
+    # only _compose still meets a rational 1 on the left, the h weight of a
+    # move of slot i0 with no letter below it in beta or above it in alpha,
+    # whichever order it multiplies in
     callers = Counter()
     rmul = QPolynomial.__rmul__
 
