@@ -4,8 +4,9 @@ Commands: homology | verify | csigma | canonical | generic-check.
 Configuration comes from flags or a JSON config file (flags win) with the
 keys n, q, mode, automorphism, bound and n_max only; q values are exact
 rational strings, never floats.  Structured reports are single
-JSON documents with the field names frozen in docs/format.md; identical
-configuration produces byte-identical output.
+JSON documents with the field names frozen in docs/format.md; this module
+builds every field from the plain results the library returns, and
+identical configuration produces byte-identical output.
 
 Exit codes: 0 ok; 1 verification failed (an oracle cell disagrees with the
 Koszul prediction, a cell was skipped because its chain basis exceeds
@@ -30,12 +31,14 @@ from itertools import compress, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .hochschild import DEFAULT_CELL_CAP, compare_with_koszul
-from .homology import HomologyReport, build_report, enumerate_admissible
+from .hochschild import DEFAULT_CELL_CAP, ComparisonCell, compare_with_koszul
+from .homology import (AdmissibleSet, DegreeSlice, HomologyReport, build_report,
+                       enumerate_admissible)
 from .hyperplane import (AlgebraSpec, NUMERIC, SYMBOLIC, ScalingAutomorphism,
                          add_index, automorphism_for_top_class,
                          canonical_automorphism, is_admissible, is_generic)
-from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
+from .koszul import (CheckReport, ReducedComplex, check_d_squared,
+                     check_homotopy_identity)
 from .qscalar import all_pairs, distinct_primes
 
 EXIT_OK = 0
@@ -52,6 +55,8 @@ EXPLICIT = "explicit"
 SOLVE_TOP = "solve-top"
 
 CONFIG_KEYS = ("n", "q", "mode", "automorphism", "bound", "n_max")
+
+ALPHA_LIMIT = (1 << 32) - 1    # alpha_i + 1, a q exponent in p, stays below 2^32
 
 
 class ConfigError(Exception):
@@ -201,8 +206,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.alpha:
         alpha = tuple(parse_int(x) for x in args.alpha.split(","))
     if automorphism == SOLVE_TOP:
-        if alpha is None or len(alpha) != n or any(a < 0 for a in alpha):
-            raise ConfigError("solve-top needs --alpha with N nonnegative entries")
+        if alpha is None or len(alpha) != n or any(not 0 <= a < ALPHA_LIMIT for a in alpha):
+            raise ConfigError("solve-top needs --alpha with N nonnegative entries "
+                              f"below {ALPHA_LIMIT}")
 
     bound = parse_int(args.bound if args.bound is not None else file_config.get("bound", 2 * n))
     if bound < 0:
@@ -263,6 +269,39 @@ def _write_json(write, obj, nl: str = "\n") -> None:
         write(nl + "}")
 
 
+def _admissible_doc(admissible: AdmissibleSet, bound: int) -> dict:
+    return {"members": [list(g) for g in admissible.members],
+            "bound": bound, "complete": admissible.complete}
+
+
+def _slice_doc(s: DegreeSlice) -> dict:
+    return {"n": s.n, "betti": s.betti,
+            "generators": [{"alpha": list(a), "beta": list(b)} for a, b in s.generators],
+            "grading": [{"gamma": list(g), "count": c} for g, c in s.grading]}
+
+
+def _homology_doc(config: RunConfig, sigma: ScalingAutomorphism,
+                  report: HomologyReport) -> dict:
+    return {"mode": config.mode, "n": config.n, "bound": config.bound,
+            "n_max": config.n_max, "sigma": [str(c) for c in sigma.p],
+            "truncated": report.truncated,
+            "admissible": _admissible_doc(report.admissible, config.bound),
+            "betti": report.betti_list(),
+            "degrees": [_slice_doc(s) for s in report.slices]}
+
+
+def _check_doc(check: CheckReport, bound: int) -> dict:
+    return {"passed": check.passed, "checked": check.checked,
+            "bound": bound, "failures": list(check.failures)}
+
+
+def _cell_doc(cell: ComparisonCell) -> dict:
+    return {"gamma": list(cell.gamma), "n": cell.n,
+            "natural_oracle": cell.natural_oracle,
+            "natural_predicted": cell.natural_predicted,
+            "match": cell.match, "skipped": cell.skipped}
+
+
 def _emit(config: RunConfig, command: str, payload: dict) -> None:
     """Write command's report, headed by format, command and config, to --out."""
     if config.out:
@@ -299,11 +338,12 @@ def _generator_labels(n: int):
     return label
 
 
-def _print_homology_table(report: HomologyReport) -> None:
-    label = _generator_labels(report.spec.n)
-    lines = [f"twisted homology: N={report.spec.n} mode={report.spec.mode} "
-             f"bound={report.bound} truncated={report.truncated}",
-             f"sigma: p = ({', '.join(str(c) for c in report.sigma.p)})"]
+def _print_homology_table(config: RunConfig, sigma: ScalingAutomorphism,
+                          report: HomologyReport) -> None:
+    label = _generator_labels(config.n)
+    lines = [f"twisted homology: N={config.n} mode={config.mode} "
+             f"bound={config.bound} truncated={report.truncated}",
+             f"sigma: p = ({', '.join(str(c) for c in sigma.p)})"]
     lines += [f"  n={s.n}  betti={s.betti}  [{', '.join(starmap(label, s.generators))}]"
               for s in report.slices]
     print("\n".join(lines))
@@ -316,8 +356,8 @@ def cmd_homology(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     report = build_report(spec, sigma, config.bound, config.n_max)
-    _emit(config, "homology", report.to_dict())
-    _print_homology_table(report)
+    _emit(config, "homology", _homology_doc(config, sigma, report))
+    _print_homology_table(config, sigma, report)
     return _truncation_exit(config, not report.truncated)
 
 
@@ -355,9 +395,9 @@ def cmd_verify(config: RunConfig) -> int:
 
     _emit(config, "verify", {
         "agreement": comparison.agreement,
-        "cells": [cell.to_dict() for cell in comparison.cells],
-        "checks": {"d_squared": d2.to_dict(),
-                   "homotopy_identity": homotopy.to_dict()},
+        "cells": [_cell_doc(cell) for cell in comparison.cells],
+        "checks": {"d_squared": _check_doc(d2, config.bound),
+                   "homotopy_identity": _check_doc(homotopy, config.bound)},
         "top_class": {"expected_gamma": list(top_gamma),
                       "present": top_present,
                       "required": top_promised},
@@ -371,7 +411,7 @@ def cmd_verify(config: RunConfig) -> int:
     print(f"  top class present: {top_present}"
           + (" (required)" if top_promised else ""))
     for cell in mismatches:
-        print(f"  MISMATCH {cell.to_dict()}")
+        print(f"  MISMATCH {_cell_doc(cell)}")
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
@@ -379,7 +419,7 @@ def cmd_csigma(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
     admissible = enumerate_admissible(spec, sigma, config.bound)
-    _emit(config, "csigma", admissible.to_dict())
+    _emit(config, "csigma", _admissible_doc(admissible, config.bound))
     print(f"admissible multidegrees up to |gamma| <= {config.bound} "
           f"(complete={admissible.complete}):")
     for gamma in admissible.members:
@@ -399,14 +439,18 @@ def cmd_canonical(config: RunConfig) -> int:
 
 def cmd_generic_check(config: RunConfig) -> int:
     spec = config.build_spec()
-    report = is_generic(spec, max(config.bound, 2))
-    _emit(config, "generic-check", report.to_dict())
-    if report.structural:
+    bound = max(config.bound, 2)
+    witness = is_generic(spec, bound)
+    structural = spec.mode == SYMBOLIC
+    _emit(config, "generic-check", {
+        "generic": witness is None, "witness": list(witness) if witness else None,
+        "bound": bound, "structural": structural})
+    if structural:
         print("generic (structurally)")
-    elif report.generic:
-        print(f"generic up to |gamma| <= {report.bound}")
+    elif witness is None:
+        print(f"generic up to |gamma| <= {bound}")
     else:
-        print(f"NOT generic: witness {report.witness}")
+        print(f"NOT generic: witness {witness}")
     return EXIT_OK
 
 

@@ -242,12 +242,6 @@ class ComparisonCell:
     def match(self) -> bool:
         return self.natural_oracle == self.natural_predicted
 
-    def to_dict(self) -> dict:
-        return {"gamma": list(self.gamma), "n": self.n,
-                "natural_oracle": self.natural_oracle,
-                "natural_predicted": self.natural_predicted,
-                "match": self.match, "skipped": self.skipped}
-
 
 @dataclass(frozen=True)
 class ComparisonReport:

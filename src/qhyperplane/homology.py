@@ -42,12 +42,7 @@ class AdmissibleSet:
     """
 
     members: tuple[MultiIndex, ...]
-    bound: int
     complete: bool
-
-    def to_dict(self) -> dict:
-        return {"members": [list(g) for g in self.members],
-                "bound": self.bound, "complete": self.complete}
 
 
 def scan_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
@@ -86,7 +81,7 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
         pivots = _gauss_jordan(rows, len(s))
         if pivots is not None:
             complete &= _solve_support(spec, sigma, s, pivots, bound, members)
-    return AdmissibleSet(_sort_degrees(members), bound, complete)
+    return AdmissibleSet(_sort_degrees(members), complete)
 
 
 def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
@@ -222,20 +217,9 @@ class DegreeSlice:
     def betti(self) -> int:
         return len(self.generators)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "betti": self.betti,
-                "generators": [{"alpha": list(a), "beta": list(b)}
-                               for a, b in self.generators],
-                "grading": [{"gamma": list(g), "count": c}
-                            for g, c in self.grading]}
-
 
 @dataclass(frozen=True)
 class HomologyReport:
-    spec: AlgebraSpec
-    sigma: ScalingAutomorphism
-    bound: int
-    n_max: int
     admissible: AdmissibleSet
     slices: tuple[DegreeSlice, ...]
 
@@ -245,17 +229,6 @@ class HomologyReport:
 
     def betti_list(self) -> list[int]:
         return [s.betti for s in self.slices]
-
-    def to_dict(self) -> dict:
-        return {"mode": self.spec.mode,
-                "n": self.spec.n,
-                "bound": self.bound,
-                "n_max": self.n_max,
-                "sigma": [str(c) for c in self.sigma.p],
-                "truncated": self.truncated,
-                "admissible": self.admissible.to_dict(),
-                "betti": self.betti_list(),
-                "degrees": [s.to_dict() for s in self.slices]}
 
 
 def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
@@ -272,7 +245,7 @@ def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
                                     for b in exterior_under(g, n))),
                     tuple((g, c) for g in members if (c := comb(len(support(g)), n))))
         for n in range(min(n_max, spec.n) + 1))
-    return HomologyReport(spec, sigma, bound, n_max, admissible, slices)
+    return HomologyReport(admissible, slices)
 
 
 def predicted_dims(report: HomologyReport) -> dict[tuple[MultiIndex, int], int]:

@@ -217,22 +217,9 @@ def is_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism, gamma: MultiInd
 # ---------------------------------------------------------------------------
 # genericity
 
-@dataclass(frozen=True)
-class GenericityReport:
-    generic: bool
-    witness: MultiIndex | None
-    bound: int
-    structural: bool
-
-    def to_dict(self) -> dict:
-        return {"generic": self.generic,
-                "witness": list(self.witness) if self.witness is not None else None,
-                "bound": self.bound,
-                "structural": self.structural}
-
-
-def is_generic(spec: AlgebraSpec, bound: int) -> GenericityReport:
-    """Bounded search for a genericity violation.
+def is_generic(spec: AlgebraSpec, bound: int) -> MultiIndex | None:
+    """Bounded search for a genericity violation: the witness, or None when
+    there is none up to the bound.
 
     A witness is a multidegree, supported on at least two generators, whose
     monomial commutes with every generator in its support (multiples of a
@@ -247,5 +234,4 @@ def is_generic(spec: AlgebraSpec, bound: int) -> GenericityReport:
     if bound < 2:
         raise ValueError("bound must be at least 2")
     members = enumerate_admissible(spec, ScalingAutomorphism.identity(spec.n), bound).members
-    witness = next((g for g in members if len(support(g)) >= 2), None)
-    return GenericityReport(witness is None, witness, bound, spec.mode == SYMBOLIC)
+    return next((g for g in members if len(support(g)) >= 2), None)

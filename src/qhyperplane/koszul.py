@@ -53,14 +53,12 @@ BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
 @dataclass(frozen=True)
 class CheckReport:
-    passed: bool
     checked: int
     failures: tuple[str, ...]
-    bound: int
 
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checked": self.checked,
-                "bound": self.bound, "failures": list(self.failures)}
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def check_d_squared(complex_: ReducedComplex, bound: int) -> CheckReport:
             checked += 1
             if _compose(d, d, beta):
                 failures.append(f"d(d{(sub_index(gamma, beta), beta)}) != 0")
-    return CheckReport(not failures, checked, tuple(failures), bound)
+    return CheckReport(checked, tuple(failures))
 
 
 def check_homotopy_identity(complex_: ReducedComplex, bound: int) -> CheckReport:
@@ -171,4 +169,4 @@ def check_homotopy_identity(complex_: ReducedComplex, bound: int) -> CheckReport
             _accumulate(total, beta, -block.scale)
             if total:
                 failures.append(f"(dh+hd){(sub_index(gamma, beta), beta)} != D*id")
-    return CheckReport(not failures, checked, tuple(failures), bound)
+    return CheckReport(checked, tuple(failures))

@@ -8,6 +8,7 @@ argument lists in GOLDEN; regenerate one with
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +31,7 @@ from qhyperplane.qscalar import QPolynomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(qhyperplane.__file__).parent.parent
+FORMAT_DOC = SRC.parent / "docs" / "format.md"
 
 GOLDEN = {
     "homology": ["homology", "--n", "2", "--bound", "4"],
@@ -68,6 +70,67 @@ def test_golden_report_is_byte_identical(name, tmp_path):
         out = tmp_path / f"{attempt}.json"
         assert _run(GOLDEN[name], out) == EXIT_OK
         assert out.read_bytes() == expected
+
+
+def format_tables() -> dict[str, list[list[tuple[set[str], str]]]]:
+    """The field tables of docs/format.md: section title -> its tables, each a
+    list of rows (the backticked names in the first column, the meaning)."""
+    sections, table = {}, None
+    for line in FORMAT_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            tables = sections.setdefault(line[3:].strip("`"), [])
+        if not line.startswith("|"):
+            table = None
+            continue
+        field, meaning = (cell.strip() for cell in line.strip("|").split("|", 1))
+        if names := set(re.findall(r"`([^`]+)`", field)):
+            if table is None:
+                table = []
+                tables.append(table)
+            table.append((names, meaning))
+    return sections
+
+
+def _names(table) -> set[str]:
+    return set().union(*(names for names, _ in table))
+
+
+def _documented_keys(obj: dict, names: set[str]) -> set[str]:
+    """obj's keys as a table names them: a key it does not name stands for
+    its own keys, as key.child."""
+    keys = set()
+    for key, value in obj.items():
+        if key in names or not isinstance(value, dict):
+            keys.add(key)
+        else:
+            keys.update(f"{key}.{child}" for child in value)
+    return keys
+
+
+@pytest.mark.parametrize("command", ["homology", "csigma", "canonical",
+                                     "generic-check", "verify"])
+def test_format_doc_names_every_report_field(command, tmp_path):
+    sections = format_tables()
+    common, config_table = sections["Fields every report has"]
+    tables = sections[command]
+    assert len(tables) == (2 if command == "verify" else 1)
+    out = tmp_path / "report.json"
+    assert _run(GOLDEN[command], out) == EXIT_OK
+    document = json.loads(out.read_text())
+
+    top = _names(common) | _names(tables[0])
+    assert _documented_keys(document, top) == top
+    assert _documented_keys(document["config"], _names(config_table)) == _names(config_table)
+    if command == "verify":
+        assert set(document["cells"][0]) == _names(tables[1])
+    # a field documented as {a, b, ...} is an object with exactly those keys
+    for names, meaning in tables[0]:
+        if braces := re.match(r"`\{([^}]*)\}`", meaning):
+            for name in names:
+                obj = document
+                for part in name.split("."):
+                    obj = obj[part]
+                assert set(obj) == set(braces[1].split(", "))
 
 
 json_trees = st.recursive(
@@ -206,6 +269,11 @@ CONFIG_FILES = {
     # symbolic mode takes no q values, given or chosen
     (["homology", "--n", "2", "--symbolic", "--q", "1,2,3"], EXIT_BAD_CONFIG),
     (["homology", "--n", "2", "--symbolic", "--auto-primes"], EXIT_BAD_CONFIG),
+    # alpha_i + 1 is a q exponent in p, and symbolic exponents stay below 2^32
+    (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "4294967295,0"],
+     EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "4294967294,0",
+      "--allow-truncated"], EXIT_OK),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

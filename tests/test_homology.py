@@ -1,14 +1,16 @@
 """Admissible-set enumeration, homology bases and the admissible-set solver."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebras import apply_sigma, one_parameter
+from algebras import apply_sigma, generic_check, one_parameter
 from koszul_reference import differential
 import qhyperplane.homology
 import qhyperplane.hyperplane
+from qhyperplane.cli import EXIT_OK, main
 from qhyperplane.homology import (build_report, enumerate_admissible,
                                   one_parameter_admissible, predicted_dims,
                                   scan_admissible)
@@ -171,26 +173,35 @@ def test_solver_matches_scan(inputs):
         assert scan_admissible(spec, sigma, bound + 4) == out.members
 
 
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generic")
+
+
 @settings(deadline=None)
 @given(specs(), st.integers(2, 8))
-def test_is_generic_matches_scan(spec, bound):
-    report = is_generic(spec, bound)
+def test_is_generic_matches_scan(workdir, spec, bound):
     identity = ScalingAutomorphism.identity(spec.n)
     witness = next((g for g in scan_admissible(spec, identity, bound)
                     if sum(map(bool, g)) >= 2), None)
-    assert report.witness == witness
-    assert report.generic == (witness is None)
-    assert report.structural == (spec.mode == "symbolic")
+    assert is_generic(spec, bound) == witness
+    document = generic_check(spec, bound, workdir)
+    assert document["witness"] == (list(witness) if witness else None)
+    assert document["generic"] == (witness is None)
+    assert document["structural"] == (spec.mode == "symbolic")
 
 
-def test_generic_check_skips_the_multidegree_scan(monkeypatch):
+def test_generic_check_skips_the_multidegree_scan(monkeypatch, tmp_path):
     calls = []
     for module in (qhyperplane.homology, qhyperplane.hyperplane):
         real = module.is_admissible
         monkeypatch.setattr(module, "is_admissible",
                             lambda *args, real=real: calls.append(args) or real(*args))
-    report = is_generic(primes_spec(6), 11)
-    assert report.generic and report.witness is None
+    out = tmp_path / "generic.json"
+    argv = ["generic-check", "--n", "6", "--auto-primes", "--bound", "11", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    document = json.loads(out.read_text())
+    assert document["generic"] and document["witness"] is None
     assert len(calls) < 200
 
 
@@ -341,13 +352,18 @@ def test_grading_totals_match_betti():
         assert sum(count for _, count in s.grading) == s.betti
 
 
-def test_report_metadata():
+def test_report_metadata(tmp_path):
     report = build_report(Q2, canonical_automorphism(Q2), 6)
-    d = report.to_dict()
+    assert report.betti_list() == [2, 2, 1]
+    assert report.truncated is False
+    assert [s.n for s in report.slices] == [0, 1, 2]
+    out = tmp_path / "homology.json"
+    assert main(["homology", "--symbolic", "--n", "2", "--bound", "6",
+                 "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
     assert d["mode"] == "symbolic" and d["bound"] == 6
     assert d["betti"] == [2, 2, 1]
     assert d["truncated"] is False
-    assert [s.n for s in report.slices] == [0, 1, 2]
 
 
 def test_predicted_dims_track_the_basis():

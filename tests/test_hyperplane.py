@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from algebras import apply_sigma, one_parameter
+from algebras import apply_sigma, generic_check, one_parameter
 from qhyperplane.hyperplane import (NUMERIC, SYMBOLIC, AlgebraSpec,
                                     ScalingAutomorphism, automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
@@ -246,33 +246,38 @@ def test_zero_admissible_for_any_sigma():
 
 # -- genericity --------------------------------------------------------------------
 
-def test_generic_symbolic_structurally():
-    report = is_generic(Q3, 6)
-    assert report.generic and report.structural and report.witness is None
+def test_generic_symbolic_structurally(tmp_path):
+    assert is_generic(Q3, 6) is None
+    report = generic_check(Q3, 6, tmp_path)
+    assert report["generic"] and report["structural"] and report["witness"] is None
 
 
-def test_generic_distinct_primes():
-    report = is_generic(AlgebraSpec.numeric(3, distinct_primes(3)), 6)
-    assert report.generic and report.witness is None
+def test_generic_distinct_primes(tmp_path):
+    spec = AlgebraSpec.numeric(3, distinct_primes(3))
+    assert is_generic(spec, 6) is None
+    report = generic_check(spec, 6, tmp_path)
+    assert report["generic"] and report["witness"] is None
 
 
-def test_not_generic_finds_witness():
+def test_not_generic_finds_witness(tmp_path):
     spec = AlgebraSpec.numeric(3, {(1, 2): Fraction(2), (1, 3): Fraction(1, 2),
                                    (2, 3): Fraction(1)})
-    report = is_generic(spec, 4)
-    assert not report.generic
-    assert report.witness == (0, 1, 1)
+    assert is_generic(spec, 4) == (0, 1, 1)
+    report = generic_check(spec, 4, tmp_path)
+    assert not report["generic"]
+    assert report["witness"] == [0, 1, 1]
 
     spec2 = AlgebraSpec.numeric(3, {(1, 2): Fraction(2), (1, 3): Fraction(1, 2),
                                     (2, 3): Fraction(2)})
-    report2 = is_generic(spec2, 4)
-    assert not report2.generic
-    assert report2.witness == (1, 1, 1)
+    assert is_generic(spec2, 4) == (1, 1, 1)
+    report2 = generic_check(spec2, 4, tmp_path)
+    assert not report2["generic"]
+    assert report2["witness"] == [1, 1, 1]
 
 
-def test_one_parameter_algebra_is_generic():
-    report = is_generic(one_parameter(4, 3), 6)
-    assert report.generic
+def test_one_parameter_algebra_is_generic(tmp_path):
+    assert is_generic(one_parameter(4, 3), 6) is None
+    assert generic_check(one_parameter(4, 3), 6, tmp_path)["generic"]
 
 
 def test_generic_bound_validation():
