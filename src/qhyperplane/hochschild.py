@@ -34,25 +34,27 @@ The change of basis is diagonal, so every rank is that of the plain boundary.
 
 Within a multidegree the ranks go up in degree, on the coboundary d_n
 transposed: its column for a tensor b of degree n-1, a dict {row: int}, holds
-the cofaces of b.  Each splits one slot of b in two, slot i as (x, y) with
-entry (-1)^i, or b_0 as x + y into (x, b_1, ..., b_{n-1}, y) with entry
-(-1)^n chi_gamma(y).  Row a is scaled by den(a), the denominator of
-chi_gamma(a_n), which moves no pivot (see exactlinalg), so every entry is an
-int.  Each coboundary is assembled with clearing: its columns that are pivot
-rows of the reduced coboundary one degree below are left out.  As d_n^T
-d_{n-1}^T = 0 they lie in the span of the columns kept, so every rank stays
-exact, and the kept columns that reduce to zero number dim H_{n-1}; going
-down, most of the kernel of the uncleared d_{n_max+1} would reduce to zero.
+the cofaces of b on the rows they pack to.  Each splits one slot of b in two,
+slot i as (x, y) with entry (-1)^i, or b_0 as x + y into (x, b_1, ...,
+b_{n-1}, y) with entry (-1)^n chi_gamma(y).  Row a is scaled by den(a), the
+denominator of chi_gamma(a_n), which moves no pivot (see exactlinalg), so
+every entry is an int.  Each coboundary is assembled with clearing: the
+columns of the tensors that are pivot rows of the reduced coboundary one
+degree below are left out.  As d_n^T d_{n-1}^T = 0 they lie in the span of
+the columns kept, so every rank stays exact, and the kept columns that reduce
+to zero number dim H_{n-1}; going down, most of the kernel of the uncleared
+d_{n_max+1} would reduce to zero.
 
-A slot is packed into the int sum of a_i R^(N-i), R = bound + 1.  With no
-coordinate past the bound, int order is lex order and y = m - x is one
-subtraction; a gamma past the bound is refused, never aliased.  Divisors are
-enumerated once, in a split table per complex of the pairs (x, y) with
-x + y = m and y nonunit; only it and chi decode digits.  Tails, hence
-bases, recurse through it and the chi weights of gamma are read off its
-splits; tails and splits are kept for later multidegrees, gamma's top tails
-and chi weights are not.  Which cells fit the basis cap is decided in
-compare_with_koszul alone.
+A slot is packed into the int sum of a_i R^(N-i), R = bound + 1, and a tensor
+(a_0, ..., a_k) into the int sum of a_i S^(k-i), S = R^N.  With no coordinate
+past the bound each slot is below S, so int order is lex order on slots and
+tensors alike, and y = m - x is one subtraction; a gamma past the bound is
+refused, never aliased.  A tensor's int is its row, so no row basis is built.
+Divisors are enumerated once, in a split table per complex of the pairs
+(x, y) with x + y = m and y nonunit; only it and chi decode digits.  Tails,
+hence bases, recurse through it, and the chi weights of gamma are read off
+its splits; tails and splits are kept for later multidegrees, chi weights are
+not.  Which cells fit the basis cap is decided in compare_with_koszul alone.
 
 Rank computations need decidable zero, so this module insists on numeric
 mode; symbolic input is specialized at distinct primes that divide no
@@ -74,7 +76,7 @@ from .hyperplane import (AlgebraSpec, MultiIndex, NUMERIC, ScalingAutomorphism,
                          iter_multidegrees, monomial_product, specialize_automorphism, unit)
 from .qscalar import distinct_primes, term
 
-Tensor = tuple[int, ...]    # packed slots
+Tensor = int    # slots a_0..a_k packed as sum a_i S^(k-i), S = R^N
 
 DEFAULT_CELL_CAP = 20000
 
@@ -118,21 +120,22 @@ class HochschildComplex:
                    for k in range(n + 1))
 
     def basis(self, n: int, gamma: MultiIndex) -> list[Tensor]:
-        """Basis tensors of degree n and multidegree gamma, packed, lexicographic:
-        the unit before each n-slot tail, then the (n+1)-slot tails."""
+        """Basis tensors of degree n and multidegree gamma, packed, ascending:
+        the unit-headed ones are the n-slot tails, then the (n+1)-slot tails."""
         m = self._pack(gamma)
-        return [(0,) + tail for tail in self._tails(m, n)] + self._tails(m, n + 1)
+        return self._tails(m, n) + self._tails(m, n + 1)
 
     def _tails(self, m: int, slots: int) -> list[Tensor]:
-        """Tuples of `slots` nonunit monomials with total m, lexicographic;
+        """Tensors of `slots` nonunit monomials with total m, packed, ascending;
         each list is built once per complex."""
         key = (m, slots)
         tails = self._tail_cache.get(key)
         if tails is None:
             if slots == 0:
-                tails = [] if m else [()]
+                tails = [] if m else [0]
             else:   # x descending is the head y ascending
-                tails = [(y,) + tail for x, y in reversed(self._splits(m))
+                place = self._radix ** (self.spec.n * (slots - 1))
+                tails = [y * place + tail for x, y in reversed(self._splits(m))
                          for tail in self._tails(x, slots - 1)]
             self._tail_cache[key] = tails
         return tails
@@ -151,38 +154,36 @@ class HochschildComplex:
     # -- the coboundary ---------------------------------------------------------
 
     def boundary_matrix(self, n: int, gamma: MultiIndex,
-                        cleared: frozenset[int] = frozenset()) -> SparseExactMatrix:
-        """d_n transposed at one multidegree in the rescaled lexicographic bases
-        f: a column of the cofaces a of each tensor b of degree n-1 not in
-        cleared, row a scaled by den(a) so that every entry is an int."""
+                        cleared: frozenset[Tensor] = frozenset()) -> SparseExactMatrix:
+        """d_n transposed at one multidegree in the rescaled bases f: column c
+        holds the cofaces a of the c-th tensor b of basis(n-1, gamma), unless
+        b is in cleared, each on the row a packs to in [0, S^(n+1)) and
+        scaled by den(a) so that every entry is an int."""
+        slot = self._radix ** self.spec.n     # S: every packed slot is below it
         if n < 1:
-            return SparseExactMatrix(len(self.basis(0, gamma)), 0)
-        rows = {t: r for r, t in enumerate(self.basis(n, gamma))}
+            return SparseExactMatrix(slot, 0)
         if self._chi_at[0] != gamma:
             self._chi_at = gamma, self._chi(gamma)
         chi = self._chi_at[1]       # slot -> (num, den) of chi_gamma, for one gamma
-        splits, wrap = self._splits, -1 if n & 1 else 1
+        splits, wrap, low = self._splits, -1 if n & 1 else 1, slot ** (n - 1)
         columns, cols = {}, self.basis(n - 1, gamma)
         for c, b in enumerate(cols):
-            if c in cleared:
+            if b in cleared:
                 continue
-            col = {}    # cofaces from distinct slots never coincide
-            for i, slot in enumerate(b):
-                pairs = splits(slot) if i == 0 else splits(slot)[1:]
-                head, tail, sign = b[:i], b[i + 1:], -1 if i & 1 else 1
-                if tail:
-                    v = sign * chi[b[-1]][1]    # den(a) while a_n = b_{n-1}
-                    for pair in pairs:
-                        col[rows[head + pair + tail]] = v
-                else:
-                    for pair in pairs:
-                        col[rows[head + pair]] = sign * chi[pair[1]][1]
-            rest = b[1:]
-            for x, y in splits(b[0]):
-                a = rows[(x,) + rest + (y,)]
+            col, sign, place = {}, 1, low   # cofaces from distinct slots never coincide
+            for i in range(n):
+                head, tail = divmod(b, place)
+                head, b_i = divmod(head, slot)
+                for x, y in (splits(b_i) if i == 0 else splits(b_i)[1:]):
+                    a = ((head * slot + x) * slot + y) * place + tail
+                    col[a] = sign * chi[a % slot][1]    # den(a), off its last slot
+                sign, place = -sign, place // slot
+            rest = b % low * slot
+            for x, y in splits(b // low):
+                a = x * low * slot + rest + y
                 col[a] = col.get(a, 0) + wrap * chi[y][0]
             columns[c] = col
-        return SparseExactMatrix(len(rows), len(cols), columns)
+        return SparseExactMatrix(slot ** (n + 1), len(cols), columns)
 
     def _chi(self, gamma: MultiIndex) -> dict[int, tuple[int, int]]:
         """(num, den) of chi_gamma(a) in lowest terms for the last slot a of
@@ -210,14 +211,13 @@ class HochschildComplex:
         """dim H_n for n = 0..n_max by rank-nullity at one multidegree, going
         up in degree so that each coboundary is cleared by the pivot rows of
         the one below: dim H_{n-1} = dim C_{n-1} - r_{n-1} - r_n.  No basis
-        is kept, and the (n_max+2)-slot tails, read by the top basis alone, go."""
+        is kept, and none above degree n_max is built."""
         dims, rank_below, cleared = [], 0, frozenset()
         for n in range(1, n_max + 2):
             delta = self.boundary_matrix(n, gamma, cleared)
             rank = delta.rank()
             dims.append(delta.n_cols - rank_below - rank)
             rank_below, cleared = rank, delta.pivot_rows
-        self._tail_cache.pop((self._pack(gamma), n_max + 2), None)
         return dims
 
 

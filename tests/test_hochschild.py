@@ -41,21 +41,31 @@ COMPLEXES = [
 ]
 
 
-def unpacked(complex_, tensor):
-    """A tensor of packed slots as a tuple of multi-indices: slot m holds
-    the digits of m in radix R = bound + 1, the first generator's leading."""
-    def digits(m):
-        out = []
-        for _ in range(complex_.spec.n):
-            m, d = divmod(m, complex_._radix)
-            out.append(d)
-        return tuple(reversed(out))
-
-    return tuple(map(digits, tensor))
+def unpacked(complex_, tensor, n):
+    """A packed tensor of degree n as its n + 1 multi-indices: the tensor is
+    the int sum of a_i S^(n-i), S = R^N, and slot a_i the int sum of its
+    coordinates times R^(N-j), R = bound + 1, the first generator's leading."""
+    digits = []
+    for _ in range((n + 1) * complex_.spec.n):
+        tensor, d = divmod(tensor, complex_._radix)
+        digits.append(d)
+    assert tensor == 0, "more than n + 1 slots"
+    digits.reverse()
+    return tuple(tuple(digits[i:i + complex_.spec.n])
+                 for i in range(0, len(digits), complex_.spec.n))
 
 
 def unpacked_basis(complex_, n, gamma):
-    return [unpacked(complex_, t) for t in complex_.basis(n, gamma)]
+    return [unpacked(complex_, t, n) for t in complex_.basis(n, gamma)]
+
+
+def by_position(complex_, delta, n, gamma):
+    """boundary_matrix(n, gamma) with each row, a packed tensor below
+    S^(n+1), moved to its position in basis(n, gamma): the reference helpers
+    allocate every row, so they are never handed the packed rows."""
+    position = {t: r for r, t in enumerate(complex_.basis(n, gamma))}
+    return SparseExactMatrix(complex_.basis_size(n, gamma), delta.n_cols, {
+        c: {position[a]: v for a, v in col.items()} for c, col in delta.columns.items()})
 
 
 def _cells(n_generators):
@@ -200,7 +210,7 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
     spec = complex_.spec
     for gamma in _cells(spec.n) + [(3, 2)[:spec.n] + (1,) * (spec.n - 2)]:
         for n in (1, 2, 3):
-            rescaled = complex_.boundary_matrix(n, gamma)
+            rescaled = by_position(complex_, complex_.boundary_matrix(n, gamma), n, gamma)
             plain = _normalized_reference(complex_, n, gamma)
             rows = unpacked_basis(complex_, n, gamma)
             cols = unpacked_basis(complex_, n - 1, gamma)
@@ -219,14 +229,20 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
 def test_stored_columns_hold_nonzero_ints_in_range(complex_):
     # boundary_matrix hands its columns to the matrix as they are, so each
     # must hold only nonzero ints on rows of the basis: under the identity
-    # twist the wrap-around face cancels an inner one, and the zero is dropped
+    # twist the wrap-around face cancels an inner one, and the zero is dropped.
+    # A row is the coface itself, packed, so it is a tensor of the basis, and
+    # int order on rows is lex order on their slots
     for gamma in _cells(complex_.spec.n):
         for n in (1, 2, 3):
             delta = complex_.boundary_matrix(n, gamma)
+            basis = set(complex_.basis(n, gamma))
             for c, column in delta.columns.items():
                 assert 0 <= c < delta.n_cols and column
                 assert all(type(v) is int and v != 0 for v in column.values())
                 assert all(0 <= r < delta.n_rows for r in column)
+                assert basis.issuperset(column)
+                assert ([unpacked(complex_, r, n) for r in sorted(column)]
+                        == sorted(unpacked(complex_, r, n) for r in column))
 
 
 @settings(max_examples=120, deadline=None)
@@ -255,8 +271,10 @@ def test_natural_dims_match_the_plain_boundary(case, n_max):
 
 
 def _transposed_boundary(complex_, n, gamma):
-    """d_n transposed: the rows of boundary_matrix(n, gamma) divided by den."""
-    delta, rows = complex_.boundary_matrix(n, gamma), unpacked_basis(complex_, n, gamma)
+    """d_n transposed: the rows of boundary_matrix(n, gamma), by position,
+    divided by den."""
+    delta = by_position(complex_, complex_.boundary_matrix(n, gamma), n, gamma)
+    rows = unpacked_basis(complex_, n, gamma)
     return from_entries(delta.n_rows, delta.n_cols, {
         (a, b): Fraction(v, _den(complex_, rows[a])) for (a, b), v in delta.entries.items()})
 
@@ -282,7 +300,9 @@ def test_cleared_columns_leave_the_rank_unchanged(complex_):
             assert len(below.pivot_rows) == rank_below
             delta = complex_.boundary_matrix(n + 1, gamma)
             cleared = complex_.boundary_matrix(n + 1, gamma, below.pivot_rows)
-            assert not any(c in below.pivot_rows for _, c in cleared.entries)
+            cols = complex_.basis(n, gamma)
+            assert below.pivot_rows <= set(cols)
+            assert not any(cols[c] in below.pivot_rows for _, c in cleared.entries)
             assert cleared.rank() == delta.rank()
 
 
@@ -296,7 +316,8 @@ def test_clearing_uses_the_pivots_of_the_degree_below():
 
 def _uncleared_dims(complex_, gamma, n_max):
     def rank(n):
-        return reference_rank(complex_.boundary_matrix(n, gamma))
+        return reference_rank(by_position(complex_, complex_.boundary_matrix(n, gamma),
+                                          n, gamma))
 
     return [len(complex_.basis(n, gamma)) - rank(n) - rank(n + 1)
             for n in range(n_max + 1)]
@@ -385,18 +406,33 @@ def test_natural_dims_releases_the_bases_of_its_multidegree():
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
 
 
-def test_natural_dims_drops_the_top_tails_of_its_multidegree():
-    # only basis(n_max + 1, gamma) reads the (n_max + 2)-slot tails of gamma,
-    # so they are gone once natural_dims returns; the one-slot-shorter ones
+def test_natural_dims_never_builds_the_top_tails_of_its_multidegree(monkeypatch):
+    # the coboundary d_{n_max+1} has the tensors of degree n_max as columns
+    # and its cofaces as packed rows, so natural_dims asks for no basis above
+    # degree n_max and no tail of n_max + 2 slots; the (n_max + 1)-slot tails
     # stay, and every later multidegree gets the dimensions a fresh complex
     # gives
+    degrees, slots = [], []
+    basis, tails = HochschildComplex.basis, HochschildComplex._tails
+
+    def basis_spy(self, n, gamma):
+        degrees.append(n)
+        return basis(self, n, gamma)
+
+    def tails_spy(self, m, k):
+        slots.append(k)
+        return tails(self, m, k)
+
+    monkeypatch.setattr(HochschildComplex, "basis", basis_spy)
+    monkeypatch.setattr(HochschildComplex, "_tails", tails_spy)
     complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3), 5)
     for gamma in iter_multidegrees(3, 5):
         dims = complex_.natural_dims(gamma, 2)
         assert (complex_._pack(gamma), 4) not in complex_._tail_cache
         assert (complex_._pack(gamma), 3) in complex_._tail_cache
         assert dims == HochschildComplex(PRIMES3, complex_.sigma, 5).natural_dims(gamma, 2)
-    # what is dropped was there: four nonunit slots fit in total degree 4
+    assert max(degrees) == 2 and max(slots) == 3
+    # what is never built exists: four nonunit slots fit in total degree 4
     assert complex_._tails(complex_._pack((1, 1, 2)), 4)
 
 
@@ -544,7 +580,7 @@ def test_chi_is_the_fraction_formula(case):
     spec = AlgebraSpec.numeric(n, dict(zip(all_pairs(n), map(Fraction, q))))
     sigma = ScalingAutomorphism.from_rationals(p)
     complex_ = HochschildComplex(spec, sigma, 4)
-    weights = {unpacked(complex_, (y,))[0]: v for y, v in complex_._chi(gamma).items()}
+    weights = {unpacked(complex_, y, 0)[0]: v for y, v in complex_._chi(gamma).items()}
     expected = {}
     for y in product(*(range(g + 1) for g in gamma)):
         if any(y):
