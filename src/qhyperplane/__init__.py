@@ -14,13 +14,13 @@ from .hyperplane import (AlgebraSpec, ScalingAutomorphism, automorphism_for_top_
                          canonical_automorphism, commutation_factor, is_admissible,
                          is_generic, monomial_product, sigma_commutes_at)
 from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
-from .qscalar import QPolynomial
+from .qscalar import QMonomial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "HochschildComplex", "HomologyReport",
-    "QPolynomial", "ReducedComplex", "ScalingAutomorphism",
+    "QMonomial", "ReducedComplex", "ScalingAutomorphism",
     "SparseExactMatrix", "automorphism_for_top_class",
     "build_report", "canonical_automorphism", "check_d_squared",
     "check_homotopy_identity", "commutation_factor", "compare_with_koszul",

@@ -11,32 +11,36 @@ With c_i(g) the factor in x^g x_i = c_i(g) x_i x^g, moving slot i out of
 x^alpha (x) x^beta weighs (-1)^{|beta below i|} (c_i(u) - p_i / c_i(v)), u
 being beta below i and alpha above it and v the mirrored split.  As c_i is
 multiplicative and blind to coordinate i, c_i(u) c_i(v) = c_i(gamma) for
-gamma = alpha+beta, so the weight is (-1)^{|beta below i|} c_i(u) delta_i(gamma)
-with the commutation defect delta_i(gamma) = 1 - p_i / c_i(gamma), computed
-once per multidegree.  It vanishes exactly when x_i sigma-commutes with
-x^gamma, so the failing indices F(gamma) are its nonzero entries on the
-support.
+gamma = alpha+beta, so the weight is delta_i(gamma) s, with the signed factor
+s = (-1)^{|beta below i|} c_i(u) and the commutation defect delta_i(gamma) =
+1 - p_i / c_i(gamma).  The defect vanishes exactly when x_i sigma-commutes
+with x^gamma, so over one multidegree d = sum delta_i(gamma) del_i over the
+failing indices i in F(gamma), where del_i is the move of slot i weighted by
+s alone.  The homotopy h moves x_{i0} of x^alpha, i0 = min F(gamma), back
+into its empty slot i0 with weight s^{-1}, and no other slot.
 
-The contracting homotopy would divide by these defects, so it is built scaled.
-Multiplication by one delta_i is already null-homotopic on a Koszul complex,
-through the move of x_i back into slot i, so h moves only the first failing
-slot i0 = min F(gamma) and the check is dh + hd = D(gamma) id with D(gamma) =
-delta_{i0}(gamma), or 0 where F is empty, on the admissible multidegrees.
-Elsewhere D(gamma) is a nonzero element of Q or of the Laurent polynomials
-over Q, both integral domains, so the scaled identity holds exactly when the
-unscaled homotopy contracts.
+The checks run on del = sum del_i over F(gamma), never on a defect.  Each
+delta_i(gamma), i in F(gamma), is a nonzero constant of the block, in Q or
+in the Laurent polynomials over Q, both integral domains, and each pair of
+slots lands on its own target: beta - e_i - e_j for d^2, and beta + e_{i0} -
+e_i for dh + hd.  So, basis element by basis element, d^2 beta = 0 exactly
+when del^2 beta = 0, and (dh + hd) beta = delta_{i0}(gamma) beta exactly when
+(del h + h del) beta = beta: h / delta_{i0}(gamma) contracts the block.  On
+the admissible multidegrees F is empty and both sides vanish, so the check
+is del h + h del = D(gamma) id with D(gamma) = 1 where F(gamma) is non-empty
+and 0 where it is empty.
 
-Since d and h keep gamma fixed and a basis element over gamma is just its
+Since del and h keep gamma fixed and a basis element over gamma is just its
 exterior part beta inside supp gamma, the complex is held as one block per
-multidegree, built on first use: the d weights beta -> beta - e_i, the h
-weights beta -> beta + e_{i0} and D(gamma).  An edge beta -> beta + e_i has
-one signed factor s, giving d the weight s delta_i and, if i = i0, h the
-weight s^{-1}.  The checks d^2 = 0 and dh + hd = D(gamma) id compose the block
+multidegree, built on first use: the del weights beta -> beta - e_i, the h
+weights beta -> beta + e_{i0} and D(gamma).  The checks compose the block
 maps for every beta of every gamma up to the bound; handed one complex, the
 two checks build each block once.
 
-Coefficients are exact and use +, - and * only, never a quotient: every
-weight in numeric mode is a Fraction, and every symbolic one a QPolynomial.
+Every weight is a Fraction or, in symbolic mode, a QMonomial c * q^m, a
+single term either way, so a composite sums the coefficients c of its
+products keyed by (target beta, packed monomial m): the checks add ints or
+Fractions, never symbolic scalars.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from dataclasses import dataclass
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
-                         sub_index, support, unit)
-from .qscalar import Scalar
+                         sigma_commutes_at, sub_index, support, unit)
+from .qscalar import Coefficient, Monomial, QMonomial, Scalar
 
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
@@ -64,15 +68,16 @@ class CheckReport:
 @dataclass(frozen=True)
 class Block:
     """The complex over one multidegree gamma, where a basis element is its
-    exterior part beta: d and the scaled h (slot i0 only) map each beta, in
-    exterior_under order, to its (target beta, weight) pairs; scale is D(gamma)."""
+    exterior part beta: d holds the moves del and h the homotopy (slot i0
+    only), each mapping beta, in exterior_under order, to its (target beta,
+    weight) pairs; scale is D(gamma), 1 off the admissible multidegrees."""
     d: BlockMap
     h: BlockMap
-    scale: Scalar
+    scale: int
 
 
 class ReducedComplex:
-    """Per-multidegree blocks of d and the scaled h for one (Q, sigma)."""
+    """Per-multidegree blocks of del and h for one (Q, sigma)."""
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
         if sigma.n != spec.n:
@@ -81,17 +86,10 @@ class ReducedComplex:
         self.sigma = sigma
         self._blocks: dict[MultiIndex, Block] = {}
 
-    # -- coefficients -------------------------------------------------------
-
     def _signed_factor(self, alpha: MultiIndex, beta: MultiIndex, i: int) -> Scalar:
         """(-1)^{|beta below i|} c_i(u), u = beta below i and alpha above."""
         c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
         return -c if sum(beta[:i - 1]) % 2 else c
-
-    def defects(self, gamma: MultiIndex) -> tuple[Scalar, ...]:
-        """delta_i(gamma) = 1 - p_i / c_i(gamma) for i = 1..N."""
-        return tuple(1 - p * commutation_factor(self.spec, gamma, i) ** -1
-                     for i, p in enumerate(self.sigma.p, start=1))
 
     def block(self, gamma: MultiIndex) -> Block:
         """The block of gamma, built on first use."""
@@ -101,10 +99,10 @@ class ReducedComplex:
         return cached
 
     def _build_block(self, gamma: MultiIndex) -> Block:
-        """Every weight of gamma's block: d moves the failing slots i only, as
-        delta_i(gamma) is zero on the others, and h the first of them only."""
-        defects = self.defects(gamma)
-        failing = [i for i in support(gamma) if defects[i - 1]]
+        """Every weight of gamma's block: del moves the failing slots i only,
+        as delta_i(gamma) is zero on the others, and h the first of them only."""
+        failing = [i for i in support(gamma)
+                   if not sigma_commutes_at(self.spec, self.sigma, gamma, i)]
         betas = exterior_under(gamma)
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
@@ -114,23 +112,30 @@ class ReducedComplex:
                 if not beta[i - 1]:
                     s = self._signed_factor(sub_index(gamma, beta), beta, i)
                     up = add_index(beta, e)
-                    d[up].append((beta, defects[i - 1] * s))
+                    d[up].append((beta, s))
                     if i == failing[0]:
                         h[beta].append((up, s ** -1))
-        return Block(d, h, defects[failing[0] - 1] if failing else 0)
+        return Block(d, h, 1 if failing else 0)
 
 
-def _accumulate(out: dict, key, value) -> None:
-    merged = out.get(key, 0) + value
-    if not merged:
-        out.pop(key, None)
+Terms = dict[tuple[MultiIndex, Monomial], Coefficient]
+
+
+def _accumulate(out: Terms, target: MultiIndex, value: Scalar) -> None:
+    """Add the term value to out at target, keyed by its packed monomial."""
+    if isinstance(value, QMonomial):
+        key, c = (target, value.m), value.c
     else:
+        key, c = (target, 0), value
+    merged = out.get(key, 0) + c
+    if merged:
         out[key] = merged
+    else:
+        out.pop(key, None)
 
 
-def _compose(first: BlockMap, second: BlockMap, beta: MultiIndex) -> dict[MultiIndex, Scalar]:
-    """second(first(beta)) inside one block."""
-    out: dict[MultiIndex, Scalar] = {}
+def _compose(first: BlockMap, second: BlockMap, beta: MultiIndex, out: Terms) -> Terms:
+    """Add second(first(beta)) to out inside one block."""
     for middle, w in first[beta]:
         for target, v in second[middle]:
             _accumulate(out, target, w * v)
@@ -141,31 +146,31 @@ def _compose(first: BlockMap, second: BlockMap, beta: MultiIndex) -> dict[MultiI
 # exhaustive checks
 
 def check_d_squared(complex_: ReducedComplex, bound: int) -> CheckReport:
-    """d(d x) = 0 on every basis element up to the bound."""
+    """d(d x) = 0 on every basis element up to the bound, checked as
+    del(del x) = 0."""
     failures = []
     checked = 0
     for gamma in iter_multidegrees(complex_.spec.n, bound):
         d = complex_.block(gamma).d
         for beta in d:
             checked += 1
-            if _compose(d, d, beta):
+            if _compose(d, d, beta, {}):
                 failures.append(f"d(d{(sub_index(gamma, beta), beta)}) != 0")
     return CheckReport(checked, tuple(failures))
 
 
 def check_homotopy_identity(complex_: ReducedComplex, bound: int) -> CheckReport:
-    """dh + hd = D(gamma) id for the scaled h on every basis element up to the
-    bound; both sides vanish on admissible multidegrees, and this dichotomy
-    is what makes the homology basis exactly the admissible symbols."""
+    """dh + hd = delta_{i0}(gamma) id on every basis element up to the bound,
+    checked as del h + h del = D(gamma) id; both sides vanish on admissible
+    multidegrees, and this dichotomy is what makes the homology basis exactly
+    the admissible symbols."""
     failures = []
     checked = 0
     for gamma in iter_multidegrees(complex_.spec.n, bound):
         block = complex_.block(gamma)
         for beta in block.d:
             checked += 1
-            total = _compose(block.h, block.d, beta)
-            for key, c in _compose(block.d, block.h, beta).items():
-                _accumulate(total, key, c)
+            total = _compose(block.d, block.h, beta, _compose(block.h, block.d, beta, {}))
             _accumulate(total, beta, -block.scale)
             if total:
                 failures.append(f"(dh+hd){(sub_index(gamma, beta), beta)} != D*id")

@@ -2,15 +2,16 @@
 
 All coefficients are exact, and there are two kinds of scalar:
 
-    Fraction     a scalar with no q in it, in symbolic and numeric mode alike
-    QPolynomial  a Laurent polynomial in the q_ij (one symbol per pair i < j)
+    Fraction   a scalar with no q in it, in symbolic and numeric mode alike
+    QMonomial  a signed Laurent monomial c * q^m in the q_ij (one symbol per
+               pair i < j), with c a nonzero rational
 
-A polynomial is a dict from Laurent monomial to nonzero coefficient, held by
-a QPolynomial.  A coefficient is an int, and a Fraction only where its
-denominator is not 1: every operation stores an integer as an int, so the
-canonical and solve-top twists compute in ints alone.  A single term c * q^m
-is the polynomial {m: c}, ``symbol`` builds the term q_ij, and ``term`` reads
-c and m's exponents back.
+No scalar is a sum: the symbols enter only through products and powers of
+the q_ij and the p_i of a twist, so every symbolic scalar is a single term.
+The coefficient c is an int, and a Fraction only where its denominator is
+not 1: every operation stores an integer as an int, so the canonical and
+solve-top twists compute in ints alone.  ``symbol`` builds the term q_ij,
+and ``term`` reads c and m's exponents back.
 
 A monomial prod q_ij^e is one int, sum e * 2^(W k) (Kronecker substitution):
 k = (j-1)(j-2)/2 + i-1 numbers the pairs i < j whatever N is, and each
@@ -22,12 +23,12 @@ exponent of its result reaches 2^32, and ** +-1 only negates, so every
 exponent is a sum of exponents below 2^32, one per symbol or power factor:
 a field overflows only in a product of 2^31 or more factors.
 
-Both kinds of scalar mix under + and *, negate, and subtract from a rational,
-and ``specialize`` evaluates either at nonzero rationals, one per pair i < j,
-such as ``distinct_primes`` returns.  No quotient of polynomials exists: a
-single term is inverted by ``** -1``, and nothing else symbolic is divided.
-No floating point appears anywhere; homology ranks are discrete and
-unforgiving of rounding.
+Both kinds of scalar mix under *, and negate; there is no +, so a
+QMonomial meets a rational only as a factor, and a zero factor gives the
+rational 0.  ``specialize`` evaluates either at nonzero rationals, one per
+pair i < j, such as ``distinct_primes`` returns.  A term is inverted by
+``** -1``, and nothing else symbolic is divided.  No floating point appears
+anywhere; homology ranks are discrete and unforgiving of rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ Pair = tuple[int, int]
 Coefficient = int | Fraction
 Monomial = int                               # packed exponents, 0 is 1
 Exponents = tuple[tuple[Pair, int], ...]     # ((i, j), e), e nonzero, sorted
-Polynomial = dict[Monomial, Coefficient]
 
 W = 64
 _HALF = 1 << (W - 1)
@@ -93,153 +93,88 @@ def _mono_str(a: Monomial) -> str:
 def specialize(value, q: Mapping[Pair, Fraction]) -> Fraction:
     """Evaluate any scalar at the values q[i, j] of the q_ij, i < j; a
     rational is its own value."""
-    if isinstance(value, QPolynomial):
-        return sum((c * prod((q[pair] ** e for pair, e in _mono_items(m)), start=Fraction(1))
-                    for m, c in value.num.items()), Fraction(0))
+    if isinstance(value, QMonomial):
+        return value.c * prod((q[pair] ** e for pair, e in _mono_items(value.m)),
+                              start=Fraction(1))
     return Fraction(value)
 
-
-# ---------------------------------------------------------------------------
-# polynomials: dicts from packed monomial to nonzero coefficient
 
 def _coef(c: Fraction | int) -> Coefficient:
     """A rational coefficient as an int when its denominator is 1."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = dict(a)
-    for m, c in b.items():
-        s = out[m] + c if m in out else c
-        if s:
-            out[m] = _coef(s)
-        else:
-            del out[m]
-    return out
+class QMonomial:
+    """The signed Laurent monomial c * q^m: a nonzero int or Fraction c and a
+    packed monomial m, so equality compares the two.
 
-
-def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    # a factor +-q^m shifts the monomials of the other one by m, injectively,
-    # so no two terms merge and none cancels
-    for single, other in ((b, a), (a, b)):
-        if len(single) == 1:
-            (m, c), = single.items()
-            if c == 1:
-                return {m2 + m: c2 for m2, c2 in other.items()}
-            if c == -1:
-                return {m2 + m: -c2 for m2, c2 in other.items()}
-    out: Polynomial = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m, c = m1 + m2, c1 * c2
-            out[m] = out[m] + c if m in out else c
-    return {m: _coef(c) for m, c in out.items() if c}
-
-
-def _term_str(c: Coefficient, m: Monomial) -> str:
-    if not m:
-        return str(c)
-    if c == 1:
-        return _mono_str(m)
-    if c == -1:
-        return "-" + _mono_str(m)
-    return f"{c}*{_mono_str(m)}"
-
-
-def _poly_str(a: Polynomial) -> str:
-    if not a:
-        return "0"
-    terms = sorted(a.items(), key=lambda mc: _mono_str(mc[0]))
-    return " + ".join(_term_str(c, m) for m, c in terms)
-
-
-class QPolynomial:
-    """Laurent polynomial in the q_ij: a dict from packed monomial to nonzero
-    int or Fraction coefficient, canonical term by term, so equality is dict
-    equality.
-
-    Operands may be QPolynomials, Fractions or ints; a rational factor
-    scales the terms without a polynomial product.  There is no division:
-    the Laurent polynomials form a ring, not a field, so only a single term
-    has powers here, negative ones included.
+    A rational factor scales c, and a zero one gives the rational 0, never a
+    zero term.  There is no sum and no division: only powers, negative ones
+    included, and products, which stay single terms.
     """
 
-    __slots__ = ("num",)
+    __slots__ = ("c", "m")
 
-    def __init__(self, num: Polynomial):
-        self.num = num
+    def __init__(self, c: Coefficient, m: Monomial):
+        self.c = c
+        self.m = m
 
-    def __add__(self, other) -> "QPolynomial":
-        return QPolynomial(_poly_add(self.num, _lift(other).num))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({m: -c for m, c in self.num.items()})
-
-    def __rsub__(self, other) -> "QPolynomial":
-        return -self + other
-
-    def __mul__(self, other) -> "QPolynomial":
-        if isinstance(other, (Fraction, int)):
-            other = _coef(other)
-            return QPolynomial({m: _coef(c * other) for m, c in self.num.items()} if other else {})
-        return QPolynomial(_poly_mul(self.num, _lift(other).num))
+    def __mul__(self, other) -> "QMonomial | Fraction":
+        if isinstance(other, QMonomial):
+            return QMonomial(_coef(self.c * other.c), self.m + other.m)
+        if not isinstance(other, (Fraction, int)):
+            return NotImplemented
+        return QMonomial(_coef(self.c * other), self.m) if other else Fraction(0)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPolynomial":
-        c, m = _single(self)
-        if abs(n) > 1 and any(abs(e) >= 1 << 32 for _, e in _mono_items(m * n)):
-            raise OverflowError(f"({self}) ** {n} has an exponent of 2^32 or more")
-        return QPolynomial({m * n: c ** abs(n) if c in (1, -1) else _coef(Fraction(c) ** n)})
+    def __neg__(self) -> "QMonomial":
+        return QMonomial(-self.c, self.m)
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
+    def __pow__(self, n: int) -> "QMonomial":
+        m = self.m * n
+        if abs(n) > 1 and any(abs(e) >= 1 << 32 for _, e in _mono_items(m)):
+            raise OverflowError(f"({self}) ** {n} has an exponent of 2^32 or more")
+        c = self.c
+        return QMonomial(c ** abs(n) if c in (1, -1) else _coef(Fraction(c) ** n), m)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (QPolynomial, Fraction, int)):
-            return NotImplemented
-        return self.num == _lift(other).num
+        if isinstance(other, QMonomial):
+            return self.c == other.c and self.m == other.m
+        if isinstance(other, (Fraction, int)):
+            return not self.m and self.c == other
+        return NotImplemented
 
     def __str__(self) -> str:
-        return _poly_str(self.num)
+        c, m = self.c, self.m
+        if not m:
+            return str(c)
+        if c == 1:
+            return _mono_str(m)
+        if c == -1:
+            return "-" + _mono_str(m)
+        return f"{c}*{_mono_str(m)}"
 
 
-Scalar = Fraction | QPolynomial
+Scalar = Fraction | QMonomial
 
 
 def scalar_prod(factors: Iterator[Scalar]) -> Scalar:
     """The product, Fraction(1) if empty, started at the first factor: no
-    QPolynomial goes through Fraction.__mul__ to its own __rmul__."""
+    QMonomial goes through Fraction.__mul__ to its own __rmul__."""
     return prod(factors, start=next(factors, Fraction(1)))
 
 
-def symbol(i: int, j: int) -> QPolynomial:
-    """The symbol q_ij, i < j, as the one-term polynomial q_ij."""
+def symbol(i: int, j: int) -> QMonomial:
+    """The symbol q_ij, i < j, as the term 1 * q_ij."""
     if not 1 <= i < j:
         raise ValueError(f"q({i},{j}) needs 1 <= i < j")
-    return QPolynomial({1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)): 1})
+    return QMonomial(1, 1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)))
 
 
 def term(value: Scalar) -> tuple[Coefficient, Exponents]:
-    """(c, exponents of m) for a scalar that is the single term c * q^m; a
-    rational is its own term.  A sum, or the zero polynomial, raises
-    ValueError."""
-    if not isinstance(value, QPolynomial):
-        return Fraction(value), ()
-    c, m = _single(value)
-    return c, _mono_items(m)
-
-
-def _single(value: QPolynomial) -> tuple[Coefficient, Monomial]:
-    if len(value.num) != 1:
-        raise ValueError(f"{value} is not a single term")
-    (m, c), = value.num.items()
-    return c, m
-
-
-def _lift(value: "Scalar | int") -> QPolynomial:
-    if isinstance(value, QPolynomial):
-        return value
-    return QPolynomial({0: _coef(value)} if value else {})
+    """(c, exponents of m) for the scalar c * q^m; a rational is its own
+    term, with no exponents."""
+    if isinstance(value, QMonomial):
+        return value.c, _mono_items(value.m)
+    return Fraction(value), ()

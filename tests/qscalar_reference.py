@@ -1,8 +1,9 @@
-"""Test-only reference for the Laurent polynomials of qscalar: the arithmetic
-that packed monomials and int coefficients replaced.  A monomial is a sorted
-tuple of ((i, j), e) with i < j and e nonzero, the empty tuple being 1, and a
+"""Test-only Laurent polynomials in the q_ij.  A monomial is a sorted tuple of
+((i, j), e) with i < j and e nonzero, the empty tuple being 1, and a
 polynomial is a dict from monomial to nonzero Fraction.  The tests compare
-QPolynomial with RefPolynomial operation by operation."""
+qscalar's terms, QMonomials, with one-term RefPolynomials operation by
+operation, and the Koszul reference builds its defects 1 - p_i / c_i(gamma),
+which are sums, from RefPolynomials."""
 
 from __future__ import annotations
 
@@ -76,6 +77,12 @@ class RefPolynomial:
     def __neg__(self) -> "RefPolynomial":
         return RefPolynomial({m: -c for m, c in self.num.items()})
 
+    def __sub__(self, other) -> "RefPolynomial":
+        return self + -_lift(other)
+
+    def __rsub__(self, other) -> "RefPolynomial":
+        return -self + other
+
     def __mul__(self, other) -> "RefPolynomial":
         out: Polynomial = {}
         for m1, c1 in self.num.items():
@@ -93,6 +100,9 @@ class RefPolynomial:
 
     def __eq__(self, other) -> bool:
         return self.num == _lift(other).num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __str__(self) -> str:
         if not self.num:

@@ -27,7 +27,7 @@ from qhyperplane import homology, qscalar
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hyperplane import iter_multidegrees
 from qhyperplane.koszul import ReducedComplex
-from qhyperplane.qscalar import QPolynomial
+from qhyperplane.qscalar import QMonomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(qhyperplane.__file__).parent.parent
@@ -299,7 +299,7 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     def refuse_symbol(*args):
         raise AssertionError(f"numeric mode built the symbol q{args}")
 
-    monkeypatch.setattr(QPolynomial, "__init__", refuse)
+    monkeypatch.setattr(QMonomial, "__init__", refuse)
     callers = [m for name, m in sys.modules.items()
                if name.startswith("qhyperplane")
                and getattr(m, "symbol", None) is qscalar.symbol]
@@ -310,35 +310,35 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
 
 
 def _stored_coefficients(monkeypatch) -> list:
-    """Every coefficient stored in a QPolynomial from now on, by a spy on
+    """Every coefficient stored in a QMonomial from now on, by a spy on
     its constructor."""
     stored = []
-    init = QPolynomial.__init__
+    init = QMonomial.__init__
 
-    def spy(self, num):
-        stored.extend(num.values())
-        init(self, num)
+    def spy(self, c, m):
+        stored.append(c)
+        init(self, c, m)
 
-    monkeypatch.setattr(QPolynomial, "__init__", spy)
+    monkeypatch.setattr(QMonomial, "__init__", spy)
     return stored
 
 
 def test_symbolic_checks_compute_in_ints(monkeypatch):
-    # the canonical twist keeps every symbolic coefficient an integer, and
-    # each one is stored as an int, never as a Fraction
+    # the canonical twist keeps every symbolic coefficient a sign, and each
+    # one is stored as the int 1 or -1, never as a Fraction
     stored = _stored_coefficients(monkeypatch)
     assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0", "--symbolic"]) == EXIT_OK
-    assert stored and all(type(c) is int for c in stored)
+    assert stored and all(type(c) is int and c in (1, -1) for c in stored)
 
 
-def test_a_proper_fraction_in_sigma_falls_back_to_fractions(monkeypatch):
-    # p_1 = 2/3 brings Fractions in; an integer is still stored as an int
+def test_a_proper_fraction_in_sigma_stays_out_of_the_symbolic_terms(monkeypatch):
+    # p_1 = 2/3 meets the q_ij only where sigma-commutation is decided, by
+    # comparison: the moves and the homotopy never multiply by a p_i, so
+    # every stored coefficient is still the int 1 or -1
     stored = _stored_coefficients(monkeypatch)
     assert main(["verify", "--symbolic", "--n", "2", "--automorphism", "explicit",
                  "--p", "2/3,5"]) == EXIT_OK
-    assert any(type(c) is Fraction for c in stored)
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in stored)
+    assert stored and all(type(c) is int and c in (1, -1) for c in stored)
 
 
 @pytest.mark.parametrize("argv", [

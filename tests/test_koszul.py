@@ -1,7 +1,9 @@
-"""The reduced complex: differential and homotopy weights, d^2 = 0, and the
-contraction identity dh + hd = D(gamma) id for the homotopy that moves only
-the first failing slot i0 = min F(gamma), scaled by its defect
-D(gamma) = delta_{i0}(gamma), zero exactly on the admissible multidegrees."""
+"""The reduced complex: the moves del and the homotopy that moves only the
+first failing slot i0 = min F(gamma), checked against the complex with the
+defects delta_i(gamma) = 1 - p_i / c_i(gamma), which lives here alone: d^2 = 0
+and dh + hd = delta_{i0}(gamma) id, zero exactly on the admissible
+multidegrees, hold exactly where del^2 = 0 and del h + h del = D(gamma) id
+do."""
 
 import sys
 from collections import Counter
@@ -12,17 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import apply_sigma, one_parameter
-from koszul_reference import differential, homotopy
+from koszul_reference import add_term, defect, differential, homotopy, ref
 from qhyperplane.cli import EXIT_OK, main
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     exterior_under, is_admissible, iter_multidegrees,
                                     monomial_product, specialize_automorphism,
-                                    sub_index, unit)
+                                    sub_index, support, unit)
 from qhyperplane.koszul import (ReducedComplex, check_d_squared,
                                 check_homotopy_identity)
-from qhyperplane.qscalar import QPolynomial, distinct_primes, specialize, symbol
+from qhyperplane.qscalar import QMonomial, distinct_primes, symbol
+from qscalar_reference import RefPolynomial
 
 Q2 = AlgebraSpec.symbolic(2)
 CANONICAL2 = ReducedComplex(Q2, canonical_automorphism(Q2))
@@ -44,29 +47,20 @@ def basis_elements(complex_, bound):
 def differential_coefficient(complex_, alpha, beta, i):
     """Weight of the move of exterior slot i into the symmetric part:
     sign * c_i(u) * delta_i(alpha+beta)."""
-    return (complex_._signed_factor(alpha, beta, i)
-            * complex_.defects(add_index(alpha, beta))[i - 1])
+    return (ref(complex_._signed_factor(alpha, beta, i))
+            * defect(complex_, add_index(alpha, beta), i))
 
 
 def failing_indices(complex_, gamma):
     """Support positions where the sigma-commutation condition fails."""
-    return tuple(i for i, (g, d) in enumerate(zip(gamma, complex_.defects(gamma)), start=1)
-                 if g and d)
+    return tuple(i for i in support(gamma) if defect(complex_, gamma, i))
 
 
 def first_defect(complex_, gamma):
-    """D(gamma) = delta_{i0}(gamma) for the first failing slot i0, zero when
-    no slot fails."""
+    """delta_{i0}(gamma) for the first failing slot i0, zero when no slot
+    fails."""
     failing = failing_indices(complex_, gamma)
-    return complex_.defects(gamma)[failing[0] - 1] if failing else Fraction(0)
-
-
-def _add_term(out, key, value):
-    merged = out.get(key, 0) + value
-    if merged:
-        out[key] = merged
-    else:
-        out.pop(key, None)
+    return defect(complex_, gamma, failing[0]) if failing else RefPolynomial.term(0)
 
 
 def reference_differential(complex_, c):
@@ -76,7 +70,7 @@ def reference_differential(complex_, c):
             w = beta[i - 1] and differential_coefficient(complex_, alpha, beta, i)
             if w:
                 e = unit(complex_.spec.n, i)
-                _add_term(out, (add_index(alpha, e), sub_index(beta, e)), w * coeff)
+                add_term(out, (add_index(alpha, e), sub_index(beta, e)), w * coeff)
     return out
 
 
@@ -87,14 +81,15 @@ def reference_homotopy(complex_, c):
         if not failing or beta[failing[0] - 1]:
             continue
         i = failing[0]
-        w = complex_._signed_factor(alpha, beta, i) ** -1
+        w = ref(complex_._signed_factor(alpha, beta, i) ** -1)
         e = unit(complex_.spec.n, i)
-        _add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
+        add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
     return out
 
 
 def reference_check_failures(complex_, bound):
-    """The failures of the d^2 and the dh + hd checks, element by element."""
+    """The failures of d^2 = 0 and of dh + hd = delta_{i0}(gamma) id,
+    element by element, in the strings of the checks."""
     d_squared, homotopy = [], []
     for element in basis_elements(complex_, bound):
         one = {element: Fraction(1)}
@@ -102,8 +97,8 @@ def reference_check_failures(complex_, bound):
             d_squared.append(f"d(d{element}) != 0")
         total = reference_differential(complex_, reference_homotopy(complex_, one))
         for key, c in reference_homotopy(complex_, reference_differential(complex_, one)).items():
-            _add_term(total, key, c)
-        _add_term(total, element, -first_defect(complex_, add_index(*element)))
+            add_term(total, key, c)
+        add_term(total, element, -first_defect(complex_, add_index(*element)))
         if total:
             homotopy.append(f"(dh+hd){element} != D*id")
     return tuple(d_squared), tuple(homotopy)
@@ -127,9 +122,7 @@ def test_differential_coefficient_single_commuting_generator():
 def test_differential_coefficient_for_one_exterior_slot():
     # 1 - p_1 = 1 - q^{-1} on the quantum plane
     value = differential_coefficient(CANONICAL2, (0, 0), (1, 0), 1)
-    expected = 1 - P1
-    assert isinstance(expected, QPolynomial)
-    assert value == expected
+    assert value == 1 - ref(P1)
     assert value
 
 
@@ -164,7 +157,7 @@ def reference_differential_coefficient(spec, sigma, alpha, beta, i):
             second = second * spec.q_power(r, i, -alpha[r - 1])
     if sum(beta[: i - 1]) % 2:
         first, second = -first, -second
-    return first + (-second)
+    return ref(first) - ref(second)
 
 
 @st.composite
@@ -216,7 +209,7 @@ def test_differential_vanishes_on_admissible_multidegrees():
 
 def test_differential_single_term():
     out = differential(CANONICAL2, {((0, 0), (1, 0)): 1})
-    expected_coeff = 1 - P1
+    expected_coeff = 1 - ref(P1)
     assert set(out) == {((1, 0), (0, 0))}
     assert out[((1, 0), (0, 0))] == expected_coeff
 
@@ -233,7 +226,7 @@ def test_differential_lowers_degree_and_preserves_multidegree():
 
 def homotopy_weight(complex_, alpha, beta, i):
     """The weight of moving x_i of x^alpha back into slot i: the coefficient of
-    x^{alpha-e_i} (x) x^{beta+e_i} in the scaled homotopy of x^alpha (x) x^beta,
+    x^{alpha-e_i} (x) x^{beta+e_i} in the homotopy of x^alpha (x) x^beta,
     zero when that target is no basis element."""
     e = unit(len(alpha), i)
     target = (tuple(a - b for a, b in zip(alpha, e)), add_index(beta, e))
@@ -250,11 +243,13 @@ def test_homotopy_weight_zero_cases():
 
 
 def test_homotopy_weight_inverts_differential_weight():
-    # one failing index, so D = delta_1 and the round trip is D itself
+    # one failing index, so the round trip is delta_1 itself, and the block
+    # scale D is 1
     w = homotopy_weight(CANONICAL2, (1, 0), (0, 0), 1)
     back = differential_coefficient(CANONICAL2, (0, 0), (1, 0), 1)
-    assert w * back == CANONICAL2.block((1, 0)).scale
+    assert w * back == first_defect(CANONICAL2, (1, 0)) == defect(CANONICAL2, (1, 0), 1)
     assert failing_indices(CANONICAL2, (1, 0)) == (1,)
+    assert CANONICAL2.block((1, 0)).scale == 1
 
 
 def test_homotopy_weight_skips_commuting_positions():
@@ -275,21 +270,24 @@ SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
 @given(st.sampled_from(SYMBOLIC_TWISTS3), st.tuples(*[st.integers(0, 3)] * 3),
        st.tuples(*[st.integers(0, 1)] * 3), st.integers(1, 3))
 def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
-    # distinct primes are generic, so the two scalar types must agree
+    # distinct primes are generic, so the two scalar types must agree; the
+    # numeric blocks hold Fractions, and its reference has no symbol in it
     symbolic = ReducedComplex(Q3, sigma)
     numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.q))
-    expected = differential_coefficient(numeric, alpha, beta, i)
-    assert type(expected) is Fraction
+    expected = differential_coefficient(numeric, alpha, beta, i).specialize({})
     value = differential_coefficient(symbolic, alpha, beta, i)
-    assert specialize(value, PRIMES3.q) == expected
+    assert value.specialize(PRIMES3.q) == expected
     element = {(alpha, beta): Fraction(1)}
-    expected = homotopy(numeric, element)
-    assert all(type(c) is Fraction for c in expected.values())
+    expected = {key: c.specialize({}) for key, c in homotopy(numeric, element).items()}
     value = homotopy(symbolic, element)
-    assert {key: specialize(c, PRIMES3.q) for key, c in value.items()} == expected
+    assert {key: c.specialize(PRIMES3.q) for key, c in value.items()} == expected
     gamma = add_index(alpha, beta)
-    assert (specialize(symbolic.block(gamma).scale, PRIMES3.q)
-            == numeric.block(gamma).scale)
+    block = numeric.block(gamma)
+    assert all(type(w) is Fraction for maps in (block.d, block.h)
+               for moves in maps.values() for _, w in moves)
+    assert (first_defect(symbolic, gamma).specialize(PRIMES3.q)
+            == first_defect(numeric, gamma).specialize({}))
+    assert symbolic.block(gamma).scale == block.scale
 
 
 # -- homotopy ---------------------------------------------------------------------------
@@ -308,27 +306,28 @@ def contraction(complex_, element):
     one = {element: Fraction(1)}
     total = differential(complex_, homotopy(complex_, one))
     for key, c in homotopy(complex_, differential(complex_, one)).items():
-        total[key] = total.get(key, 0) + c
-    return {key: c for key, c in total.items() if c}
+        add_term(total, key, c)
+    return total
 
 
 def test_contraction_on_one_element():
-    scale = CANONICAL2.block((1, 0)).scale
-    assert scale == 1 - P1       # delta_1 = 1 - p_1
+    scale = first_defect(CANONICAL2, (1, 0))
+    assert scale == 1 - ref(P1)       # delta_1 = 1 - p_1
     assert contraction(CANONICAL2, ((1, 0), (0, 0))) == {((1, 0), (0, 0)): scale}
 
 
 @settings(max_examples=20, deadline=None)
 @given(twisted_algebras(), st.integers(0, 4))
 def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
-    # dh + hd = D(gamma) id, and D(gamma) vanishes exactly on the admissible
-    # multidegrees, which is_admissible decides without the defect table
+    # dh + hd = delta_{i0}(gamma) id, and delta_{i0}(gamma) vanishes exactly on
+    # the admissible multidegrees, which is_admissible decides without a
+    # defect; the block scale D(gamma) is 1 elsewhere
     spec, sigma = algebra
     complex_ = ReducedComplex(spec, sigma)
     for element in basis_elements(complex_, bound):
         gamma = add_index(*element)
-        scale = complex_.block(gamma).scale
-        assert scale == first_defect(complex_, gamma)
+        scale = first_defect(complex_, gamma)
+        assert complex_.block(gamma).scale == (1 if scale else 0)
         assert contraction(complex_, element) == ({element: scale} if scale else {})
         assert (not scale) == is_admissible(spec, sigma, gamma)
 
@@ -376,9 +375,11 @@ def tamper_blocks(monkeypatch, tamper):
 
 def test_checks_fail_on_tampered_coefficients(monkeypatch):
     with monkeypatch.context() as patch:
-        # add 1 to the weight of every move out of slot 1
+        # flip the sign of every move out of slot 1 where slot 2 is occupied:
+        # a sign on all of them would anticommute as before
         tamper_blocks(patch, lambda block: replace(block, d={
-            beta: [(target, w + 1 if beta[0] and not target[0] else w) for target, w in moves]
+            beta: [(target, -w if beta[0] and beta[1] and not target[0] else w)
+                   for target, w in moves]
             for beta, moves in block.d.items()}))
         report = check_d_squared(ReducedComplex(Q3, canonical_automorphism(Q3)), 3)
         assert not report.passed and report.failures
@@ -395,28 +396,41 @@ def test_checks_fail_on_tampered_coefficients(monkeypatch):
         assert not report.passed and report.failures
 
 
-def test_tampered_checks_report_the_reference_failures(monkeypatch):
-    # doubling the factor of slot 2 only where slot 1 sits below it is no change
-    # of basis, so both identities fail; blocks and reference read this factor
-    signed = ReducedComplex._signed_factor
-    monkeypatch.setattr(ReducedComplex, "_signed_factor", lambda self, alpha, beta, i:
-                        signed(self, alpha, beta, i) * (2 if i == 2 and beta[0] else 1))
-    for spec in (Q3, PRIMES3):
-        complex_ = ReducedComplex(spec, canonical_automorphism(spec))
-        d_squared, homotopy = reference_check_failures(complex_, 3)
-        assert d_squared and homotopy
-        for check, failures in ((check_d_squared, d_squared),
-                                (check_homotopy_identity, homotopy)):
-            report = check(complex_, 3)
-            assert report.failures == failures
-            assert report.checked == len(list(basis_elements(complex_, 3)))
-
-
 MINUS_ONE3 = AlgebraSpec.numeric(3, {pair: Fraction(-1) for pair in Q3.q})
 TWISTS3 = (canonical_automorphism, lambda spec: ScalingAutomorphism.identity(3),
            lambda spec: ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)]))
 REFERENCE_CASES = [ReducedComplex(spec, twist(spec))
                    for spec in (PRIMES3, MINUS_ONE3, Q3) for twist in TWISTS3]
+# a factor 2, a sign or q_12 on the factor of slot 2 only where slot 1 sits
+# below it is no change of basis; blocks and reference read this factor.  The
+# q_12 leaves the coefficients of d^2 cancelling on each target, but not
+# their monomials
+TAMPERS = (None, lambda i, beta: 2 if i == 2 and beta[0] else 1,
+           lambda i, beta: -1 if i == 2 and beta[0] else 1,
+           lambda i, beta: symbol(1, 2) if i == 2 and beta[0] else 1)
+
+
+def test_tampered_checks_report_the_reference_failures(monkeypatch):
+    # numeric at distinct primes and at q = -1, and symbolic, under the
+    # canonical, identity and explicit twists, as they are and tampered: the
+    # checks on del fail exactly where the defect-weighted identities do
+    signed = ReducedComplex._signed_factor
+    failed = set()
+    for tamper in TAMPERS:
+        with monkeypatch.context() as patch:
+            if tamper:
+                patch.setattr(ReducedComplex, "_signed_factor", lambda self, alpha, beta, i:
+                              signed(self, alpha, beta, i) * tamper(i, beta))
+            for case in REFERENCE_CASES:
+                complex_ = ReducedComplex(case.spec, case.sigma)
+                reference = reference_check_failures(complex_, 4)
+                for check, failures in zip((check_d_squared, check_homotopy_identity), reference):
+                    report = check(complex_, 4)
+                    assert report.failures == failures
+                    assert report.checked == len(list(basis_elements(complex_, 4)))
+                    if failures:
+                        failed.add((tamper, check))
+    assert len(failed) == 2 * (len(TAMPERS) - 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -437,7 +451,7 @@ def sigma_scale(complex_: ReducedComplex, c):
     out = {}
     for (alpha, beta), coeff in c.items():
         scalar = apply_sigma(complex_.sigma, add_index(alpha, beta))
-        out[(alpha, beta)] = coeff * scalar
+        out[(alpha, beta)] = ref(coeff) * ref(scalar)
     return out
 
 
@@ -455,20 +469,20 @@ def test_differential_and_homotopy_are_equivariant(terms):
 
 
 def test_symbolic_products_start_at_their_first_factor(monkeypatch, capsys):
-    # a product started at Fraction(1) hands its first QPolynomial factor to
-    # Fraction.__mul__, which gives up, and then to QPolynomial.__rmul__.  The
+    # a product started at Fraction(1) hands its first QMonomial factor to
+    # Fraction.__mul__, which gives up, and then to QMonomial.__rmul__.  The
     # monomial calculus and the block weights start at their first factor;
-    # only _compose still meets a rational 1 on the left, the h weight of a
-    # move of slot i0 with no letter below it in beta or above it in alpha,
-    # whichever order it multiplies in
+    # only _compose still meets a rational 1 on the left, the del or h weight
+    # of a move of a slot with no letter below it in beta or above it in
+    # alpha, whichever order it multiplies in
     callers = Counter()
-    rmul = QPolynomial.__rmul__
+    rmul = QMonomial.__rmul__
 
     def spy(self, other):
         callers[sys._getframe(1).f_code.co_name] += 1
         return rmul(self, other)
 
-    monkeypatch.setattr(QPolynomial, "__rmul__", spy)
+    monkeypatch.setattr(QMonomial, "__rmul__", spy)
     spec = AlgebraSpec.symbolic(3)
     assert monomial_product(spec, (2, 1, 1), (1, 2, 1))[0] == (
         symbol(1, 2) ** -1 * symbol(1, 3) ** -1 * symbol(2, 3) ** -2)
