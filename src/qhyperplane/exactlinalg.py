@@ -1,20 +1,14 @@
 """Exact rank of sparse integer matrices by fraction-free column reduction.
 
-A matrix is kept as its int columns, dicts {row: entry} without zeros, which
-the constructor drops; it checks each column by its least and largest row.
-Columns are reduced in index order, each a copy stripped of its content gcd,
-so rank leaves the matrix as it was.
-A column's pivot is its largest row index.  While another reduced column
-already owns that pivot, the column is replaced by a*col - b*pivot_col, with
-a and b first divided by their gcd and the content gcd stripped afterwards,
-so entries stay exact integers of modest size.  A column that keeps a free
-pivot adds one to the rank; one that reduces to zero adds nothing.
-
-Scaling a row by a nonzero factor s moves no pivot.  Each step combines two
-columns so as to cancel their entries in one row, and the ratio of those
-two entries is unchanged when both are multiplied by s; so each column
-reduces to a nonzero multiple of what it reduced to before, with row r
-scaled by s, and every entry that was zero stays zero.
+Columns are reduced in index order, each built afresh and stripped of its
+content gcd, so rank leaves the matrix as it was.  A column's pivot is its
+largest row.  While another reduced column owns that pivot, the column
+becomes a*col - b*pivot_col, a and b divided by their gcd and the content
+gcd stripped after, so entries stay exact ints of modest size.  A column
+that keeps a free pivot adds one to the rank, one that reduces to zero
+nothing.  Scaling a row by a nonzero factor moves no pivot: each step
+cancels two entries of one row, whose ratio the factor keeps, so every
+zero stays zero.
 
 The pivot rows of the reduced matrix are what clearing needs (Chen and
 Kerber, "Persistent homology computation with a twist", EuroCG 2011; Bauer,
@@ -23,58 +17,58 @@ delta_{n-1} = 0, each pivot row i of the reduced delta_{n-1} carries the
 largest entry of a vector v in its image, and delta_n v = 0 writes column i
 of delta_n through columns of smaller index; by induction on i, the columns
 of delta_n named by delta_{n-1}'s pivot rows lie in the span of the others,
-so its rank is unchanged when they are left out.  Applied to coboundaries
-going up in degree, the columns that are kept and still reduce to zero are
-exactly the cohomology (de Silva, Morozov and Vejdemo-Johansson, "Dualities
-in persistent (co)homology", Inverse Problems 27, 2011).
+so leaving them out keeps its rank.  Going up in degree, the kept columns
+that still reduce to zero are exactly the cohomology (de Silva, Morozov and
+Vejdemo-Johansson, Inverse Problems 27, 2011), and nearly every other one
+keeps its first-sight pivot, its largest row before any reduction.  Where
+that pivot is known without the column and is free, the column would be
+stored as it is: it is recorded unbuilt, and built when a later column
+first reduces against it, the "emergent pair" of Ripser (U. Bauer, J. Appl.
+Comput. Topol. 5, 2021).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping
 
 
 class SparseExactMatrix:
-    """A sparse matrix of ints, stored as its nonempty columns {c: {r: v}};
-    zero entries are never stored.
+    """A sparse matrix of ints as columns {c: key}, build(key) being column c
+    as a dict {r: v} without zeros (by default key is that dict, copied);
+    pivots {c: r} holds largest rows known unbuilt.  rank() sets pivot_rows."""
 
-    rank() also sets pivot_rows, the pivot rows of the reduced matrix."""
+    __slots__ = ("n_rows", "n_cols", "columns", "pivots", "build", "pivot_rows")
 
-    __slots__ = ("n_rows", "n_cols", "columns", "pivot_rows")
-
-    def __init__(self, n_rows: int, n_cols: int,
-                 columns: Mapping[int, dict[int, int]] | None = None):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.columns: dict[int, dict[int, int]] = {}
-        for c, col in (columns or {}).items():
-            if 0 in col.values():
-                col = {r: v for r, v in col.items() if v}
-            if not col:
-                continue
-            if not (0 <= c < n_cols and 0 <= min(col) and max(col) < n_rows):
-                raise IndexError(f"column {c} reaches outside {n_rows}x{n_cols}")
-            self.columns[c] = col
+    def __init__(self, n_rows: int, n_cols: int, columns: dict | None = None,
+                 pivots: dict[int, int] | None = None, build=dict):
         self.n_rows, self.n_cols = n_rows, n_cols
+        self.columns, self.pivots, self.build = columns or {}, pivots or {}, build
         self.pivot_rows: frozenset[int] | None = None
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
-        """The nonzero entries by (row, column), read off the columns."""
-        return {(r, c): v for c, col in self.columns.items() for r, v in col.items()}
+        """The nonzero entries by (row, column), every column built."""
+        return {(r, c): v for c, key in self.columns.items()
+                for r, v in self.build(key).items()}
 
     def rank(self) -> int:
         """Exact rank by column reduction on copies; records pivot_rows."""
-        reduced: dict[int, dict[int, int]] = {}
-        for c in sorted(self.columns):
-            col = _strip_gcd(dict(self.columns[c]))
+        columns, build, pivots = self.columns, self.build, self.pivots
+        reduced: dict[int, dict[int, int] | int] = {}   # or a recorded column's index
+        for c in sorted(columns):
+            low = pivots.get(c)
+            if low is not None and low not in reduced:
+                reduced[low] = c
+                continue
+            col = _strip_gcd(build(columns[c]))
             while col:
                 low = max(col)
                 pivot_col = reduced.get(low)
                 if pivot_col is None:
                     reduced[low] = col
                     break
+                if type(pivot_col) is int:
+                    pivot_col = reduced[low] = _strip_gcd(build(columns[pivot_col]))
                 a, b = pivot_col[low], col[low]
                 g = gcd(a, b)
                 a, b = a // g, b // g

@@ -16,57 +16,50 @@ the grading of the homology report (the Koszul route's answer).
 The matrices are written in a rescaled basis.  With m(b, c) the scalar in
 x^b x^c = m(b, c) x^{b+c}, let W(a) be the scalar in x^{a_0} ... x^{a_n} =
 W(a) x^gamma, and f(a) = [a_0|...|a_n] / W(a).  The inner face i carries
-m(a_i, a_{i+1}), and by associativity W(a) = m(a_i, a_{i+1}) W(face), so in
-the basis f it is (-1)^i, a plain integer; two faces that coincide still add
-up.  The wrap-around face b = (a_n + a_0, a_1, ..., a_{n-1}) carries
-p^{a_n} m(a_n, a_0).  Writing x^{a_0} ... x^{a_{n-1}} = V x^{gamma-a_n}, one
-has W(a) = V m(gamma-a_n, a_n) and m(a_n, a_0) W(b) = V m(a_n, gamma-a_n), so
-in the basis f it is (-1)^n chi_gamma(a_n), where
-
-    chi_gamma(a) = p^a m(a, gamma-a) / m(gamma-a, a)
-
-depends on the last slot alone.  As m(b, c) = prod_{j<k} s_jk^(b_k c_j), one
-swap scalar x_k x_j = s_jk x_j x_k per inversion, chi_gamma(a) = p^a prod_{j<k}
-s_jk^(a_k r_j - r_k a_j) with r = gamma - a, made in ints split by split from
-the p_i and the s_jk that monomial_product gives, never from the Koszul
-defects: chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.
-The change of basis is diagonal, so every rank is that of the plain boundary.
+m(a_i, a_{i+1}) = W(a) / W(face), so in the basis f it is (-1)^i.  The
+wrap-around face b = (a_n + a_0, a_1, ..., a_{n-1}) carries p^{a_n}
+m(a_n, a_0); with x^{a_0} ... x^{a_{n-1}} = V x^{gamma-a_n}, W(a) =
+V m(gamma-a_n, a_n) and m(a_n, a_0) W(b) = V m(a_n, gamma-a_n), so in the
+basis f it is (-1)^n chi_gamma(a_n), chi_gamma(a) = p^a m(a, gamma-a) /
+m(gamma-a, a) = p^a prod_{j<k} s_jk^(a_k r_j - r_k a_j) with r = gamma - a
+and x_k x_j = s_jk x_j x_k.  It is made in ints from the p_i and the s_jk
+that monomial_product gives, never from the Koszul defects: chi_gamma(e_i)
+= 1 - delta_i(gamma) is what the comparison tests.  The change of basis is
+diagonal, so every rank is that of the plain boundary.
 
 Within a multidegree the ranks go up in degree, on the coboundary d_n
-transposed: its column for a tensor b of degree n-1, a dict {row: int}, holds
-the cofaces of b on the rows they pack to.  Each splits one slot of b in two,
-slot i as (x, y) with entry (-1)^i, or b_0 as x + y into (x, b_1, ...,
-b_{n-1}, y) with entry (-1)^n chi_gamma(y).  Row a is scaled by den(a), the
-denominator of chi_gamma(a_n), which moves no pivot (see exactlinalg), so
-every entry is an int.  Each coboundary is assembled with clearing: the
-columns of the tensors that are pivot rows of the reduced coboundary one
-degree below are left out.  As d_n^T d_{n-1}^T = 0 they lie in the span of
-the columns kept, so every rank stays exact, and the kept columns that reduce
-to zero number dim H_{n-1}; going down, most of the kernel of the uncleared
-d_{n_max+1} would reduce to zero.
+transposed: its column for a tensor b of degree n-1 is cofaces(n, b), a dict
+{row a: int}.  A coface splits slot i of b as (x, y), entry (-1)^i, or b_0
+as x + y into (x, b_1, ..., b_{n-1}, y), entry (-1)^n chi_gamma(y); only
+this wrap face can meet another, a slot-0 split, and cancel it.  Row a is
+scaled by den(a), the denominator of chi_gamma(a_n), which moves no pivot
+(see exactlinalg), so every entry is an int.  Clearing by the pivot rows
+of the coboundary one degree below (see exactlinalg) keeps every rank exact.
+Most kept columns are never built, as their pivot is read off b (a
+first-sight pivot, as in Ripser's emergent pairs; see exactlinalg): when
+n >= 2 and a slot i >= 1 splits into two nonunits, at the last such i, the
+split with x largest, _splits(b_i)[-1].  That coface keeps b_0 in slot 0,
+where slot-0 splits and the wrap face have less; a split of an earlier slot
+j >= 1 has less than b_j in slot j, and no later slot splits.  So no other
+coface meets it, its entry +-den is nonzero, and it is the largest row.  At
+n = 1 the slot-0 split and the wrap face are the same tensor.
 
 A slot is packed into the int sum of a_i R^(N-i), R = bound + 1, and a tensor
 (a_0, ..., a_k) into the int sum of a_i S^(k-i), S = R^N.  With no coordinate
 past the bound each slot is below S, so int order is lex order on slots and
-tensors alike, and y = m - x is one subtraction; a gamma past the bound is
-refused, never aliased.  A tensor's int is its row, so no row basis is built.
-Divisors are enumerated once, in a split table per complex of the pairs
-(x, y) with x + y = m and y nonunit; only it and chi decode digits.  Tails,
-hence bases, recurse through it, and the chi weights of gamma are read off
-its splits; tails and splits are kept for later multidegrees, chi weights are
-not.  Which cells fit the basis cap is decided in compare_with_koszul alone.
-
-Rank computations need decidable zero, so this module insists on numeric
-mode; symbolic input is specialized at distinct primes that divide no
-rational in sigma, which is faithful to the generic regime: by unique
-factorization a monomial equation among the q_ij and the p_i then holds at
-the primes exactly when it holds over the symbols.
+tensors alike, y = m - x is one subtraction, and a tensor's int is its row;
+a gamma past the bound is refused, never aliased.  The pairs (x, y) with
+x + y = m and y nonunit are listed once per complex in a split table, which
+tails, hence bases, and the chi weights of gamma (kept for one gamma only)
+are read through.  Rank needs decidable zero, so the oracle is numeric; see
+compare_with_koszul for the cap and for symbolic input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, gcd, prod
 
@@ -95,7 +88,7 @@ class HochschildComplex:
         self._radix = bound + 1
         self._tail_cache: dict[tuple[int, int], list[Tensor]] = {}
         self._split_cache: dict[int, list[tuple[int, int]]] = {}
-        self._chi_at: tuple[MultiIndex, dict[int, tuple[int, int]]] = ((), {})
+        self._chi_at: tuple[int, dict[int, tuple[int, int]]] = (-1, {})
         self._p = [c.as_integer_ratio() for c in sigma.p]
 
     def _pack(self, gamma: MultiIndex) -> int:
@@ -155,44 +148,61 @@ class HochschildComplex:
 
     def boundary_matrix(self, n: int, gamma: MultiIndex,
                         cleared: frozenset[Tensor] = frozenset()) -> SparseExactMatrix:
-        """d_n transposed at one multidegree in the rescaled bases f: column c
-        holds the cofaces a of the c-th tensor b of basis(n-1, gamma), unless
-        b is in cleared, each on the row a packs to in [0, S^(n+1)) and
-        scaled by den(a) so that every entry is an int."""
+        """d_n transposed at one multidegree: column c is cofaces(n, b) for
+        the c-th tensor b of basis(n-1, gamma) not in cleared, unbuilt, and
+        its pivot is read off b where b has one (see the module docstring)."""
         slot = self._radix ** self.spec.n     # S: every packed slot is below it
         if n < 1:
             return SparseExactMatrix(slot, 0)
-        if self._chi_at[0] != gamma:
-            self._chi_at = gamma, self._chi(gamma)
-        chi = self._chi_at[1]       # slot -> (num, den) of chi_gamma, for one gamma
-        splits, wrap, low = self._splits, -1 if n & 1 else 1, slot ** (n - 1)
-        columns, cols = {}, self.basis(n - 1, gamma)
+        columns, pivots, splits, cols = {}, {}, self._splits, self.basis(n - 1, gamma)
         for c, b in enumerate(cols):
             if b in cleared:
                 continue
-            col, sign, place = {}, 1, low   # cofaces from distinct slots never coincide
-            for i in range(n):
-                head, tail = divmod(b, place)
+            columns[c], head, place = b, b, 1
+            for _ in range(n - 1):      # slots n-1 down to 1
                 head, b_i = divmod(head, slot)
-                for x, y in (splits(b_i) if i == 0 else splits(b_i)[1:]):
-                    a = ((head * slot + x) * slot + y) * place + tail
-                    col[a] = sign * chi[a % slot][1]    # den(a), off its last slot
-                sign, place = -sign, place // slot
-            rest = b % low * slot
-            for x, y in splits(b // low):
-                a = x * low * slot + rest + y
-                col[a] = col.get(a, 0) + wrap * chi[y][0]
-            columns[c] = col
-        return SparseExactMatrix(slot ** (n + 1), len(cols), columns)
+                pairs = splits(b_i)
+                if len(pairs) > 1:
+                    x, y = pairs[-1]
+                    pivots[c] = ((head * slot + x) * slot + y) * place + b % place
+                    break
+                place *= slot
+        return SparseExactMatrix(slot ** (n + 1), len(cols), columns, pivots,
+                                 partial(self.cofaces, n))
 
-    def _chi(self, gamma: MultiIndex) -> dict[int, tuple[int, int]]:
-        """(num, den) of chi_gamma(a) in lowest terms for the last slot a of
-        each split (r, a) of gamma, from the swap scalars s_jk of its support."""
-        n, inside = self.spec.n, [i for i, g in enumerate(gamma, start=1) if g]
+    def cofaces(self, n: int, b: Tensor) -> dict[Tensor, int]:
+        """Column b of d_n transposed, in the rescaled bases f: the cofaces a
+        of b, scaled by den(a) of b's own multidegree; no entry is zero."""
+        slot, wrap = self._radix ** self.spec.n, -1 if n & 1 else 1
+        low = slot ** (n - 1)
+        m = sum(b // slot ** k % slot for k in range(n))    # gamma, packed
+        if self._chi_at[0] != m:
+            self._chi_at = m, self._chi(m)
+        chi, splits = self._chi_at[1], self._splits    # slot -> (num, den) of chi_gamma
+        col, sign, place = {}, 1, low   # cofaces from distinct slots never coincide
+        for i in range(n):
+            head, tail = divmod(b, place)
+            head, b_i = divmod(head, slot)
+            for x, y in (splits(b_i) if i == 0 else splits(b_i)[1:]):
+                a = ((head * slot + x) * slot + y) * place + tail
+                col[a] = sign * chi[a % slot][1]    # den(a), off its last slot
+            sign, place = -sign, place // slot
+        rest = b % low * slot       # the wrap face can cancel a slot-0 split
+        for x, y in splits(b // low):
+            a = x * low * slot + rest + y
+            v = col.pop(a, 0) + wrap * chi[y][0]
+            if v:
+                col[a] = v
+        return col
+
+    def _chi(self, m: int) -> dict[int, tuple[int, int]]:
+        """(num, den) of chi_gamma(a) in lowest terms, gamma packed as m, for
+        the last slot a of each split (r, a) of gamma, from the swaps s_jk."""
+        n, inside = self.spec.n, [i for i, g in enumerate(self._digits(m), start=1) if g]
         swaps = [(j - 1, k - 1, *monomial_product(self.spec, unit(n, k), unit(n, j))[0]
                   .as_integer_ratio()) for j, k in combinations(inside, 2)]
         weights = {}
-        for x, y in self._splits(self._pack(gamma)):
+        for x, y in self._splits(m):
             r, a = self._digits(x), self._digits(y)
             num = den = 1
             for (p_num, p_den), e in zip(self._p, a):
@@ -268,7 +278,10 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     grading of the homology report of the same input, up to the bound.
 
     Only then is symbolic input specialized, at distinct primes that divide
-    no numerator or denominator in sigma.  The cap is decided here alone:
+    no numerator or denominator in sigma, faithful to the generic regime: by
+    unique factorization a monomial equation among the q_ij and the p_i
+    holds at the primes exactly when it holds over the symbols.  The cap is
+    decided here alone:
     cell (gamma, n) needs the bases of degrees 0..n+1, so it is computed
     when none of them holds more than cap tensors and is reported as
     skipped, never guessed, otherwise.

@@ -1,6 +1,8 @@
 """Test-only helpers for SparseExactMatrix: construction from entries or dense rows,
-scaling a rational matrix to ints, products, and the row-elimination rank
-that column reduction replaced, kept as a reference to compare against."""
+which drops zeros and checks every entry's row and column against the shape,
+scaling a rational matrix to ints, products, the row-elimination rank that
+column reduction replaced, and the eager column reduction that builds every
+column, kept as references to compare against."""
 
 from __future__ import annotations
 
@@ -25,15 +27,30 @@ def from_entries(n_rows: int, n_cols: int,
     columns: dict[int, dict[int, Fraction | int]] = {}
     for (r, c), v in entries.items():
         columns.setdefault(c, {})[r] = v
-    return SparseExactMatrix(n_rows, n_cols, columns)
+    return checked(n_rows, n_cols, columns)
+
+
+def checked(n_rows: int, n_cols: int,
+            columns: dict[int, dict[int, Fraction | int]]) -> SparseExactMatrix:
+    """A matrix of the given columns without their zeros and empty columns;
+    a negative shape raises ValueError, an entry outside it IndexError."""
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    kept = {}
+    for c, col in columns.items():
+        col = {r: v for r, v in col.items() if v}
+        if col and not (0 <= c < n_cols and 0 <= min(col) and max(col) < n_rows):
+            raise IndexError(f"column {c} reaches outside {n_rows}x{n_cols}")
+        if col:
+            kept[c] = col
+    return SparseExactMatrix(n_rows, n_cols, kept)
 
 
 def integerized(m: SparseExactMatrix) -> SparseExactMatrix:
-    """The matrix with each column scaled to integers: the same rank and the
-    same pivot rows, with int entries that rank accepts; an integer matrix
-    is left as it is."""
-    return SparseExactMatrix(m.n_rows, m.n_cols,
-                             {c: integerize(col) for c, col in m.columns.items()})
+    """The matrix with each column built and scaled to integers: the same
+    rank and the same pivot rows, with int entries that rank accepts."""
+    return checked(m.n_rows, m.n_cols,
+                   {c: integerize(m.build(key)) for c, key in m.columns.items()})
 
 
 def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
@@ -98,3 +115,29 @@ def reference_rank(m: SparseExactMatrix) -> int:
                 next_rows.append((tag, row))
         rows = next_rows
     return rank
+
+
+def eager_rank(m: SparseExactMatrix) -> tuple[int, frozenset[int]]:
+    """Rank and pivot rows by column reduction with every column built first
+    and no pivot known beforehand: the reduction the lazy one must equal."""
+    reduced: dict[int, dict[int, int]] = {}
+    for c in sorted(m.columns):
+        col = _strip_gcd(m.build(m.columns[c]))
+        while col:
+            low = max(col)
+            pivot_col = reduced.get(low)
+            if pivot_col is None:
+                reduced[low] = col
+                break
+            a, b = pivot_col[low], col[low]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            col = {r: a * v for r, v in col.items()}
+            for r, v in pivot_col.items():
+                nv = col.get(r, 0) - b * v
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+            col = _strip_gcd(col)
+    return len(reduced), frozenset(reduced)

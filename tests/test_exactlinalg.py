@@ -6,7 +6,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 import sympy
 
-from linalg_reference import from_entries, from_rows, matmul, reference_rank, row_dicts
+from linalg_reference import (eager_rank, from_entries, from_rows, matmul, reference_rank,
+                              row_dicts)
 from qhyperplane.exactlinalg import SparseExactMatrix
 
 
@@ -140,6 +141,35 @@ def test_rank_leaves_the_matrix_as_it_found_it(rows):
     before = m.entries
     m.rank()
     assert m.entries == before
+
+
+def _lazy(m: SparseExactMatrix, pivots: dict[int, int], built: list[int]) -> SparseExactMatrix:
+    """m with the given pivots known, logging each column it builds."""
+    keys = {id(col): c for c, col in m.columns.items()}
+    return SparseExactMatrix(m.n_rows, m.n_cols, m.columns, pivots,
+                             lambda col: built.append(keys[id(col)]) or dict(col))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.lists(st.booleans(), min_size=5, max_size=5))
+def test_known_pivots_give_the_eager_rank(rows, known):
+    # a column given with its largest row is recorded unbuilt while that row
+    # is free; rank and pivot rows are those of building every column first
+    m = from_rows(rows)
+    lazy = _lazy(m, {c: max(col) for c, col in m.columns.items() if known[c]}, [])
+    assert (lazy.rank(), lazy.pivot_rows) == eager_rank(m) == (m.rank(), m.pivot_rows)
+
+
+def test_a_recorded_column_is_built_when_a_clash_needs_it():
+    built = []
+    free = _lazy(from_rows([[1, 2, 0], [0, 3, 0], [0, 0, 5]]), {0: 0, 1: 1, 2: 2}, built)
+    assert free.rank() == 3 and free.pivot_rows == {0, 1, 2}
+    assert built == []
+    # both columns have row 1 largest: column 1 clashes and reduces against
+    # column 0, which is built only then
+    clash = _lazy(from_rows([[1, 1], [1, 2]]), {0: 1, 1: 1}, built)
+    assert clash.rank() == 2 and clash.pivot_rows == {0, 1}
+    assert built == [1, 0]
 
 
 def test_matmul_and_is_zero():

@@ -9,11 +9,11 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qhyperplane.hochschild
 from algebras import apply_sigma, one_parameter
-from linalg_reference import from_entries, integerized, matmul, reference_rank
+from linalg_reference import eager_rank, from_entries, integerized, matmul, reference_rank
 from qhyperplane.exactlinalg import SparseExactMatrix
 from qhyperplane.hochschild import HochschildComplex, compare_with_koszul
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
@@ -64,8 +64,8 @@ def by_position(complex_, delta, n, gamma):
     S^(n+1), moved to its position in basis(n, gamma): the reference helpers
     allocate every row, so they are never handed the packed rows."""
     position = {t: r for r, t in enumerate(complex_.basis(n, gamma))}
-    return SparseExactMatrix(complex_.basis_size(n, gamma), delta.n_cols, {
-        c: {position[a]: v for a, v in col.items()} for c, col in delta.columns.items()})
+    return from_entries(complex_.basis_size(n, gamma), delta.n_cols, {
+        (position[a], c): v for (a, c), v in delta.entries.items()})
 
 
 def _cells(n_generators):
@@ -227,22 +227,35 @@ def test_rescaled_boundary_is_the_plain_one_conjugated_by_w(complex_):
 @pytest.mark.parametrize("complex_", RESCALING_COMPLEXES + [
     HochschildComplex(PLANE, ScalingAutomorphism.identity(2), BOUND)])
 def test_stored_columns_hold_nonzero_ints_in_range(complex_):
-    # boundary_matrix hands its columns to the matrix as they are, so each
-    # must hold only nonzero ints on rows of the basis: under the identity
-    # twist the wrap-around face cancels an inner one, and the zero is dropped.
+    # the matrix takes each column as cofaces builds it, so each must hold
+    # only nonzero ints on rows of the basis: under the identity twist the
+    # wrap-around face cancels an inner one, and the zero is dropped.
     # A row is the coface itself, packed, so it is a tensor of the basis, and
     # int order on rows is lex order on their slots
     for gamma in _cells(complex_.spec.n):
         for n in (1, 2, 3):
             delta = complex_.boundary_matrix(n, gamma)
             basis = set(complex_.basis(n, gamma))
-            for c, column in delta.columns.items():
-                assert 0 <= c < delta.n_cols and column
+            for c, b in delta.columns.items():
+                column = complex_.cofaces(n, b)
+                assert 0 <= c < delta.n_cols and b == complex_.basis(n - 1, gamma)[c]
                 assert all(type(v) is int and v != 0 for v in column.values())
                 assert all(0 <= r < delta.n_rows for r in column)
                 assert basis.issuperset(column)
                 assert ([unpacked(complex_, r, n) for r in sorted(column)]
                         == sorted(unpacked(complex_, r, n) for r in column))
+
+
+def fixture_complex(n, algebra, twist, bound):
+    """The complex of n generators at distinct primes, q = 2^61 - 1 or
+    q = -1, under the canonical, identity or an explicit twist."""
+    spec = {"primes": primes_spec(n), "q61": one_parameter(n, Q61),
+            "minus-one": one_parameter(n, -1)}[algebra]
+    sigma = {"canonical": canonical_automorphism(spec),
+             "identity": ScalingAutomorphism.identity(n),
+             "explicit": ScalingAutomorphism.from_rationals(
+                 [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
+    return HochschildComplex(spec, sigma, bound)
 
 
 @settings(max_examples=120, deadline=None)
@@ -254,14 +267,8 @@ def test_stored_columns_hold_nonzero_ints_in_range(complex_):
        st.integers(0, 4))
 def test_natural_dims_match_the_plain_boundary(case, n_max):
     gamma, algebra, twist = case
-    gamma, n = tuple(gamma), len(gamma)
-    spec = {"primes": primes_spec(n), "q61": one_parameter(n, Q61),
-            "minus-one": one_parameter(n, -1)}[algebra]
-    sigma = {"canonical": canonical_automorphism(spec),
-             "identity": ScalingAutomorphism.identity(n),
-             "explicit": ScalingAutomorphism.from_rationals(
-                 [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
-    complex_ = HochschildComplex(spec, sigma, 4)
+    gamma = tuple(gamma)
+    complex_ = fixture_complex(len(gamma), algebra, twist, 4)
 
     def rank(k):
         return reference_rank(_normalized_reference(complex_, k, gamma))
@@ -332,14 +339,8 @@ def _uncleared_dims(complex_, gamma, n_max):
        st.integers(0, 4))
 def test_clearing_matches_uncleared_reference_ranks(case, n_max):
     gamma, algebra, twist = case
-    gamma, n = tuple(gamma), len(gamma)
-    spec = (primes_spec(n) if algebra == "primes"
-            else one_parameter(n, Q61))
-    sigma = {"canonical": canonical_automorphism(spec),
-             "identity": ScalingAutomorphism.identity(n),
-             "explicit": ScalingAutomorphism.from_rationals(
-                 [Fraction(2, 3), 5, Fraction(-1, 2)][:n])}[twist]
-    complex_ = HochschildComplex(spec, sigma, 4)
+    complex_ = fixture_complex(len(gamma), algebra, twist, 4)
+    gamma = tuple(gamma)
     assert complex_.natural_dims(gamma, n_max) == _uncleared_dims(complex_, gamma, n_max)
 
 
@@ -401,7 +402,7 @@ def test_natural_dims_releases_the_bases_of_its_multidegree():
         dims = complex_.natural_dims(gamma, 3)
         assert set(vars(complex_)) == {"spec", "sigma", "_tail_cache", "_split_cache",
                                        "_chi_at", "_p", "_radix"}
-        assert complex_._chi_at[0] == gamma
+        assert complex_._chi_at[0] == complex_._pack(gamma)
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
 
@@ -479,6 +480,124 @@ def test_only_homology_reduces_to_zero(complex_, bound, monkeypatch):
         calls.clear()
         dims = complex_.natural_dims(gamma, 2)
         assert len(calls) == 3 and sum(calls) == sum(dims)
+
+
+# -- first-sight pivots: columns built only where rank needs them -------------
+
+def _kept_matrices(complex_, gamma, n_max):
+    """The cleared coboundaries natural_dims reduces at gamma, each reduced."""
+    cleared = frozenset()
+    for n in range(1, n_max + 2):
+        delta = complex_.boundary_matrix(n, gamma, cleared)
+        yield n, delta
+        delta.rank()
+        cleared = delta.pivot_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, 5), min_size=n, max_size=n)
+           .filter(lambda g: sum(g) <= 5),
+           st.sampled_from(["primes", "q61", "minus-one"]),
+           st.sampled_from(["canonical", "identity", "explicit"]))),
+       st.integers(0, 4))
+@example(((2, 2, 1), "primes", "canonical"), 3)
+def test_a_read_off_pivot_is_the_largest_row_of_the_built_column(case, n_max):
+    # the pivot read off b, with no column built, is the largest row of
+    # cofaces(n, b) for every kept column that has one; a column has one
+    # exactly when n >= 2 and some slot i >= 1 of b splits into two nonunits.
+    # The example has kept tensors such as (0, x1 x2, x1 x2) with two such
+    # slots, where the first would give a smaller row than the last
+    gamma, algebra, twist = case
+    complex_ = fixture_complex(len(gamma), algebra, twist, 5)
+    for n, delta in _kept_matrices(complex_, tuple(gamma), n_max):
+        assert set(delta.pivots) <= set(delta.columns)
+        for c, b in delta.columns.items():
+            splittable = n >= 2 and any(
+                sum(slot) > 1 for slot in unpacked(complex_, b, n - 1)[1:])
+            assert (c in delta.pivots) == splittable
+            if splittable:
+                assert delta.pivots[c] == max(complex_.cofaces(n, b))
+
+
+def _spy_cofaces(monkeypatch):
+    built = []
+    cofaces = HochschildComplex.cofaces
+
+    def spy(self, n, b):
+        built.append(b)
+        return cofaces(self, n, b)
+
+    monkeypatch.setattr(HochschildComplex, "cofaces", spy)
+    return built
+
+
+@pytest.mark.parametrize("algebra, twist", [
+    ("primes", "canonical"), ("primes", "identity"), ("primes", "explicit"),
+    ("q61", "canonical"), ("minus-one", "canonical")])
+def test_lazy_rank_is_the_eager_rank(algebra, twist):
+    # the lazy reduction gives the rank and pivot rows of building every
+    # column first, on every cleared coboundary of a grid
+    complex_ = fixture_complex(3, algebra, twist, 4)
+    for gamma in iter_multidegrees(3, 4):
+        for n, delta in _kept_matrices(complex_, gamma, 3):
+            assert (delta.rank(), delta.pivot_rows) == eager_rank(delta)
+
+
+def test_a_clash_builds_a_recorded_column(monkeypatch):
+    # at (1, 1, 2) under the canonical twist, the cleared d_3 has clashing
+    # columns that reduce against columns recorded by their read-off pivots
+    # and not built until then; the ranks stay those of the eager reduction
+    complex_ = fixture_complex(3, "primes", "canonical", 4)
+    built = _spy_cofaces(monkeypatch)
+    delta = next(delta for n, delta in _kept_matrices(complex_, (1, 1, 2), 2)
+                 if n == 3)
+    recorded = {}
+    for c in sorted(delta.pivots):
+        recorded.setdefault(delta.pivots[c], delta.columns[c])
+    built.clear()
+    rank = delta.rank()
+    assert set(recorded.values()) & set(built)
+    assert len(built) < len(delta.columns)
+    assert (rank, delta.pivot_rows) == eager_rank(delta)
+
+
+def test_verify_rank_builds_few_of_its_kept_columns(monkeypatch):
+    # the verify-rank configuration (N = 2, bound 8, q = 2^61 - 1): all but
+    # a few kept columns have their pivot read off and never clash
+    complex_ = fixture_complex(2, "q61", "canonical", 8)
+    built = _spy_cofaces(monkeypatch)
+    kept = []
+    boundary_matrix = HochschildComplex.boundary_matrix
+
+    def matrix_spy(self, n, gamma, cleared=frozenset()):
+        delta = boundary_matrix(self, n, gamma, cleared)
+        kept.append(len(delta.columns))
+        return delta
+
+    monkeypatch.setattr(HochschildComplex, "boundary_matrix", matrix_spy)
+    for gamma in iter_multidegrees(2, 8):
+        complex_.natural_dims(gamma, 2)
+    assert sum(kept) == 2105
+    assert len(built) <= sum(kept) // 10
+
+
+@pytest.mark.parametrize("algebra, twist", [
+    ("primes", "canonical"), ("primes", "explicit"), ("q61", "canonical")])
+def test_a_matrix_keeps_the_weights_of_its_own_multidegree(algebra, twist):
+    # chi is cached for one gamma, and a matrix builds its columns late: a
+    # matrix of gamma_1 reduced after columns of gamma_2 were built still has
+    # the rank and entries a fresh complex gives
+    first, second = (2, 1, 1), (1, 3, 1)
+    for n in (1, 2, 3):
+        complex_ = fixture_complex(3, algebra, twist, 5)
+        delta = complex_.boundary_matrix(n, first)
+        other = complex_.boundary_matrix(n, second)
+        other.rank()
+        assert other.entries       # the weights of gamma_2 are the cached ones
+        fresh = fixture_complex(3, algebra, twist, 5).boundary_matrix(n, first)
+        assert delta.rank() == fresh.rank() and delta.pivot_rows == fresh.pivot_rows
+        assert delta.entries == fresh.entries
 
 
 @pytest.mark.parametrize("spec, n_max, bound, cap", [
@@ -580,7 +699,8 @@ def test_chi_is_the_fraction_formula(case):
     spec = AlgebraSpec.numeric(n, dict(zip(all_pairs(n), map(Fraction, q))))
     sigma = ScalingAutomorphism.from_rationals(p)
     complex_ = HochschildComplex(spec, sigma, 4)
-    weights = {unpacked(complex_, y, 0)[0]: v for y, v in complex_._chi(gamma).items()}
+    weights = {unpacked(complex_, y, 0)[0]: v
+               for y, v in complex_._chi(complex_._pack(gamma)).items()}
     expected = {}
     for y in product(*(range(g + 1) for g in gamma)):
         if any(y):
