@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Commands: homology | verify | csigma | canonical | generic-check.
-Configuration comes from flags or a JSON config file (flags win) with the
-keys n, q, mode, automorphism, bound and n_max only; q values are exact
-rational strings, never floats.  Structured reports are single
-JSON documents with the field names frozen in docs/format.md; this module
-builds every field from the plain results the library returns, and
-identical configuration produces byte-identical output.
+Configuration comes from flags and a JSON config file with the keys n, q,
+mode, automorphism, bound and n_max only; q values are exact rational
+strings, never floats.  The q values of the file and of --q are combined,
+every other flag replaces the file's key (--symbolic its mode), and --p,
+--alpha, --cap, --out, --allow-truncated and --expect-top exist only as
+flags.  Structured reports are single JSON documents with the field names
+frozen in docs/format.md; this module builds every field from the plain
+results the library returns, and the same configuration gives the same bytes.
 
 Exit codes: 0 ok; 1 verification failed (an oracle cell disagrees with the
-Koszul prediction, a cell was skipped because its chain basis exceeds
+Koszul prediction, a cell was skipped because its chain spaces exceed
 --cap, a Koszul self-check failed, or a required top class is absent);
 2 bad configuration, including a config file that cannot be read or
 decoded and an --out path that cannot be written; 3 truncated enumeration
@@ -122,33 +124,43 @@ def parse_int(text) -> int:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_config = {}
+    settings = {}
     if args.config:
         try:
-            file_config = json.loads(Path(args.config).read_text())
+            settings = json.loads(Path(args.config).read_text())
         except (OSError, ValueError, RecursionError) as e:
             # ValueError: bad bytes, JSON or an overlong int; RecursionError: deep nesting
             raise ConfigError(f"cannot read config file: {e}")
-        if not isinstance(file_config, dict):
+        if not isinstance(settings, dict):
             raise ConfigError("the config file must hold a JSON object")
-        unknown = sorted(set(file_config) - set(CONFIG_KEYS))
+        unknown = sorted(set(settings) - set(CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; "
                               f"allowed: {', '.join(CONFIG_KEYS)}")
+        # checked before the flags are laid over: --symbolic replaces mode
+        if settings.get("mode", SYMBOLIC) not in (SYMBOLIC, NUMERIC):
+            raise ConfigError(f"mode must be {SYMBOLIC!r} or {NUMERIC!r}, "
+                              f"not {settings['mode']!r}")
+        if not isinstance(settings.get("q", []), list):
+            raise ConfigError("q in the config file must be a list of [i, j, value]")
+    flags = {"n": args.n, "automorphism": args.automorphism, "bound": args.bound,
+             "n_max": args.nmax, "mode": SYMBOLIC if args.symbolic else None}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    settings["q"] = settings.get("q", []) + [item.split(",") for item in args.q or []]
 
-    n = args.n if args.n is not None else file_config.get("n")
-    if n is None:
+    if settings.get("n") is None:
         raise ConfigError("the number of generators is required (--n)")
-    n = parse_int(n)
-    if n < 1:
-        raise ConfigError("--n must be at least 1")
+    n = parse_int(settings["n"])
+    bound = parse_int(settings.get("bound", 2 * n))
+    n_max = parse_int(settings.get("n_max", n))
+    cap = parse_int(args.cap)
+    for flag, value, least in (("--n", n, 1), ("--bound", bound, 0),
+                               ("--nmax", n_max, 0), ("--cap", cap, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}")
 
     q_entries: list[tuple[int, int, Fraction]] = []
-    raw_q = file_config.get("q", [])
-    if not isinstance(raw_q, list):
-        raise ConfigError("q in the config file must be a list of [i, j, value]")
-    raw_q = raw_q + [item.split(",") for item in args.q or []]
-    for entry in raw_q:
+    for entry in settings["q"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"q wants i,j,value but got {entry!r}")
         i, j = parse_int(entry[0]), parse_int(entry[1])
@@ -159,66 +171,40 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"q({i},{j}) must be nonzero")
         q_entries.append((i, j, v))
 
-    file_mode = file_config.get("mode", SYMBOLIC)
-    if file_mode not in (SYMBOLIC, NUMERIC):
-        raise ConfigError(f"mode must be {SYMBOLIC!r} or {NUMERIC!r}, not {file_mode!r}")
-    symbolic = args.symbolic or (not q_entries and not args.auto_primes
-                                 and file_mode == SYMBOLIC)
-    if args.symbolic and (q_entries or args.auto_primes):
-        raise ConfigError("--symbolic excludes --q and --auto-primes")
-    if file_config.get("mode") == SYMBOLIC and (q_entries or args.auto_primes):
-        raise ConfigError("mode symbolic excludes q values and --auto-primes")
-    if args.auto_primes and q_entries:
-        raise ConfigError("--auto-primes excludes q values")
+    # the given mode, else numeric exactly when there are q values to use
+    mode = settings.get("mode") or (NUMERIC if q_entries or args.auto_primes else SYMBOLIC)
+    if mode == SYMBOLIC and (q_entries or args.auto_primes):
+        raise ConfigError("symbolic mode excludes q values and --auto-primes")
     if args.auto_primes:
+        if q_entries:
+            raise ConfigError("--auto-primes excludes q values")
         q_entries = [(i, j, v) for (i, j), v in distinct_primes(n).items()]
-    if symbolic:
-        mode = SYMBOLIC
-        q_entries = []
-    else:
-        mode = NUMERIC
-        have = {(i, j) for i, j, _ in q_entries}
-        missing = [p for p in all_pairs(n) if p not in have]
-        if missing:
-            raise ConfigError(f"numeric mode needs every pair; missing {missing}")
-        if len(have) != len(q_entries):
-            raise ConfigError("duplicate q pair")
+    have = {(i, j) for i, j, _ in q_entries}
+    missing = [p for p in all_pairs(n) if p not in have]
+    if mode == NUMERIC and missing:
+        raise ConfigError(f"numeric mode needs every pair; missing {missing}")
+    if len(have) != len(q_entries):
+        raise ConfigError("duplicate q pair")
 
-    if args.command in ("canonical", "generic-check") and (
-            args.automorphism or "automorphism" in file_config):
+    if args.command in ("canonical", "generic-check") and "automorphism" in settings:
         raise ConfigError(f"{args.command} takes no automorphism")
-    automorphism = args.automorphism or file_config.get("automorphism", CANONICAL)
+    automorphism = settings.get("automorphism", CANONICAL)
     if automorphism not in (CANONICAL, IDENTITY, EXPLICIT, SOLVE_TOP):
         raise ConfigError(f"unknown automorphism {automorphism!r}")
+    p_list = alpha = None
     if args.p and automorphism != EXPLICIT:
         raise ConfigError("--p needs --automorphism explicit")
+    if automorphism == EXPLICIT:
+        p_list = tuple(parse_fraction(x) for x in args.p.split(",")) if args.p else ()
+        if len(p_list) != n or 0 in p_list:
+            raise ConfigError("explicit automorphism needs --p with N nonzero entries")
     if args.alpha and automorphism != SOLVE_TOP:
         raise ConfigError(f"--alpha needs --automorphism {SOLVE_TOP}")
-    p_list = None
-    if args.p:
-        p_list = tuple(parse_fraction(x) for x in args.p.split(","))
-    if automorphism == EXPLICIT:
-        if p_list is None or len(p_list) != n:
-            raise ConfigError("explicit automorphism needs --p with N entries")
-        if any(v == 0 for v in p_list):
-            raise ConfigError("explicit p entries must be nonzero")
-    alpha = None
-    if args.alpha:
-        alpha = tuple(parse_int(x) for x in args.alpha.split(","))
     if automorphism == SOLVE_TOP:
-        if alpha is None or len(alpha) != n or any(not 0 <= a < ALPHA_LIMIT for a in alpha):
+        alpha = tuple(parse_int(x) for x in args.alpha.split(",")) if args.alpha else ()
+        if len(alpha) != n or any(not 0 <= a < ALPHA_LIMIT for a in alpha):
             raise ConfigError("solve-top needs --alpha with N nonnegative entries "
                               f"below {ALPHA_LIMIT}")
-
-    bound = parse_int(args.bound if args.bound is not None else file_config.get("bound", 2 * n))
-    if bound < 0:
-        raise ConfigError("--bound must be nonnegative")
-    n_max = parse_int(args.nmax if args.nmax is not None else file_config.get("n_max", n))
-    if n_max < 0:
-        raise ConfigError("--nmax must be nonnegative")
-    cap = parse_int(args.cap)
-    if cap < 1:
-        raise ConfigError("--cap must be at least 1")
 
     return RunConfig(n=n, mode=mode, q_values=tuple(sorted(q_entries)),
                      automorphism=automorphism, p_list=p_list, alpha=alpha,
@@ -485,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expect-top", action="store_true",
                        help="fail verification if the top class is absent")
         p.add_argument("--cap", default=DEFAULT_CELL_CAP,
-                       help="largest normalized chain basis the oracle will "
-                            "build (at least 1)")
+                       help="skip a cell (gamma, n) when a normalized chain space "
+                            "at gamma of degree 0..n+1 holds more tensors than "
+                            "this (at least 1)")
         p.add_argument("--config", default=None, help="JSON config file")
     return parser
 

@@ -282,9 +282,9 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     unique factorization a monomial equation among the q_ij and the p_i
     holds at the primes exactly when it holds over the symbols.  The cap is
     decided here alone:
-    cell (gamma, n) needs the bases of degrees 0..n+1, so it is computed
-    when none of them holds more than cap tensors and is reported as
-    skipped, never guessed, otherwise.
+    cell (gamma, n) needs the chain spaces of degrees 0..n+1, so it is
+    computed when none of them holds more than cap tensors and is reported
+    as skipped, never guessed, otherwise.
     """
     predicted = predicted_dims(build_report(spec, sigma, bound, n_max))
     if spec.mode != NUMERIC:
@@ -295,7 +295,7 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     complex_ = HochschildComplex(spec, sigma, bound)
     cells = []
     for gamma in iter_multidegrees(spec.n, bound):
-        # the largest n <= n_max whose bases in degrees 0..n+1 all fit the cap
+        # the largest n <= n_max whose chain spaces in degrees 0..n+1 all fit the cap
         feasible_n = next((k for k in range(n_max + 2)
                            if complex_.basis_size(k, gamma) > cap), n_max + 2) - 2
         natural = complex_.natural_dims(gamma, feasible_n)

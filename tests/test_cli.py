@@ -465,6 +465,89 @@ def test_config_file_conflicts_exit_bad_config(command, content, flags, tmp_path
     assert "configuration error" in capsys.readouterr().err
 
 
+def _run_with_config(tmp_path, capsys, command, content, flags, name="run"):
+    """(exit code, --out bytes, stdout) of command with content as its
+    --config file and flags after it."""
+    config, out = tmp_path / f"{name}-config.json", tmp_path / f"{name}.json"
+    config.write_text(json.dumps(content))
+    code = main([command, "--config", str(config), *flags, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, content, flags, shared", [
+    ("homology", {"n": 2, "q": [[1, 2, "3"]], "mode": "numeric", "bound": 4},
+     ["--n", "2", "--q", "1,2,3", "--bound", "4"], ["--allow-truncated"]),
+    ("verify", {"n": 2, "mode": "symbolic", "bound": 3, "n_max": 1},
+     ["--symbolic", "--n", "2", "--bound", "3", "--nmax", "1"], []),
+    ("csigma", {"n": 2, "automorphism": "identity", "bound": 4},
+     ["--n", "2", "--automorphism", "identity", "--bound", "4"], ["--allow-truncated"]),
+])
+def test_config_file_run_matches_the_same_flags(command, content, flags, shared,
+                                                tmp_path, capsys):
+    code, report, stdout = _run_with_config(tmp_path, capsys, command, content, shared)
+    assert code == EXIT_OK and report
+    out = tmp_path / "flags.json"
+    assert main([command, *flags, *shared, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == report
+    assert capsys.readouterr().out == stdout
+
+
+def test_flags_replace_the_config_file_keys(tmp_path, capsys):
+    content = {"n": 3, "bound": 6, "n_max": 3, "automorphism": "identity"}
+    flags = ["--n", "2", "--bound", "4", "--nmax", "1", "--automorphism", "canonical"]
+    code, report, _ = _run_with_config(tmp_path, capsys, "homology", content, flags)
+    assert code == EXIT_OK
+    config = json.loads(report)["config"]
+    assert (config["n"], config["bound"], config["n_max"]) == (2, 4, 1)
+    assert config["automorphism"]["kind"] == "canonical"
+
+
+def test_symbolic_flag_replaces_a_numeric_config_mode(tmp_path, capsys):
+    # without --symbolic this file asks for a numeric run with no q values
+    code, report, _ = _run_with_config(tmp_path, capsys, "homology",
+                                       {"n": 2, "mode": "numeric"}, ["--symbolic"])
+    assert code == EXIT_OK
+    assert json.loads(report)["config"]["mode"] == "symbolic"
+
+
+def test_config_file_q_and_q_flags_combine(tmp_path, capsys):
+    content = {"n": 3, "q": [[1, 2, "2"], [1, 3, "3"]]}
+    code, report, _ = _run_with_config(tmp_path, capsys, "homology", content,
+                                       ["--q", "2,3,5", "--allow-truncated"])
+    assert code == EXIT_OK
+    config = json.loads(report)["config"]
+    assert config["mode"] == "numeric"
+    assert config["q"] == [[1, 2, "2"], [1, 3, "3"], [2, 3, "5"]]
+
+
+@pytest.mark.parametrize("content, flags", [
+    ({"n": "x"}, ["--n", "2"]),
+    ({"n": 2, "bound": "x"}, ["--bound", "3"]),
+    ({"n": 2, "n_max": "x"}, ["--nmax", "1"]),
+    ({"n": 2, "automorphism": "x"}, ["--automorphism", "identity", "--allow-truncated"]),
+])
+def test_a_config_value_that_a_flag_replaces_is_never_read(content, flags, tmp_path,
+                                                           capsys):
+    assert _run_with_config(tmp_path, capsys, "homology", content, flags)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("content, flags, needle", [
+    # the file's mode is checked before --symbolic replaces it
+    ({"n": 2, "mode": "generic"}, ["--symbolic"], "'generic'"),
+    # and its q before the --q values are appended to it
+    ({"n": 2, "q": "x"}, ["--q", "1,2,3"], "q in the config file"),
+    ({"n": 2, "mode": "symbolic"}, ["--q", "1,2,3"], "excludes q values"),
+    # file q and --q combine, so a pair given in both is given twice
+    ({"n": 2, "q": [[1, 2, "3"]]}, ["--q", "1,2,3"], "duplicate q pair"),
+])
+def test_config_file_refusals_name_the_bad_input(content, flags, needle, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    assert main(["homology", "--config", str(config), *flags]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and needle in err
+
+
 def test_verify_checks_the_admissible_solver(monkeypatch, capsys):
     # the prediction is the homology report, so a member the solver loses
     # must show up as an oracle mismatch
