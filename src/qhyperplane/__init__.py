@@ -3,7 +3,8 @@
 Two independent routes to the same answer: a reduced Koszul complex whose
 homology is read off combinatorially from the admissible multidegrees, and a
 brute-force rank computation on the genuine twisted Hochschild chain complex
-truncated by multidegree.  All arithmetic is exact.
+truncated by multidegree.  All arithmetic is exact.  Results and specs are
+immutable named tuples: change a field with ._replace, not dataclasses.replace.
 """
 
 from .exactlinalg import SparseExactMatrix

@@ -26,12 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, starmap
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .hochschild import DEFAULT_CELL_CAP, ComparisonCell, compare_with_koszul
 from .homology import (AdmissibleSet, DegreeSlice, HomologyReport, build_report,
@@ -65,20 +65,13 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int
-    mode: str
-    q_values: tuple[tuple[int, int, Fraction], ...]
-    automorphism: str
-    p_list: tuple[Fraction, ...] | None
-    alpha: tuple[int, ...] | None
-    bound: int
-    n_max: int
-    out: str | None
-    allow_truncated: bool
-    expect_top: bool
-    cap: int
+class RunConfig(namedtuple("RunConfig", "n mode q_values automorphism p_list alpha "
+                                         "bound n_max out allow_truncated expect_top cap")):
+    """One run's validated settings: q_values a sorted tuple of (i, j,
+    Fraction), p_list a tuple of Fractions for the explicit twist and alpha a
+    tuple of ints for solve-top, each None otherwise, and out a path or None."""
+
+    __slots__ = ()
 
     def build_spec(self) -> AlgebraSpec:
         if self.mode == SYMBOLIC:
@@ -108,26 +101,31 @@ class RunConfig:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """An optional sign and ASCII digits, then an optional / and more."""
     try:
-        if "." in text or "e" in text.lower():
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"not an exact rational: {text!r}")
+        if re.fullmatch("[-+]?[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):     # ValueError: too many digits
+        pass
+    raise ConfigError(f"not an exact rational: {text!r}")
 
 
 def parse_int(text) -> int:
+    """An optional sign and ASCII digits; str() refuses 2.5 and true from JSON."""
     try:
-        return int(str(text))       # str() rejects 2.5 and true from JSON
-    except ValueError:
-        raise ConfigError(f"not an integer: {text!r}")
+        if re.fullmatch("[-+]?[0-9]+", str(text)):
+            return int(text)
+    except ValueError:      # more digits than int() converts
+        pass
+    raise ConfigError(f"not an integer: {text!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     settings = {}
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text())
+            with open(args.config) as f:
+                settings = json.load(f)
         except (OSError, ValueError, RecursionError) as e:
             # ValueError: bad bytes, JSON or an overlong int; RecursionError: deep nesting
             raise ConfigError(f"cannot read config file: {e}")
@@ -444,37 +442,38 @@ def cmd_generic_check(config: RunConfig) -> int:
 # argument parsing
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)     # every command's flags
+    shared.add_argument("--n", default=None, help="number of generators")
+    shared.add_argument("--q", action="append", metavar="I,J,VALUE",
+                        help="numeric value of q_ij as an exact rational")
+    shared.add_argument("--symbolic", action="store_true",
+                        help="independent symbolic parameters (generic regime)")
+    shared.add_argument("--auto-primes", action="store_true",
+                        help="numeric mode with distinct primes")
+    shared.add_argument("--automorphism", default=None,
+                        choices=[CANONICAL, IDENTITY, EXPLICIT, SOLVE_TOP])
+    shared.add_argument("--p", default=None, help="explicit p list, comma separated")
+    shared.add_argument("--alpha", default=None,
+                        help="multi-index for solve-top, comma separated")
+    shared.add_argument("--bound", default=None,
+                        help="total-degree bound (default 2N)")
+    shared.add_argument("--nmax", default=None,
+                        help="largest homological degree (default N)")
+    shared.add_argument("--out", default=None, help="write the JSON report here")
+    shared.add_argument("--allow-truncated", action="store_true")
+    shared.add_argument("--expect-top", action="store_true",
+                        help="fail verification if the top class is absent")
+    shared.add_argument("--cap", default=DEFAULT_CELL_CAP,
+                        help="skip a cell (gamma, n) when a normalized chain space "
+                             "at gamma of degree 0..n+1 holds more tensors than "
+                             "this (at least 1)")
+    shared.add_argument("--config", default=None, help="JSON config file")
     parser = argparse.ArgumentParser(
         prog="qhyperplane",
         description="Exact twisted Hochschild homology of quantum hyperplanes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("homology", "verify", "csigma", "canonical", "generic-check"):
-        p = sub.add_parser(name)
-        p.add_argument("--n", default=None, help="number of generators")
-        p.add_argument("--q", action="append", metavar="I,J,VALUE",
-                       help="numeric value of q_ij as an exact rational")
-        p.add_argument("--symbolic", action="store_true",
-                       help="independent symbolic parameters (generic regime)")
-        p.add_argument("--auto-primes", action="store_true",
-                       help="numeric mode with distinct primes")
-        p.add_argument("--automorphism", default=None,
-                       choices=[CANONICAL, IDENTITY, EXPLICIT, SOLVE_TOP])
-        p.add_argument("--p", default=None, help="explicit p list, comma separated")
-        p.add_argument("--alpha", default=None,
-                       help="multi-index for solve-top, comma separated")
-        p.add_argument("--bound", default=None,
-                       help="total-degree bound (default 2N)")
-        p.add_argument("--nmax", default=None,
-                       help="largest homological degree (default N)")
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--allow-truncated", action="store_true")
-        p.add_argument("--expect-top", action="store_true",
-                       help="fail verification if the top class is absent")
-        p.add_argument("--cap", default=DEFAULT_CELL_CAP,
-                       help="skip a cell (gamma, n) when a normalized chain space "
-                            "at gamma of degree 0..n+1 holds more tensors than "
-                            "this (at least 1)")
-        p.add_argument("--config", default=None, help="JSON config file")
+    for name in COMMANDS:
+        sub.add_parser(name, parents=[shared])
     return parser
 
 

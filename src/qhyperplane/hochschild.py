@@ -57,7 +57,7 @@ compare_with_koszul for the cap and for symbolic input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -234,15 +234,12 @@ class HochschildComplex:
 # ---------------------------------------------------------------------------
 # comparison against the reduced complex
 
-@dataclass(frozen=True)
-class ComparisonCell:
+class ComparisonCell(namedtuple("ComparisonCell",
+                                 "gamma n natural_oracle natural_predicted")):
     """One (multidegree, degree) cell; natural_oracle is None when the cell
     was skipped because a chain space exceeded the cap."""
 
-    gamma: MultiIndex
-    n: int
-    natural_oracle: int | None
-    natural_predicted: int
+    __slots__ = ()
 
     @property
     def skipped(self) -> bool:
@@ -253,9 +250,10 @@ class ComparisonCell:
         return self.natural_oracle == self.natural_predicted
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    cells: tuple[ComparisonCell, ...]
+class ComparisonReport(namedtuple("ComparisonReport", "cells")):
+    """The tuple of ComparisonCells, by multidegree and then degree."""
+
+    __slots__ = ()
 
     @property
     def agreement(self) -> bool:

@@ -14,35 +14,31 @@ no member (each has degree at least its size), so the visit stops there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd, inf, lcm
-from typing import Iterable
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
                          canonical_automorphism, degree, exterior_under,
                          is_admissible, iter_multidegrees, sub_index, support)
 from .qscalar import Scalar, all_pairs, term
 
-Generator = tuple[MultiIndex, MultiIndex]
-
 
 def _sort_degrees(members: Iterable[MultiIndex]) -> tuple[MultiIndex, ...]:
     return tuple(sorted(set(members), key=lambda g: (degree(g), g)))
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Admissible multidegrees up to a bound.
+class AdmissibleSet(namedtuple("AdmissibleSet", "members complete")):
+    """Admissible multidegrees up to a bound, members a tuple of them.
 
     complete means the listed members are provably all of them, not just all
     below the bound.  The solver decides it on every support with at most
     one free variable and never claims it otherwise.
     """
 
-    members: tuple[MultiIndex, ...]
-    complete: bool
+    __slots__ = ()
 
 
 def scan_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
@@ -207,21 +203,21 @@ def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: tuple[int, 
 # ---------------------------------------------------------------------------
 # homology reports
 
-@dataclass(frozen=True)
-class DegreeSlice:
-    n: int
-    generators: tuple[Generator, ...]
-    grading: tuple[tuple[MultiIndex, int], ...]
+class DegreeSlice(namedtuple("DegreeSlice", "n generators grading")):
+    """The homology basis in degree n: generators a tuple of (alpha, beta)
+    symbols, grading a tuple of (gamma, count) pairs."""
+
+    __slots__ = ()
 
     @property
     def betti(self) -> int:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    admissible: AdmissibleSet
-    slices: tuple[DegreeSlice, ...]
+class HomologyReport(namedtuple("HomologyReport", "admissible slices")):
+    """An AdmissibleSet and the tuple of its DegreeSlices by degree."""
+
+    __slots__ = ()
 
     @property
     def truncated(self) -> bool:

@@ -15,11 +15,11 @@ choice that makes the top twisted homology class survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
 
 from .qscalar import Pair, Scalar, all_pairs, scalar_prod, specialize, symbol
 
@@ -86,29 +86,27 @@ def exterior_under(gamma: MultiIndex, weight: int | None = None) -> list[MultiIn
 # ---------------------------------------------------------------------------
 # the algebra
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(namedtuple("AlgebraSpec", "n mode q")):
     """The quantum symmetric algebra on n generators.
 
-    q holds q_ij for every pair i < j: the symbol q_ij in mode "symbolic"
-    (independent symbols, the generic regime), an exact nonzero rational in
-    mode "numeric".  The mode is stored, not read off q, which is empty at
-    n = 1.
+    q, a mapping (i, j) -> scalar, holds q_ij for every pair i < j: the
+    symbol q_ij in mode "symbolic" (independent symbols, the generic
+    regime), an exact nonzero rational in mode "numeric".  The mode is
+    stored, not read off q, which is empty at n = 1.
     """
 
-    n: int
-    mode: str
-    q: Mapping[Pair, Scalar]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, mode: str, q: Mapping[Pair, Scalar]):
+        if n < 1:
             raise ValueError("need at least one generator")
-        if self.mode not in (SYMBOLIC, NUMERIC):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if set(self.q) != set(all_pairs(self.n)):
-            raise ValueError(f"q needs exactly the pairs i < j up to {self.n}")
-        if not all(self.q.values()):
+        if mode not in (SYMBOLIC, NUMERIC):
+            raise ValueError(f"unknown mode {mode!r}")
+        if set(q) != set(all_pairs(n)):
+            raise ValueError(f"q needs exactly the pairs i < j up to {n}")
+        if not all(q.values()):
             raise ValueError("every q_ij must be nonzero")
+        return super().__new__(cls, n, mode, q)
 
     @classmethod
     def symbolic(cls, n: int) -> "AlgebraSpec":
@@ -153,15 +151,15 @@ def monomial_product(spec: AlgebraSpec, a: MultiIndex, b: MultiIndex) -> tuple[S
 # ---------------------------------------------------------------------------
 # scaling automorphisms
 
-@dataclass(frozen=True)
-class ScalingAutomorphism:
-    """sigma(x_i) = p_i x_i with every p_i nonzero."""
+class ScalingAutomorphism(namedtuple("ScalingAutomorphism", "p")):
+    """sigma(x_i) = p_i x_i with every p_i nonzero; p is a tuple of scalars."""
 
-    p: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(self.p):
+    def __new__(cls, p: tuple[Scalar, ...]):
+        if not all(p):
             raise ValueError("scaling coefficients must be nonzero")
+        return super().__new__(cls, p)
 
     @classmethod
     def identity(cls, n: int) -> "ScalingAutomorphism":

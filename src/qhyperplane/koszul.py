@@ -45,7 +45,7 @@ Fractions, never symbolic scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
                          commutation_factor, exterior_under, iter_multidegrees,
@@ -55,25 +55,23 @@ from .qscalar import Coefficient, Monomial, QMonomial, Scalar
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checked: int
-    failures: tuple[str, ...]
+class CheckReport(namedtuple("CheckReport", "checked failures")):
+    """The count of basis elements checked and a tuple of failure messages."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "d h scale")):
     """The complex over one multidegree gamma, where a basis element is its
     exterior part beta: d holds the moves del and h the homotopy (slot i0
     only), each mapping beta, in exterior_under order, to its (target beta,
     weight) pairs; scale is D(gamma), 1 off the admissible multidegrees."""
-    d: BlockMap
-    h: BlockMap
-    scale: int
+
+    __slots__ = ()
 
 
 class ReducedComplex:

@@ -33,9 +33,9 @@ anywhere; homology ranks are discrete and unforgiving of rounding.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Mapping
 
 Pair = tuple[int, int]
 Coefficient = int | Fraction

@@ -3,6 +3,8 @@
 The golden reports under tests/golden/ are the CLI's own output for the
 argument lists in GOLDEN; regenerate one with
 ``python -m qhyperplane.cli <args> --out tests/golden/<name>.json``.
+tests/help_text.json holds what the parser prints at COLUMNS=80, keyed by
+the argument list.
 """
 
 import io
@@ -12,7 +14,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,12 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from qhyperplane.cli import (EXIT_BAD_CONFIG, EXIT_BROKEN_PIPE, EXIT_MISMATCH,
                              EXIT_OK, EXIT_TRUNCATED, _generator_labels,
-                             _write_json, main)
+                             _write_json, build_config, build_parser, main)
 import qhyperplane
 from qhyperplane import homology, qscalar
 from qhyperplane.exactlinalg import SparseExactMatrix
-from qhyperplane.hyperplane import iter_multidegrees
-from qhyperplane.koszul import ReducedComplex
+from qhyperplane.hochschild import compare_with_koszul
+from qhyperplane.hyperplane import AlgebraSpec, canonical_automorphism, iter_multidegrees
+from qhyperplane.koszul import ReducedComplex, check_d_squared
 from qhyperplane.qscalar import QMonomial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -219,6 +221,8 @@ CONFIG_FILES = {
     "deep.json": "[" * 200000 + "]" * 200000,
     # an int of more digits than int() converts from a string
     "long-int.json": '{"n": 0, "bound": ' + "1" * 5000 + "}",
+    # int() would read this as 10
+    "underscore.json": '{"n": "1_0"}',
 }
 
 
@@ -274,6 +278,16 @@ CONFIG_FILES = {
      EXIT_BAD_CONFIG),
     (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "4294967294,0",
       "--allow-truncated"], EXIT_OK),
+    # integers and rationals are an optional sign and ASCII digits, which
+    # int() and Fraction() alone are not: they read 1_0 as 10, the
+    # Arabic-Indic 12 as 12, and skip the spaces of " 2 "
+    (["homology", "--n", "1_0"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--bound", "\u0661\u0662"], EXIT_BAD_CONFIG),
+    (["homology", "--n", " 2 "], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--q", "1,2,1_0"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "1_0,0"],
+     EXIT_BAD_CONFIG),
+    (["homology", "--config", "underscore.json"], EXIT_BAD_CONFIG),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -555,7 +569,7 @@ def test_verify_checks_the_admissible_solver(monkeypatch, capsys):
 
     def drop_last(*args):
         out = real(*args)
-        return replace(out, members=out.members[:-1])
+        return out._replace(members=out.members[:-1])
 
     monkeypatch.setattr(homology, "enumerate_admissible", drop_last)
     assert main(["verify", "--n", "3", "--bound", "4", "--auto-primes"]) == EXIT_MISMATCH
@@ -586,3 +600,69 @@ def test_auto_primes_beyond_eight_generators():
 
 def test_symbolic_verify_beyond_eight_generators():
     assert main(["verify", "--n", "9", "--bound", "1", "--nmax", "0"]) == EXIT_OK
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_pathlib():
+    # each CLI process pays for every module the package imports; on a bare
+    # interpreter, with no site hooks (-I -S), it needs none of these
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qhyperplane.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+RECORD_FIELDS = {
+    "RunConfig": ("n", "mode", "q_values", "automorphism", "p_list", "alpha", "bound",
+                  "n_max", "out", "allow_truncated", "expect_top", "cap"),
+    "AlgebraSpec": ("n", "mode", "q"),
+    "ScalingAutomorphism": ("p",),
+    "AdmissibleSet": ("members", "complete"),
+    "DegreeSlice": ("n", "generators", "grading"),
+    "HomologyReport": ("admissible", "slices"),
+    "ComparisonCell": ("gamma", "n", "natural_oracle", "natural_predicted"),
+    "ComparisonReport": ("cells",),
+    "CheckReport": ("checked", "failures"),
+    "Block": ("d", "h", "scale"),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record type, by type name."""
+    spec = AlgebraSpec.symbolic(2)
+    sigma = canonical_automorphism(spec)
+    report = homology.build_report(spec, sigma, 3)
+    comparison = compare_with_koszul(spec, sigma, 1, 2)
+    complex_ = ReducedComplex(spec, sigma)
+    found = [build_config(build_parser().parse_args(["verify", "--n", "2"])), spec, sigma,
+             report.admissible, report.slices[0], report, comparison.cells[0], comparison,
+             check_d_squared(complex_, 2), complex_.block((1, 1))]
+    return {type(record).__name__: record for record in found}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_records_are_immutable_with_fixed_fields(name, records):
+    record = records[name]
+    assert type(record)._fields == RECORD_FIELDS[name]
+    for field in RECORD_FIELDS[name]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):     # a subclass without __slots__ = () takes it
+        record.note = "extra"
+
+
+HELP_TEXT = json.loads((Path(__file__).parent / "help_text.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_TEXT))
+def test_parser_text_is_unchanged(argv, monkeypatch, capsys):
+    # what the parser prints at 80 columns: each --help, and a usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split())
+    captured = capsys.readouterr()
+    if argv.endswith("--help"):
+        assert (exit_.value.code, captured.out, captured.err) == (0, HELP_TEXT[argv], "")
+    else:
+        assert (exit_.value.code, captured.out, captured.err) == (2, "", HELP_TEXT[argv])

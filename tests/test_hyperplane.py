@@ -62,6 +62,20 @@ def test_spec_rejects_a_malformed_q_table(case, mode):
         AlgebraSpec(3, mode, q)
 
 
+MALFORMED_INPUT = {
+    "no generator": lambda: AlgebraSpec(0, NUMERIC, {}),
+    "unknown mode": lambda: AlgebraSpec(2, "generic", {(1, 2): Fraction(2)}),
+    "zero q_ij": lambda: AlgebraSpec.numeric(2, {(1, 2): 0}),
+    "zero p_i": lambda: ScalingAutomorphism((Fraction(2), Fraction(0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
+def test_spec_and_twist_reject_malformed_input(case):
+    with pytest.raises(ValueError):
+        MALFORMED_INPUT[case]()
+
+
 MIXED3 = AlgebraSpec.numeric(3, {(1, 2): Fraction(2), (1, 3): Fraction(-1, 3),
                                  (2, 3): Fraction(5)})
 

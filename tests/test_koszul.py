@@ -7,7 +7,6 @@ do."""
 
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -377,7 +376,7 @@ def test_checks_fail_on_tampered_coefficients(monkeypatch):
     with monkeypatch.context() as patch:
         # flip the sign of every move out of slot 1 where slot 2 is occupied:
         # a sign on all of them would anticommute as before
-        tamper_blocks(patch, lambda block: replace(block, d={
+        tamper_blocks(patch, lambda block: block._replace(d={
             beta: [(target, -w if beta[0] and beta[1] and not target[0] else w)
                    for target, w in moves]
             for beta, moves in block.d.items()}))
@@ -385,13 +384,13 @@ def test_checks_fail_on_tampered_coefficients(monkeypatch):
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
         # double the weight of every move back into slot 1
-        tamper_blocks(patch, lambda block: replace(block, h={
+        tamper_blocks(patch, lambda block: block._replace(h={
             beta: [(target, 2 * w if target[0] and not beta[0] else w) for target, w in moves]
             for beta, moves in block.h.items()}))
         report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
-        tamper_blocks(patch, lambda block: replace(block, scale=2 * block.scale))
+        tamper_blocks(patch, lambda block: block._replace(scale=2 * block.scale))
         report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
         assert not report.passed and report.failures
 
