@@ -7,9 +7,20 @@ degree bound.  One exact solver does this for every mode and twist.  On a
 support S, gamma is admissible when prod_{k in S, k != i} q_ki^{gamma(k)}
 = p_i for each i in S; over a coprime base of the rationals involved (and
 the symbols q_ij) this is an integer linear system blind only to signs,
-which the membership predicate then decides.  Supports are visited by size;
-once completeness is settled false, a support larger than the bound can add
-no member (each has degree at least its size), so the visit stops there.
+which the membership predicate then decides.  Supports are walked depth
+first, a child adding one generator j > max S to its parent S.  It inherits
+S's reduced row echelon form (pivot rows by column, and rest rows, zero on
+S), reduces j's rows, built once, against those pivots, and pivots the
+columns they reach: S's free columns in order, then j.  The columns of
+skipped generators are cut.  A support is consistent, and solved at its
+visit, when no rest row has a nonzero right side; a rest row reading
+0 = nonzero on j and on every later column ends the subtree.  Once
+completeness is settled false, supports of size >= bound are not extended.
+This gives exactly the result of a fresh elimination per support: the
+echelon form is unique up to positive row scales and the support solver
+reads only ratios; a pruned subtree holds no consistent support; the stop
+drops only supports past the bound (no member: each has degree at least its
+size) while completeness is already false; the members are sorted last.
 """
 
 from __future__ import annotations
@@ -19,10 +30,11 @@ from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd, inf, lcm
+from operator import sub
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
-                         canonical_automorphism, degree, exterior_under,
-                         is_admissible, iter_multidegrees, sub_index, support)
+                         canonical_automorphism, degree, is_admissible,
+                         iter_multidegrees)
 from .qscalar import Scalar, all_pairs, term
 
 
@@ -52,32 +64,53 @@ def scan_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
 
 def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
                          bound: int) -> AdmissibleSet:
-    """Admissible set up to the bound, solved one support at a time."""
+    """Admissible set up to the bound, by the walk of the module docstring."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    q = {ki: spec.q_power(*ki) for ki in permutations(range(1, spec.n + 1), 2)}
+    gens = range(1, spec.n + 1)
+    q = {ki: spec.q_power(*ki) for ki in permutations(gens, 2)}
     base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
                          for x in term(c)[0].as_integer_ratio())
     q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
     p_vec = [_exponents(c, base) for c in sigma.p]
+    rows = [[[q_vec[k, i].get(coord, 0) if k != i else 0 for k in gens]
+             + [p_vec[i - 1].get(coord, 0)]
+             for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in gens if k != i))]
+            for i in gens]
     members: list[MultiIndex] = []
-    complete = True
-    supports = (s for size in range(spec.n + 1)
-                for s in combinations(range(1, spec.n + 1), size))
-    for s in supports:
-        if len(s) > bound and not complete:
-            break       # members here have degree >= |s| > bound
-        rows = []
-        for i in s:
-            for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in s if k != i)):
-                rows.append([q_vec[k, i].get(coord, 0) if k != i else 0 for k in s]
-                            + [p_vec[i - 1].get(coord, 0)])
-        if any(row[-1] and not any(row[:-1]) for row in rows):
-            continue    # 0 = nonzero: no multidegree has this support
-        pivots = _gauss_jordan(rows, len(s))
-        if pivots is not None:
+    complete, stack = True, [((), [], [])]
+    while stack:
+        s, pivots, rest = stack.pop()
+        if not any(row[-1] for row in rest):
             complete &= _solve_support(spec, sigma, s, pivots, bound, members)
+        if len(s) < bound or complete:
+            stack += reversed([(s + (j,), *child) for j in gens[s[-1] if s else 0:]
+                               if (child := _extend(pivots, rest, rows[j - 1], s, j))])
     return AdmissibleSet(_sort_degrees(members), complete)
+
+
+def _extend(pivots: list[tuple[int, list[int]]], rest: list[list[int]], new: list[list[int]],
+            s: tuple[int, ...], j: int) -> tuple[list, list] | None:
+    """The echelon form of s + (j,) from that of s, None if its subtree is pruned.
+    Rows run over s, the generators after max s and the right side; new over all."""
+    m, skipped = len(s), j - 1 - (s[-1] if s else 0)
+    pivots = [(col, row[:m] + row[m + skipped:]) for col, row in pivots]
+    pool = [row[:m] + row[m + skipped:] for row in rest]
+    for row in new:
+        row = [row[k - 1] for k in s] + row[j - 1:]
+        for col, pivot in pivots:
+            row = _eliminate(row, pivot, col)
+        pool.append(row)
+    for col in sorted(set(range(m)).difference(c for c, _ in pivots)) + [m]:
+        if (at := next((at for at, row in enumerate(pool) if row[col]), None)) is None:
+            continue
+        pick = pool.pop(at)
+        pick = [-x for x in pick] if pick[col] < 0 else pick
+        pool = [_eliminate(row, pick, col) if row[col] else row for row in pool]
+        pivots = [(c, _eliminate(row, pick, col) if row[col] else row)
+                  for c, row in pivots] + [(col, pick)]
+    rest = [row for row in pool if any(row[m + 1:])]
+    return None if any(row[-1] and not any(row[m + 1:-1]) for row in rest) else (pivots, rest)
 
 
 def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
@@ -120,24 +153,6 @@ def _exponents(c: Scalar, base: list[int]) -> dict:
     return vec
 
 
-def _gauss_jordan(rows: list[list[int]], width: int) -> list[tuple[int, list[int]]] | None:
-    """Integer reduced row echelon form of augmented rows with width
-    coefficient columns: (pivot column, row) pairs, each pivot positive and
-    alone in its column, or None when the system is inconsistent."""
-    rows = [r for r in rows if any(r)]
-    pivots: list[tuple[int, list[int]]] = []
-    for col in range(width):
-        pick = next((r for r in rows if r[col]), None)
-        if pick is None:
-            continue
-        rows.remove(pick)
-        if pick[col] < 0:
-            pick = [-x for x in pick]
-        rows = [r for r in (_eliminate(r, pick, col) for r in rows) if any(r)]
-        pivots = [(c, _eliminate(r, pick, col)) for c, r in pivots] + [(col, pick)]
-    return None if rows else pivots
-
-
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
     """row minus the multiple of pivot that clears column col, gcd removed."""
     if not row[col]:
@@ -151,7 +166,8 @@ def _solve_support(spec: AlgebraSpec, sigma: ScalingAutomorphism, s: tuple[int, 
                    pivots: list[tuple[int, list[int]]], bound: int,
                    members: list[MultiIndex]) -> bool:
     """Append the admissible multidegrees with support s up to the bound to
-    members; False unless it is proven that none lies beyond the bound."""
+    members; False unless it is proven that none lies beyond the bound.  Of
+    each pivot row it reads the columns of s and the right side, last."""
     pivot_cols = {col for col, _ in pivots}
     free = [v for v in range(len(s)) if v not in pivot_cols]
 
@@ -235,12 +251,18 @@ def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
     if n_max is None:
         n_max = spec.n
     admissible = enumerate_admissible(spec, sigma, bound)
-    members = admissible.members
-    slices = tuple(
-        DegreeSlice(n, tuple(sorted((sub_index(g, b), b) for g in members
-                                    for b in exterior_under(g, n))),
-                    tuple((g, c) for g in members if (c := comb(len(support(g)), n))))
-        for n in range(min(n_max, spec.n) + 1))
+    by_degree = [([], []) for _ in range(min(n_max, spec.n) + 1)]
+    for g in admissible.members:
+        positions = [k for k, x in enumerate(g) if x]
+        for n, (generators, grading) in enumerate(by_degree[:len(positions) + 1]):
+            for chosen in combinations(positions, n):
+                beta = [0] * spec.n
+                for k in chosen:
+                    beta[k] = 1
+                generators.append((tuple(map(sub, g, beta)), tuple(beta)))
+            grading.append((g, comb(len(positions), n)))
+    slices = tuple(DegreeSlice(n, tuple(sorted(generators)), tuple(grading))
+                   for n, (generators, grading) in enumerate(by_degree))
     return HomologyReport(admissible, slices)
 
 

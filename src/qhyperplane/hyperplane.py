@@ -74,13 +74,11 @@ def iter_multidegrees(n: int, max_total: int) -> Iterator[MultiIndex]:
         yield from compositions(total, n)
 
 
-def exterior_under(gamma: MultiIndex, weight: int | None = None) -> list[MultiIndex]:
-    """All 0/1 multi-indices beta <= gamma, optionally of fixed weight,
-    ordered by (weight, lex)."""
+def exterior_under(gamma: MultiIndex) -> list[MultiIndex]:
+    """All 0/1 multi-indices beta <= gamma, ordered by (weight, lex)."""
     positions = support(gamma)
-    weights = range(len(positions) + 1) if weight is None else (weight,)
     return [tuple(1 if k in chosen else 0 for k in range(1, len(gamma) + 1))
-            for w in weights for chosen in combinations(positions, w)]
+            for w in range(len(positions) + 1) for chosen in combinations(positions, w)]
 
 
 # ---------------------------------------------------------------------------

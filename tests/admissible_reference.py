@@ -1,0 +1,66 @@
+"""Test-only admissible-set solver that visits the supports by size, kept as a
+reference for the program's depth-first walk.
+
+Every support S of 1..N gets its own exponent rows, those of the generators
+in S over the columns of S, and its own integer Gauss-Jordan elimination.  A
+row that reads 0 = nonzero before any elimination marks S hopeless.  Once
+completeness is settled false, a support larger than the bound can add no
+member, so the visit stops there.  Each consistent support is solved by the
+program's own _solve_support, so the two solvers differ only in how they
+reach the reduced row echelon form of each support.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, permutations
+
+from qhyperplane.homology import (AdmissibleSet, _coprime_base, _eliminate, _exponents,
+                                  _solve_support, _sort_degrees)
+from qhyperplane.hyperplane import AlgebraSpec, ScalingAutomorphism
+from qhyperplane.qscalar import term
+
+
+def reference_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
+                         bound: int) -> AdmissibleSet:
+    """Admissible set up to the bound, one fresh elimination per support."""
+    q = {ki: spec.q_power(*ki) for ki in permutations(range(1, spec.n + 1), 2)}
+    base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
+                         for x in term(c)[0].as_integer_ratio())
+    q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
+    p_vec = [_exponents(c, base) for c in sigma.p]
+    members: list = []
+    complete = True
+    supports = (s for size in range(spec.n + 1)
+                for s in combinations(range(1, spec.n + 1), size))
+    for s in supports:
+        if len(s) > bound and not complete:
+            break       # members here have degree >= |s| > bound
+        rows = []
+        for i in s:
+            for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in s if k != i)):
+                rows.append([q_vec[k, i].get(coord, 0) if k != i else 0 for k in s]
+                            + [p_vec[i - 1].get(coord, 0)])
+        if any(row[-1] and not any(row[:-1]) for row in rows):
+            continue    # 0 = nonzero: no multidegree has this support
+        pivots = gauss_jordan(rows, len(s))
+        if pivots is not None:
+            complete &= _solve_support(spec, sigma, s, pivots, bound, members)
+    return AdmissibleSet(_sort_degrees(members), complete)
+
+
+def gauss_jordan(rows: list[list[int]], width: int) -> list[tuple[int, list[int]]] | None:
+    """Integer reduced row echelon form of augmented rows with width
+    coefficient columns: (pivot column, row) pairs, each pivot positive and
+    alone in its column, or None when the system is inconsistent."""
+    rows = [r for r in rows if any(r)]
+    pivots: list[tuple[int, list[int]]] = []
+    for col in range(width):
+        pick = next((r for r in rows if r[col]), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        if pick[col] < 0:
+            pick = [-x for x in pick]
+        rows = [r for r in (_eliminate(r, pick, col) for r in rows) if any(r)]
+        pivots = [(c, _eliminate(r, pick, col)) for c, r in pivots] + [(col, pick)]
+    return None if rows else pivots

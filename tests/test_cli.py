@@ -598,6 +598,22 @@ def test_auto_primes_beyond_eight_generators():
     assert main(argv) == EXIT_OK
 
 
+def test_twenty_generators_admit_only_the_zero_multidegree(tmp_path):
+    # distinct primes under the canonical twist: the one other admissible
+    # multidegree, (1, ..., 1), lies past the bound
+    out = tmp_path / "homology.json"
+    argv = ["homology", "--n", "20", "--auto-primes", "--bound", "2", "--allow-truncated"]
+    assert _run(argv, out) == EXIT_OK
+    assert json.loads(out.read_text())["admissible"]["members"] == [[0] * 20]
+
+
+def test_verify_at_twelve_generators_agrees(tmp_path):
+    out = tmp_path / "verify.json"
+    assert _run(["verify", "--n", "12", "--bound", "1", "--nmax", "0", "--auto-primes"],
+                out) == EXIT_OK
+    assert json.loads(out.read_text())["agreement"] is True
+
+
 def test_symbolic_verify_beyond_eight_generators():
     assert main(["verify", "--n", "9", "--bound", "1", "--nmax", "0"]) == EXIT_OK
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admissible_reference import reference_admissible
 from algebras import apply_sigma, generic_check, one_parameter
 from koszul_reference import differential
 import qhyperplane.homology
@@ -173,6 +174,31 @@ def test_solver_matches_scan(inputs):
         assert scan_admissible(spec, sigma, bound + 4) == out.members
 
 
+@st.composite
+def walk_inputs(draw):
+    """Up to six generators, symbolic, from VALUES or distinct primes, under
+    the canonical, identity, solve-top or an explicit twist; bound 0-8."""
+    n = draw(st.integers(1, 6))
+    spec = draw(st.one_of(
+        st.just(AlgebraSpec.symbolic(n)), st.just(primes_spec(n)),
+        st.fixed_dictionaries({pair: st.sampled_from(VALUES) for pair in all_pairs(n)})
+        .map(lambda q: AlgebraSpec.numeric(n, q))))
+    sigma = draw(st.one_of(
+        st.just(canonical_automorphism(spec)), st.just(ScalingAutomorphism.identity(n)),
+        st.tuples(*[st.integers(0, 2)] * n).map(
+            lambda alpha: automorphism_for_top_class(spec, alpha)),
+        st.tuples(*[st.sampled_from(VALUES)] * n).map(ScalingAutomorphism)))
+    return spec, sigma, draw(st.integers(0, 8))
+
+
+@settings(deadline=None)
+@given(walk_inputs())
+def test_walk_matches_the_by_size_solver(inputs):
+    # members and completeness both, exactly, with no bound on how far a
+    # complete set is checked
+    assert enumerate_admissible(*inputs) == reference_admissible(*inputs)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("generic")
@@ -215,13 +241,19 @@ def test_distinct_primes_are_complete():
     assert not enumerate_admissible(spec, canonical_automorphism(spec), 2).complete
 
 
+def count_calls(monkeypatch, name):
+    """Record the arguments of each call to the homology function name."""
+    calls = []
+    real = getattr(qhyperplane.homology, name)
+    monkeypatch.setattr(qhyperplane.homology, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_hopeless_supports_are_not_solved(monkeypatch):
     # with the canonical twist, p_i carries every q_ki; on a smaller support
-    # some row reads 0 = nonzero, which needs no elimination
-    calls = []
-    real = qhyperplane.homology._gauss_jordan
-    monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
-                        lambda *args: calls.append(args) or real(*args))
+    # some row reads 0 = nonzero, so the support is never solved
+    calls = count_calls(monkeypatch, "_solve_support")
     spec = primes_spec(6)
     out = enumerate_admissible(spec, canonical_automorphism(spec), 6)
     assert out.members == ((0,) * 6, (1,) * 6)
@@ -233,15 +265,25 @@ def test_supports_past_the_bound_are_skipped_once_incomplete(monkeypatch):
     # the identity twist admits every power of one generator, so completeness
     # is settled false on the supports of size 1; no support of size 3 or
     # more holds a member of degree <= 2
-    calls = []
-    real = qhyperplane.homology._gauss_jordan
-    monkeypatch.setattr(qhyperplane.homology, "_gauss_jordan",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = count_calls(monkeypatch, "_solve_support")
     spec, identity = primes_spec(8), ScalingAutomorphism.identity(8)
     out = enumerate_admissible(spec, identity, 2)
     assert len(calls) <= 1 + 8 + 28
     assert out.members == scan_admissible(spec, identity, 2)
     assert not out.complete
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_pruned_subtrees_are_never_extended(monkeypatch, n):
+    # under the canonical twist a support that skips a generator below its
+    # largest has a row 0 = nonzero on every column it can still add, so only
+    # the supports {1, ..., k} are extended, not the 2^n a by-size visit needs
+    calls = count_calls(monkeypatch, "_extend")
+    spec = primes_spec(n)
+    out = enumerate_admissible(spec, canonical_automorphism(spec), 2)
+    assert out.members == ((0,) * n,)
+    assert not out.complete
+    assert len(calls) <= n * (n + 1) // 2
 
 
 def test_signs_close_a_ray_the_exponents_allow():
@@ -278,10 +320,7 @@ def test_long_bounded_family_is_not_scanned(monkeypatch):
     spec = one_parameter(3, 2)
     sigma = ScalingAutomorphism(tuple(commutation_factor(spec, (1, 10**4, 1), i)
                                       for i in (1, 2, 3)))
-    calls = []
-    real = qhyperplane.homology.is_admissible
-    monkeypatch.setattr(qhyperplane.homology, "is_admissible",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = count_calls(monkeypatch, "is_admissible")
     out = enumerate_admissible(spec, sigma, 6)
     assert out.members == tuple((0, t, 0) for t in range(7))
     assert not out.complete
