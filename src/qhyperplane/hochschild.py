@@ -47,11 +47,12 @@ n = 1 the slot-0 split and the wrap face are the same tensor.
 A slot is packed into the int sum of a_i R^(N-i), R = bound + 1, and a tensor
 (a_0, ..., a_k) into the int sum of a_i S^(k-i), S = R^N.  With no coordinate
 past the bound each slot is below S, so int order is lex order on slots and
-tensors alike, y = m - x is one subtraction, and a tensor's int is its row;
-a gamma past the bound is refused, never aliased.  The pairs (x, y) with
-x + y = m and y nonunit are listed once per complex in a split table, which
-tails, hence bases, and the chi weights of gamma (kept for one gamma only)
-are read through.  Rank needs decidable zero, so the oracle is numeric; see
+tensors alike, y = m - x is one subtraction, and a tensor's int is its row
+and its column label, the columns ascending as the rows; a gamma past the
+bound is refused, never aliased.  The pairs (x, y) with x + y = m and y
+nonunit are listed once per complex in a split table, which tails, hence
+bases, and the chi weights of gamma (kept for one gamma only) are read
+through.  Rank needs decidable zero, so the oracle is numeric; see
 compare_with_koszul for the cap and for symbolic input.
 """
 
@@ -148,27 +149,25 @@ class HochschildComplex:
 
     def boundary_matrix(self, n: int, gamma: MultiIndex,
                         cleared: frozenset[Tensor] = frozenset()) -> SparseExactMatrix:
-        """d_n transposed at one multidegree: column c is cofaces(n, b) for
-        the c-th tensor b of basis(n-1, gamma) not in cleared, unbuilt, and
-        its pivot is read off b where b has one (see the module docstring)."""
+        """d_n transposed at one multidegree, n >= 1: its columns are the
+        tensors b of basis(n-1, gamma) not in cleared, ascending, column b
+        being cofaces(n, b), unbuilt; b's pivot is read off b where b has one
+        (see the module docstring)."""
         slot = self._radix ** self.spec.n     # S: every packed slot is below it
-        if n < 1:
-            return SparseExactMatrix(slot, 0)
-        columns, pivots, splits, cols = {}, {}, self._splits, self.basis(n - 1, gamma)
-        for c, b in enumerate(cols):
-            if b in cleared:
-                continue
-            columns[c], head, place = b, b, 1
+        basis = self.basis(n - 1, gamma)
+        columns = [b for b in basis if b not in cleared]
+        pivots, splits = {}, self._splits
+        for b in columns:
+            head, place = b, 1
             for _ in range(n - 1):      # slots n-1 down to 1
                 head, b_i = divmod(head, slot)
                 pairs = splits(b_i)
                 if len(pairs) > 1:
                     x, y = pairs[-1]
-                    pivots[c] = ((head * slot + x) * slot + y) * place + b % place
+                    pivots[b] = ((head * slot + x) * slot + y) * place + b % place
                     break
                 place *= slot
-        return SparseExactMatrix(slot ** (n + 1), len(cols), columns, pivots,
-                                 partial(self.cofaces, n))
+        return SparseExactMatrix(len(basis), columns, pivots, partial(self.cofaces, n))
 
     def cofaces(self, n: int, b: Tensor) -> dict[Tensor, int]:
         """Column b of d_n transposed, in the rescaled bases f: the cofaces a

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, gcd, inf, lcm
 from operator import sub
 
@@ -68,15 +68,16 @@ def enumerate_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     gens = range(1, spec.n + 1)
-    q = {ki: spec.q_power(*ki) for ki in permutations(gens, 2)}
-    base = _coprime_base(abs(x) for c in (*q.values(), *sigma.p)
-                         for x in term(c)[0].as_integer_ratio())
-    q_vec = {ki: _exponents(c, base) for ki, c in q.items()}
-    p_vec = [_exponents(c, base) for c in sigma.p]
-    rows = [[[q_vec[k, i].get(coord, 0) if k != i else 0 for k in gens]
-             + [p_vec[i - 1].get(coord, 0)]
-             for coord in set(p_vec[i - 1]).union(*(q_vec[k, i] for k in gens if k != i))]
-            for i in gens]
+    base = _coprime_base({abs(x) for c in (*spec.q.values(), *sigma.p)
+                          for x in term(c)[0].as_integer_ratio()})
+    q_vec = {ij: _exponents(c, base) for ij, c in spec.q.items()}    # i < j
+    rows = []
+    for i, p in zip(gens, sigma.p):     # q_ki for k > i is q_ik inverted
+        p_vec = _exponents(p, base)
+        into = [q_vec[k, i] if k < i else {x: -e for x, e in q_vec[i, k].items()}
+                if k > i else {} for k in gens]
+        rows.append([[vec.get(coord, 0) for vec in into] + [p_vec.get(coord, 0)]
+                     for coord in set(p_vec).union(*into)])
     members: list[MultiIndex] = []
     complete, stack = True, [((), [], [])]
     while stack:

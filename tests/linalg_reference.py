@@ -1,4 +1,6 @@
-"""Test-only helpers for SparseExactMatrix: construction from entries or dense rows,
+"""Test-only helpers for SparseExactMatrix: Shaped, a matrix with its own row
+count whose columns are labelled by position and built as copies of stored
+dicts; construction from entries or dense rows,
 which drops zeros and checks every entry's row and column against the shape,
 scaling a rational matrix to ints, products, the row-elimination rank that
 column reduction replaced, and the eager column reduction that builds every
@@ -13,6 +15,18 @@ from typing import Iterable
 from qhyperplane.exactlinalg import SparseExactMatrix, _strip_gcd
 
 
+class Shaped(SparseExactMatrix):
+    """A matrix of n_rows rows whose columns, positions 0..n_cols-1 without the
+    empty ones, are stored dicts {r: v}; build gives a copy, so that nothing
+    rank does to a column reaches the stored one."""
+
+    __slots__ = ("n_rows",)
+
+    def __init__(self, n_rows: int, n_cols: int, columns: dict[int, dict[int, int]]):
+        super().__init__(n_cols, sorted(columns), {}, lambda c: dict(columns[c]))
+        self.n_rows = n_rows
+
+
 def integerize(vector: dict[int, Fraction | int]) -> dict[int, int]:
     """Scale a sparse rational vector by the lcm of its denominators."""
     lcm = 1
@@ -22,7 +36,7 @@ def integerize(vector: dict[int, Fraction | int]) -> dict[int, int]:
 
 
 def from_entries(n_rows: int, n_cols: int,
-                 entries: dict[tuple[int, int], Fraction | int]) -> SparseExactMatrix:
+                 entries: dict[tuple[int, int], Fraction | int]) -> Shaped:
     """A matrix from its entries by (row, column), grouped into columns."""
     columns: dict[int, dict[int, Fraction | int]] = {}
     for (r, c), v in entries.items():
@@ -31,7 +45,7 @@ def from_entries(n_rows: int, n_cols: int,
 
 
 def checked(n_rows: int, n_cols: int,
-            columns: dict[int, dict[int, Fraction | int]]) -> SparseExactMatrix:
+            columns: dict[int, dict[int, Fraction | int]]) -> Shaped:
     """A matrix of the given columns without their zeros and empty columns;
     a negative shape raises ValueError, an entry outside it IndexError."""
     if n_rows < 0 or n_cols < 0:
@@ -43,17 +57,16 @@ def checked(n_rows: int, n_cols: int,
             raise IndexError(f"column {c} reaches outside {n_rows}x{n_cols}")
         if col:
             kept[c] = col
-    return SparseExactMatrix(n_rows, n_cols, kept)
+    return Shaped(n_rows, n_cols, kept)
 
 
-def integerized(m: SparseExactMatrix) -> SparseExactMatrix:
+def integerized(m: Shaped) -> Shaped:
     """The matrix with each column built and scaled to integers: the same
     rank and the same pivot rows, with int entries that rank accepts."""
-    return checked(m.n_rows, m.n_cols,
-                   {c: integerize(m.build(key)) for c, key in m.columns.items()})
+    return checked(m.n_rows, m.n_cols, {c: integerize(m.build(c)) for c in m.columns})
 
 
-def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
+def from_rows(rows: Iterable[Iterable]) -> Shaped:
     """A matrix from dense rational rows, its columns scaled to ints."""
     rows = [list(r) for r in rows]
     n_cols = len(rows[0]) if rows else 0
@@ -63,14 +76,14 @@ def from_rows(rows: Iterable[Iterable]) -> SparseExactMatrix:
     return integerized(from_entries(len(rows), n_cols, entries))
 
 
-def row_dicts(m: SparseExactMatrix) -> list[dict[int, Fraction]]:
+def row_dicts(m: Shaped) -> list[dict[int, Fraction]]:
     rows: list[dict[int, Fraction]] = [dict() for _ in range(m.n_rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
     return rows
 
 
-def matmul(a: SparseExactMatrix, b: SparseExactMatrix) -> SparseExactMatrix:
+def matmul(a: Shaped, b: Shaped) -> Shaped:
     if a.n_cols != b.n_rows:
         raise ValueError("inner dimensions disagree")
     b_rows = row_dicts(b)
@@ -81,7 +94,7 @@ def matmul(a: SparseExactMatrix, b: SparseExactMatrix) -> SparseExactMatrix:
     return from_entries(a.n_rows, b.n_cols, out)
 
 
-def reference_rank(m: SparseExactMatrix) -> int:
+def reference_rank(m: Shaped) -> int:
     """Exact rank by sparse row elimination.
 
     Within a column the pivot is the row whose entry has the smallest bit
@@ -118,11 +131,12 @@ def reference_rank(m: SparseExactMatrix) -> int:
 
 
 def eager_rank(m: SparseExactMatrix) -> tuple[int, frozenset[int]]:
-    """Rank and pivot rows by column reduction with every column built first
-    and no pivot known beforehand: the reduction the lazy one must equal."""
+    """Rank and pivot rows by column reduction, in the order of m's column
+    labels, with every column built first and no pivot known beforehand: the
+    reduction the lazy one must equal."""
     reduced: dict[int, dict[int, int]] = {}
-    for c in sorted(m.columns):
-        col = _strip_gcd(m.build(m.columns[c]))
+    for c in m.columns:
+        col = _strip_gcd(m.build(c))
         while col:
             low = max(col)
             pivot_col = reduced.get(low)

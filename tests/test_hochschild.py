@@ -61,11 +61,14 @@ def unpacked_basis(complex_, n, gamma):
 
 def by_position(complex_, delta, n, gamma):
     """boundary_matrix(n, gamma) with each row, a packed tensor below
-    S^(n+1), moved to its position in basis(n, gamma): the reference helpers
-    allocate every row, so they are never handed the packed rows."""
-    position = {t: r for r, t in enumerate(complex_.basis(n, gamma))}
+    S^(n+1), moved to its position in basis(n, gamma), and each column, a
+    tensor of degree n - 1, to its position in basis(n - 1, gamma): the
+    reference helpers allocate every row, so they are never handed the
+    packed rows."""
+    row = {t: r for r, t in enumerate(complex_.basis(n, gamma))}
+    col = {t: c for c, t in enumerate(complex_.basis(n - 1, gamma))}
     return from_entries(complex_.basis_size(n, gamma), delta.n_cols, {
-        (position[a], c): v for (a, c), v in delta.entries.items()})
+        (row[a], col[b]): v for (a, b), v in delta.entries.items()})
 
 
 def _cells(n_generators):
@@ -173,7 +176,7 @@ def reference_matrix(complex_, n, gamma, row_basis, col_basis):
 
 def _normalized_reference(complex_, n, gamma):
     if n < 1:
-        return SparseExactMatrix(0, len(complex_.basis(0, gamma)))
+        return from_entries(0, len(complex_.basis(0, gamma)), {})
     return reference_matrix(complex_, n, gamma, unpacked_basis(complex_, n - 1, gamma),
                             unpacked_basis(complex_, n, gamma))
 
@@ -231,16 +234,24 @@ def test_stored_columns_hold_nonzero_ints_in_range(complex_):
     # only nonzero ints on rows of the basis: under the identity twist the
     # wrap-around face cancels an inner one, and the zero is dropped.
     # A row is the coface itself, packed, so it is a tensor of the basis, and
-    # int order on rows is lex order on their slots
+    # int order on rows is lex order on their slots.  A column is labelled by
+    # its tensor: the kept ones of the basis one degree down, ascending
     for gamma in _cells(complex_.spec.n):
+        cleared = frozenset()
         for n in (1, 2, 3):
+            kept = complex_.boundary_matrix(n, gamma, cleared)
+            assert kept.columns == [b for b in complex_.basis(n - 1, gamma) if b not in cleared]
+            kept.rank()
+            cleared = kept.pivot_rows
             delta = complex_.boundary_matrix(n, gamma)
+            assert delta.columns == complex_.basis(n - 1, gamma)
+            assert delta.n_cols == len(delta.columns)
             basis = set(complex_.basis(n, gamma))
-            for c, b in delta.columns.items():
+            for b in delta.columns:
                 column = complex_.cofaces(n, b)
-                assert 0 <= c < delta.n_cols and b == complex_.basis(n - 1, gamma)[c]
                 assert all(type(v) is int and v != 0 for v in column.values())
-                assert all(0 <= r < delta.n_rows for r in column)
+                assert all(0 <= r < complex_._radix ** (complex_.spec.n * (n + 1))
+                           for r in column)
                 assert basis.issuperset(column)
                 assert ([unpacked(complex_, r, n) for r in sorted(column)]
                         == sorted(unpacked(complex_, r, n) for r in column))
@@ -309,7 +320,7 @@ def test_cleared_columns_leave_the_rank_unchanged(complex_):
             cleared = complex_.boundary_matrix(n + 1, gamma, below.pivot_rows)
             cols = complex_.basis(n, gamma)
             assert below.pivot_rows <= set(cols)
-            assert not any(cols[c] in below.pivot_rows for _, c in cleared.entries)
+            assert {b for _, b in cleared.entries} <= set(cols) - below.pivot_rows
             assert cleared.rank() == delta.rank()
 
 
@@ -512,12 +523,12 @@ def test_a_read_off_pivot_is_the_largest_row_of_the_built_column(case, n_max):
     complex_ = fixture_complex(len(gamma), algebra, twist, 5)
     for n, delta in _kept_matrices(complex_, tuple(gamma), n_max):
         assert set(delta.pivots) <= set(delta.columns)
-        for c, b in delta.columns.items():
+        for b in delta.columns:
             splittable = n >= 2 and any(
                 sum(slot) > 1 for slot in unpacked(complex_, b, n - 1)[1:])
-            assert (c in delta.pivots) == splittable
+            assert (b in delta.pivots) == splittable
             if splittable:
-                assert delta.pivots[c] == max(complex_.cofaces(n, b))
+                assert delta.pivots[b] == max(complex_.cofaces(n, b))
 
 
 def _spy_cofaces(monkeypatch):
@@ -553,8 +564,8 @@ def test_a_clash_builds_a_recorded_column(monkeypatch):
     delta = next(delta for n, delta in _kept_matrices(complex_, (1, 1, 2), 2)
                  if n == 3)
     recorded = {}
-    for c in sorted(delta.pivots):
-        recorded.setdefault(delta.pivots[c], delta.columns[c])
+    for b in sorted(delta.pivots):
+        recorded.setdefault(delta.pivots[b], b)
     built.clear()
     rank = delta.rank()
     assert set(recorded.values()) & set(built)

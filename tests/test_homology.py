@@ -286,6 +286,22 @@ def test_pruned_subtrees_are_never_extended(monkeypatch, n):
     assert len(calls) <= n * (n + 1) // 2
 
 
+def test_each_parameter_reaches_the_coprime_base_once(monkeypatch):
+    # q_ki for k > i is q_ik inverted, with the same integers, so the
+    # solver's set-up hands the coprime base each integer once: at N = 6 under
+    # the canonical twist the q_ij and the p_i have 23 distinct integers > 1,
+    # which the directed pairs handed over 40 times
+    seen = []
+    real = qhyperplane.homology._coprime_base
+    monkeypatch.setattr(qhyperplane.homology, "_coprime_base",
+                        lambda values: seen.append(list(values)) or real(seen[-1]))
+    spec = primes_spec(6)
+    enumerate_admissible(spec, canonical_automorphism(spec), 2)
+    [values] = seen
+    assert len(values) == len(set(values))
+    assert len([x for x in values if x > 1]) == 23
+
+
 def test_signs_close_a_ray_the_exponents_allow():
     # p_2 = -1 has the exponents of 1, so the exponents alone admit the ray
     # through (0, 1); its signs never match

@@ -58,9 +58,10 @@ ALLOWED = {
         "bench/tracing.py counts its calls by name until the bench reads the "
         "program's own metrics",
     "qhyperplane.exactlinalg:SparseExactMatrix.entries":
-        "the program reads the columns; bench/tracing.py reads this (row, column) "
-        "view of them until the bench reads the program's own metrics, and the "
-        "tests compare matrices through it",
+        "the program reduces the columns by their labels; bench/tracing.py reads "
+        "this view of them by (row, column label), every column built, until the "
+        "bench reads the program's own metrics, and the tests compare matrices "
+        "through it",
 }
 
 
