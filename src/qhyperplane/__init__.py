@@ -14,7 +14,7 @@ from .homology import (HomologyReport, build_report, enumerate_admissible,
 from .hyperplane import (AlgebraSpec, ScalingAutomorphism, automorphism_for_top_class,
                          canonical_automorphism, commutation_factor, is_admissible,
                          is_generic, monomial_product, sigma_commutes_at)
-from .koszul import ReducedComplex, check_d_squared, check_homotopy_identity
+from .koszul import ReducedComplex, check_complex, check_d_squared, check_homotopy_identity
 from .qscalar import QMonomial
 
 __version__ = "0.1.0"
@@ -23,8 +23,8 @@ __all__ = [
     "AlgebraSpec", "HochschildComplex", "HomologyReport",
     "QMonomial", "ReducedComplex", "ScalingAutomorphism",
     "SparseExactMatrix", "automorphism_for_top_class",
-    "build_report", "canonical_automorphism", "check_d_squared",
-    "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
+    "build_report", "canonical_automorphism", "check_complex",
+    "check_d_squared", "check_homotopy_identity", "commutation_factor", "compare_with_koszul",
     "enumerate_admissible", "is_admissible", "is_generic",
     "monomial_product", "one_parameter_admissible", "predicted_dims",
     "scan_admissible", "sigma_commutes_at",

@@ -39,8 +39,7 @@ from .homology import (AdmissibleSet, DegreeSlice, HomologyReport, build_report,
 from .hyperplane import (AlgebraSpec, NUMERIC, SYMBOLIC, ScalingAutomorphism,
                          add_index, automorphism_for_top_class,
                          canonical_automorphism, is_admissible, is_generic)
-from .koszul import (CheckReport, ReducedComplex, check_d_squared,
-                     check_homotopy_identity)
+from .koszul import CheckReport, ReducedComplex, check_complex
 from .qscalar import all_pairs, distinct_primes
 
 EXIT_OK = 0
@@ -350,9 +349,7 @@ def cmd_verify(config: RunConfig) -> int:
     sigma = config.build_sigma(spec)
     comparison = compare_with_koszul(spec, sigma, config.n_max, config.bound,
                                      cap=config.cap)
-    complex_ = ReducedComplex(spec, sigma)     # both checks share its blocks
-    d2 = check_d_squared(complex_, config.bound)
-    homotopy = check_homotopy_identity(complex_, config.bound)
+    d2, homotopy = check_complex(ReducedComplex(spec, sigma), config.bound)
 
     # the promised top class is x^alpha (x) x_1 ^ ... ^ x_N (alpha = 0 unless
     # solve-top); it survives exactly when its multidegree is admissible

@@ -275,13 +275,15 @@ def compare_with_koszul(spec: AlgebraSpec, sigma: ScalingAutomorphism,
     grading of the homology report of the same input, up to the bound.
 
     Only then is symbolic input specialized, at distinct primes that divide
-    no numerator or denominator in sigma, faithful to the generic regime: by
-    unique factorization a monomial equation among the q_ij and the p_i
-    holds at the primes exactly when it holds over the symbols.  The cap is
-    decided here alone:
-    cell (gamma, n) needs the chain spaces of degrees 0..n+1, so it is
-    computed when none of them holds more than cap tensors and is reported
-    as skipped, never guessed, otherwise.
+    no numerator or denominator in sigma.  By unique factorization a
+    monomial equation among the q_ij and the p_i holds at the primes exactly
+    when it holds over the symbols, so admissibility is reproduced exactly.
+    A rank can only drop under specialization, so the oracle's dim at the
+    primes is at least the generic dim: a 0 cell is proven acyclic for
+    generic q, while dim k > 0 proves only dim <= k for generic q.  The cap
+    is decided here alone: cell (gamma, n) needs the chain spaces of degrees
+    0..n+1, so it is computed when none of them holds more than cap tensors
+    and is reported as skipped, never guessed, otherwise.
     """
     predicted = predicted_dims(build_report(spec, sigma, bound, n_max))
     if spec.mode != NUMERIC:

@@ -31,11 +31,11 @@ is del h + h del = D(gamma) id with D(gamma) = 1 where F(gamma) is non-empty
 and 0 where it is empty.
 
 Since del and h keep gamma fixed and a basis element over gamma is just its
-exterior part beta inside supp gamma, the complex is held as one block per
-multidegree, built on first use: the del weights beta -> beta - e_i, the h
-weights beta -> beta + e_{i0} and D(gamma).  The checks compose the block
-maps for every beta of every gamma up to the bound; handed one complex, the
-two checks build each block once.
+exterior part beta inside supp gamma, the complex is one block per
+multidegree: the del weights beta -> beta - e_i, the h weights beta -> beta +
+e_{i0} and D(gamma).  Each check composes the block maps for every beta of
+one block, and check_complex walks once, one block at a time: it builds each
+block up to the bound, checks it both ways and drops it.
 
 Every weight is a Fraction or, in symbolic mode, a QMonomial c * q^m, a
 single term either way, so a composite sums the coefficients c of its
@@ -65,7 +65,7 @@ class CheckReport(namedtuple("CheckReport", "checked failures")):
         return not self.failures
 
 
-class Block(namedtuple("Block", "d h scale")):
+class Block(namedtuple("Block", "gamma d h scale")):
     """The complex over one multidegree gamma, where a basis element is its
     exterior part beta: d holds the moves del and h the homotopy (slot i0
     only), each mapping beta, in exterior_under order, to its (target beta,
@@ -75,14 +75,13 @@ class Block(namedtuple("Block", "d h scale")):
 
 
 class ReducedComplex:
-    """Per-multidegree blocks of del and h for one (Q, sigma)."""
+    """The blocks of del and h for one (Q, sigma), built afresh on each call."""
 
     def __init__(self, spec: AlgebraSpec, sigma: ScalingAutomorphism):
         if sigma.n != spec.n:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
-        self._blocks: dict[MultiIndex, Block] = {}
 
     def _signed_factor(self, alpha: MultiIndex, beta: MultiIndex, i: int) -> Scalar:
         """(-1)^{|beta below i|} c_i(u), u = beta below i and alpha above."""
@@ -90,13 +89,6 @@ class ReducedComplex:
         return -c if sum(beta[:i - 1]) % 2 else c
 
     def block(self, gamma: MultiIndex) -> Block:
-        """The block of gamma, built on first use."""
-        cached = self._blocks.get(gamma)
-        if cached is None:
-            cached = self._blocks[gamma] = self._build_block(gamma)
-        return cached
-
-    def _build_block(self, gamma: MultiIndex) -> Block:
         """Every weight of gamma's block: del moves the failing slots i only,
         as delta_i(gamma) is zero on the others, and h the first of them only."""
         failing = [i for i in support(gamma)
@@ -113,7 +105,7 @@ class ReducedComplex:
                     d[up].append((beta, s))
                     if i == failing[0]:
                         h[beta].append((up, s ** -1))
-        return Block(d, h, 1 if failing else 0)
+        return Block(gamma, d, h, 1 if failing else 0)
 
 
 Terms = dict[tuple[MultiIndex, Monomial], Coefficient]
@@ -143,33 +135,37 @@ def _compose(first: BlockMap, second: BlockMap, beta: MultiIndex, out: Terms) ->
 # ---------------------------------------------------------------------------
 # exhaustive checks
 
-def check_d_squared(complex_: ReducedComplex, bound: int) -> CheckReport:
-    """d(d x) = 0 on every basis element up to the bound, checked as
+def check_d_squared(block: Block) -> CheckReport:
+    """d(d x) = 0 on every basis element of the block, checked as
     del(del x) = 0."""
-    failures = []
-    checked = 0
-    for gamma in iter_multidegrees(complex_.spec.n, bound):
-        d = complex_.block(gamma).d
-        for beta in d:
-            checked += 1
-            if _compose(d, d, beta, {}):
-                failures.append(f"d(d{(sub_index(gamma, beta), beta)}) != 0")
-    return CheckReport(checked, tuple(failures))
+    d = block.d
+    failures = tuple(f"d(d{(sub_index(block.gamma, beta), beta)}) != 0"
+                     for beta in d if _compose(d, d, beta, {}))
+    return CheckReport(len(d), failures)
 
 
-def check_homotopy_identity(complex_: ReducedComplex, bound: int) -> CheckReport:
-    """dh + hd = delta_{i0}(gamma) id on every basis element up to the bound,
+def check_homotopy_identity(block: Block) -> CheckReport:
+    """dh + hd = delta_{i0}(gamma) id on every basis element of the block,
     checked as del h + h del = D(gamma) id; both sides vanish on admissible
     multidegrees, and this dichotomy is what makes the homology basis exactly
     the admissible symbols."""
     failures = []
-    checked = 0
+    for beta in block.d:
+        total = _compose(block.d, block.h, beta, _compose(block.h, block.d, beta, {}))
+        _accumulate(total, beta, -block.scale)
+        if total:
+            failures.append(f"(dh+hd){(sub_index(block.gamma, beta), beta)} != D*id")
+    return CheckReport(len(block.d), tuple(failures))
+
+
+def check_complex(complex_: ReducedComplex, bound: int) -> tuple[CheckReport, CheckReport]:
+    """The d^2 = 0 and the homotopy reports on every basis element up to the
+    bound, from one walk of the multidegrees that keeps one block at a time."""
+    checked, failures = [0, 0], ([], [])
     for gamma in iter_multidegrees(complex_.spec.n, bound):
         block = complex_.block(gamma)
-        for beta in block.d:
-            checked += 1
-            total = _compose(block.d, block.h, beta, _compose(block.h, block.d, beta, {}))
-            _accumulate(total, beta, -block.scale)
-            if total:
-                failures.append(f"(dh+hd){(sub_index(gamma, beta), beta)} != D*id")
-    return CheckReport(checked, tuple(failures))
+        for k, check in enumerate((check_d_squared, check_homotopy_identity)):
+            report = check(block)
+            checked[k] += report.checked
+            failures[k].extend(report.failures)
+    return tuple(CheckReport(c, tuple(f)) for c, f in zip(checked, failures))

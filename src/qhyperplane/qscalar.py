@@ -57,7 +57,10 @@ def distinct_primes(n: int, coprime_to: int = 1) -> dict[Pair, Fraction]:
     and lexicographically over pairs.
 
     Distinct primes are multiplicatively independent over the rationals, so
-    this numeric model reproduces the symbolic-generic regime exactly.
+    a monomial relation among the q_ij, such as admissibility, holds at them
+    exactly when it holds over the symbols.  A rank can only drop under
+    specialization, so a homology dim at the primes is at least the generic
+    one: 0 there proves 0 for generic q, and k > 0 proves only dim <= k.
     """
     pairs = all_pairs(n)
     primes: list[int] = []

@@ -4,9 +4,10 @@ per-multidegree blocks and applied to a chain, a dict from basis element
 weighs each move del_i of a block by the commutation defect delta_i(gamma) =
 1 - p_i / c_i(gamma), and the homotopy h, which moves slot i0 = min F(gamma)
 only.  A defect is a sum, so every coefficient here is a RefPolynomial.  The
-program checks del^2 = 0 and del h + h del = D(gamma) id block by block and
-never forms a defect or applies these maps to a chain; the tests do, and
-compare them with the per-element reference in test_koszul."""
+program walks once, one block at a time, checks del^2 = 0 and del h + h del =
+D(gamma) id on each block as it builds it, and never forms a defect or
+applies these maps to a chain; the tests do, and compare them with the
+per-element reference in test_koszul."""
 
 from __future__ import annotations
 

@@ -577,16 +577,16 @@ def test_verify_checks_the_admissible_solver(monkeypatch, capsys):
 
 
 def test_verify_builds_each_block_once(monkeypatch, capsys):
-    # d^2 = 0 and dh + hd = D*id read one complex, so every multidegree block
-    # up to the bound is built exactly once per run
+    # d^2 = 0 and dh + hd = D*id are checked on each block as it is built, so
+    # every multidegree block up to the bound is built exactly once per run
     built = Counter()
-    build = ReducedComplex._build_block
+    build = ReducedComplex.block
 
     def counting(self, gamma):
         built[gamma] += 1
         return build(self, gamma)
 
-    monkeypatch.setattr(ReducedComplex, "_build_block", counting)
+    monkeypatch.setattr(ReducedComplex, "block", counting)
     assert main(["verify", "--n", "3", "--bound", "4", "--nmax", "0",
                  "--auto-primes"]) == EXIT_OK
     assert "d^2 = 0: True (129 elements)" in capsys.readouterr().out
@@ -639,7 +639,7 @@ RECORD_FIELDS = {
     "ComparisonCell": ("gamma", "n", "natural_oracle", "natural_predicted"),
     "ComparisonReport": ("cells",),
     "CheckReport": ("checked", "failures"),
-    "Block": ("d", "h", "scale"),
+    "Block": ("gamma", "d", "h", "scale"),
 }
 
 
@@ -650,10 +650,10 @@ def records():
     sigma = canonical_automorphism(spec)
     report = homology.build_report(spec, sigma, 3)
     comparison = compare_with_koszul(spec, sigma, 1, 2)
-    complex_ = ReducedComplex(spec, sigma)
+    block = ReducedComplex(spec, sigma).block((1, 1))
     found = [build_config(build_parser().parse_args(["verify", "--n", "2"])), spec, sigma,
              report.admissible, report.slices[0], report, comparison.cells[0], comparison,
-             check_d_squared(complex_, 2), complex_.block((1, 1))]
+             check_d_squared(block), block]
     return {type(record).__name__: record for record in found}
 
 

@@ -21,8 +21,7 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     exterior_under, is_admissible, iter_multidegrees,
                                     monomial_product, specialize_automorphism,
                                     sub_index, support, unit)
-from qhyperplane.koszul import (ReducedComplex, check_d_squared,
-                                check_homotopy_identity)
+from qhyperplane.koszul import ReducedComplex, check_complex
 from qhyperplane.qscalar import QMonomial, distinct_primes, symbol
 from qscalar_reference import RefPolynomial
 
@@ -334,41 +333,49 @@ def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
 # -- exhaustive checks ---------------------------------------------------------------------
 
 def test_d_squared_quantum_plane():
-    report = check_d_squared(ReducedComplex(Q2, canonical_automorphism(Q2)), 6)
+    report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 6)[0]
     assert report.passed and report.checked > 0
 
 
 def test_d_squared_one_parameter():
     spec = one_parameter(3, 3)
-    report = check_d_squared(ReducedComplex(spec, canonical_automorphism(spec)), 5)
+    report = check_complex(ReducedComplex(spec, canonical_automorphism(spec)), 5)[0]
     assert report.passed
 
 
 def test_d_squared_single_generator():
     spec = AlgebraSpec.symbolic(1)
-    report = check_d_squared(ReducedComplex(spec, canonical_automorphism(spec)), 6)
+    report = check_complex(ReducedComplex(spec, canonical_automorphism(spec)), 6)[0]
     assert report.passed
 
 
 def test_homotopy_identity_quantum_plane():
-    report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 5)
+    report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 5)[1]
     assert report.passed
 
 
 def test_homotopy_identity_identity_twist():
-    report = check_homotopy_identity(ReducedComplex(PRIMES3, ScalingAutomorphism.identity(3)), 4)
+    report = check_complex(ReducedComplex(PRIMES3, ScalingAutomorphism.identity(3)), 4)[1]
     assert report.passed
 
 
 def test_homotopy_identity_explicit_twist():
-    report = check_homotopy_identity(ReducedComplex(Q2, ScalingAutomorphism.from_rationals([2, 3])), 4)
+    report = check_complex(ReducedComplex(Q2, ScalingAutomorphism.from_rationals([2, 3])), 4)[1]
     assert report.passed
+
+
+def test_check_complex_keeps_no_block():
+    # each block is built, checked both ways and dropped: after the walk the
+    # complex holds its algebra and its twist alone
+    complex_ = ReducedComplex(Q3, canonical_automorphism(Q3))
+    check_complex(complex_, 4)
+    assert set(vars(complex_)) == {"spec", "sigma"}
 
 
 def tamper_blocks(monkeypatch, tamper):
     """Pass every block the complex builds through tamper."""
-    build = ReducedComplex._build_block
-    monkeypatch.setattr(ReducedComplex, "_build_block",
+    build = ReducedComplex.block
+    monkeypatch.setattr(ReducedComplex, "block",
                         lambda self, gamma: tamper(build(self, gamma)))
 
 
@@ -380,18 +387,18 @@ def test_checks_fail_on_tampered_coefficients(monkeypatch):
             beta: [(target, -w if beta[0] and beta[1] and not target[0] else w)
                    for target, w in moves]
             for beta, moves in block.d.items()}))
-        report = check_d_squared(ReducedComplex(Q3, canonical_automorphism(Q3)), 3)
+        report = check_complex(ReducedComplex(Q3, canonical_automorphism(Q3)), 3)[0]
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
         # double the weight of every move back into slot 1
         tamper_blocks(patch, lambda block: block._replace(h={
             beta: [(target, 2 * w if target[0] and not beta[0] else w) for target, w in moves]
             for beta, moves in block.h.items()}))
-        report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
+        report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)[1]
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
         tamper_blocks(patch, lambda block: block._replace(scale=2 * block.scale))
-        report = check_homotopy_identity(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)
+        report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)[1]
         assert not report.passed and report.failures
 
 
@@ -423,12 +430,11 @@ def test_tampered_checks_report_the_reference_failures(monkeypatch):
             for case in REFERENCE_CASES:
                 complex_ = ReducedComplex(case.spec, case.sigma)
                 reference = reference_check_failures(complex_, 4)
-                for check, failures in zip((check_d_squared, check_homotopy_identity), reference):
-                    report = check(complex_, 4)
+                for k, (report, failures) in enumerate(zip(check_complex(complex_, 4), reference)):
                     assert report.failures == failures
                     assert report.checked == len(list(basis_elements(complex_, 4)))
                     if failures:
-                        failed.add((tamper, check))
+                        failed.add((tamper, k))
     assert len(failed) == 2 * (len(TAMPERS) - 1)
 
 
