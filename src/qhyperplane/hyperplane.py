@@ -6,7 +6,8 @@ i < j, a symbol or a rational each, and q_power reads any q_ij^e off them.
 Monomials are written in the normal form x_1^{a_1} ... x_N^{a_N}, so a
 monomial is just a multi-index (a tuple of nonnegative ints) together with a
 scalar coefficient: a Fraction, or in symbolic mode a QMonomial c * q^m.
-Numeric mode therefore computes with Fractions only.
+Numeric mode therefore computes with Fractions, up to the Koszul checks,
+which scale every weight to an int (see koszul).
 
 A scaling automorphism acts diagonally on the generators, sigma(x_i) = p_i x_i
 with p_i nonzero; the canonical one is p_i = prod_j q_ji, which is exactly the
@@ -19,7 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import add
 
 from .qscalar import Pair, Scalar, all_pairs, scalar_prod, specialize, symbol
 
@@ -45,13 +46,6 @@ def unit(n: int, i: int) -> MultiIndex:
 
 def add_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(map(add, a, b))
-
-
-def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    out = tuple(map(sub, a, b))
-    if min(out) < 0:
-        raise ValueError(f"{a} - {b} leaves the nonnegative orthant")
-    return out
 
 
 def support(alpha: MultiIndex) -> tuple[int, ...]:

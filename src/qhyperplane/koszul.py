@@ -37,22 +37,35 @@ e_{i0} and D(gamma).  Each check composes the block maps for every beta of
 one block, and check_complex walks once, one block at a time: it builds each
 block up to the bound, checks it both ways and drops it.
 
-Every weight is a Fraction or, in symbolic mode, a QMonomial c * q^m, a
-single term either way, so a composite sums the coefficients c of its
-products keyed by (target beta, packed monomial m): the checks add ints or
-Fractions, never symbolic scalars.
+The checks run in ints.  With beta the target of a move of slot i (beta_i
+= 0) and q_ik the stored q of the pair {i, k}, s = (-1)^{|beta below i|}
+A_i(gamma) prod_{k in beta} q_ik, where A_i(gamma) = prod_{k > i}
+q_ik^{-gamma_k} is a constant of the block.  Write q_ik = a_ik / b_ik in
+lowest terms, a_ik carrying the symbol's monomial in symbolic mode, and
+scale slot i's moves by lambda_i = B_i / A_i(gamma), B_i = prod b_ik over k
+in supp gamma but i: the del weight becomes +-prod_{k in beta} a_ik prod_{k
+not in beta} b_ik.  Scaling h by mu = A_{i0}(gamma) prod a_{i0 k} makes its
+weight the mirror +-prod_{k in beta} b_{i0 k} prod_{k not in beta} a_{i0 k},
+and D(gamma) becomes D(gamma) lambda_{i0} mu = D(gamma) prod a_{i0 k} b_{i0 k}.
+Each target of a composite is reached only by paths that pick up the same
+nonzero constant, lambda_i lambda_j for d^2 and lambda_i mu for dh + hd, so
+an element fails a scaled identity exactly when it fails the unscaled one.
+A weight is a pair (c, m) of an int and a packed monomial, 0 in numeric
+mode, and a composite sums the products of the c keyed by (target beta, sum
+of the m).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
+from operator import sub
 
-from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, add_index,
-                         commutation_factor, exterior_under, iter_multidegrees,
-                         sigma_commutes_at, sub_index, support, unit)
-from .qscalar import Coefficient, Monomial, QMonomial, Scalar
+from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, exterior_under,
+                         iter_multidegrees, sigma_commutes_at, support)
+from .qscalar import Monomial, packed
 
-BlockMap = dict[MultiIndex, list[tuple[MultiIndex, Scalar]]]
+BlockMap = dict[MultiIndex, list[tuple[MultiIndex, int, Monomial]]]
 
 
 class CheckReport(namedtuple("CheckReport", "checked failures")):
@@ -67,9 +80,10 @@ class CheckReport(namedtuple("CheckReport", "checked failures")):
 
 class Block(namedtuple("Block", "gamma d h scale")):
     """The complex over one multidegree gamma, where a basis element is its
-    exterior part beta: d holds the moves del and h the homotopy (slot i0
-    only), each mapping beta, in exterior_under order, to its (target beta,
-    weight) pairs; scale is D(gamma), 1 off the admissible multidegrees."""
+    exterior part beta: d holds the scaled moves del and h the scaled
+    homotopy (slot i0 only), each mapping beta, in exterior_under order, to
+    its (target beta, c, m) weights; scale is the scaled D(gamma) as (c, m),
+    (0, 0) on the admissible multidegrees."""
 
     __slots__ = ()
 
@@ -83,52 +97,47 @@ class ReducedComplex:
         self.spec = spec
         self.sigma = sigma
 
-    def _signed_factor(self, alpha: MultiIndex, beta: MultiIndex, i: int) -> Scalar:
-        """(-1)^{|beta below i|} c_i(u), u = beta below i and alpha above."""
-        c = commutation_factor(self.spec, beta[:i - 1] + alpha[i - 1:], i)
-        return -c if sum(beta[:i - 1]) % 2 else c
-
     def block(self, gamma: MultiIndex) -> Block:
-        """Every weight of gamma's block: del moves the failing slots i only,
-        as delta_i(gamma) is zero on the others, and h the first of them only."""
-        failing = [i for i in support(gamma)
-                   if not sigma_commutes_at(self.spec, self.sigma, gamma, i)]
+        """Every scaled weight of gamma's block: del moves the failing slots i
+        only, as delta_i(gamma) is zero on the others, and h the first of them
+        only, its weight the scale over the del weight of the same move."""
+        spec, positions = self.spec, support(gamma)
+        failing = [i for i in positions if not sigma_commutes_at(spec, self.sigma, gamma, i)]
         betas = exterior_under(gamma)
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
+        scale = (0, 0)
         for i in failing:
-            e = unit(self.spec.n, i)
+            ab = [(k - 1, c.numerator, c.denominator, m) for k in positions if k != i
+                  for c, m in [packed(spec.q[min(i, k), max(i, k)])]]
+            if i == failing[0]:
+                scale = (prod(a * b for _, a, b, _ in ab), sum(m for *_, m in ab))
+            # the sign (-1)^{|beta below i|}, one factor -1 per slot below i
+            ab = [(k, -a if k < i - 1 else a, b, m) for k, a, b, m in ab]
             for beta in betas:
                 if not beta[i - 1]:
-                    s = self._signed_factor(sub_index(gamma, beta), beta, i)
-                    up = add_index(beta, e)
-                    d[up].append((beta, s))
+                    c, m = 1, 0
+                    for k, a, b, mk in ab:
+                        if beta[k]:
+                            c, m = c * a, m + mk
+                        else:
+                            c *= b
+                    up = beta[:i - 1] + (1,) + beta[i:]
+                    d[up].append((beta, c, m))
                     if i == failing[0]:
-                        h[beta].append((up, s ** -1))
-        return Block(gamma, d, h, 1 if failing else 0)
+                        h[beta].append((up, scale[0] // c, scale[1] - m))
+        return Block(gamma, d, h, scale)
 
 
-Terms = dict[tuple[MultiIndex, Monomial], Coefficient]
-
-
-def _accumulate(out: Terms, target: MultiIndex, value: Scalar) -> None:
-    """Add the term value to out at target, keyed by its packed monomial."""
-    if isinstance(value, QMonomial):
-        key, c = (target, value.m), value.c
-    else:
-        key, c = (target, 0), value
-    merged = out.get(key, 0) + c
-    if merged:
-        out[key] = merged
-    else:
-        out.pop(key, None)
+Terms = dict[tuple[MultiIndex, Monomial], int]
 
 
 def _compose(first: BlockMap, second: BlockMap, beta: MultiIndex, out: Terms) -> Terms:
-    """Add second(first(beta)) to out inside one block."""
-    for middle, w in first[beta]:
-        for target, v in second[middle]:
-            _accumulate(out, target, w * v)
+    """Add second(first(beta)) to out inside one block, zero sums kept."""
+    for middle, c, m in first[beta]:
+        for target, c2, m2 in second[middle]:
+            key = target, m + m2
+            out[key] = out.get(key, 0) + c * c2
     return out
 
 
@@ -139,22 +148,23 @@ def check_d_squared(block: Block) -> CheckReport:
     """d(d x) = 0 on every basis element of the block, checked as
     del(del x) = 0."""
     d = block.d
-    failures = tuple(f"d(d{(sub_index(block.gamma, beta), beta)}) != 0"
-                     for beta in d if _compose(d, d, beta, {}))
+    failures = tuple(f"d(d{(tuple(map(sub, block.gamma, beta)), beta)}) != 0"
+                     for beta in d if any(_compose(d, d, beta, {}).values()))
     return CheckReport(len(d), failures)
 
 
 def check_homotopy_identity(block: Block) -> CheckReport:
     """dh + hd = delta_{i0}(gamma) id on every basis element of the block,
-    checked as del h + h del = D(gamma) id; both sides vanish on admissible
-    multidegrees, and this dichotomy is what makes the homology basis exactly
-    the admissible symbols."""
+    checked as del h + h del = D(gamma) id, scaled; both sides vanish on
+    admissible multidegrees, and this dichotomy is what makes the homology
+    basis exactly the admissible symbols."""
     failures = []
+    c, m = block.scale
     for beta in block.d:
         total = _compose(block.d, block.h, beta, _compose(block.h, block.d, beta, {}))
-        _accumulate(total, beta, -block.scale)
-        if total:
-            failures.append(f"(dh+hd){(sub_index(block.gamma, beta), beta)} != D*id")
+        total[beta, m] = total.get((beta, m), 0) - c
+        if any(total.values()):
+            failures.append(f"(dh+hd){(tuple(map(sub, block.gamma, beta)), beta)} != D*id")
     return CheckReport(len(block.d), tuple(failures))
 
 

@@ -11,7 +11,7 @@ the q_ij and the p_i of a twist, so every symbolic scalar is a single term.
 The coefficient c is an int, and a Fraction only where its denominator is
 not 1: every operation stores an integer as an int, so the canonical and
 solve-top twists compute in ints alone.  ``symbol`` builds the term q_ij,
-and ``term`` reads c and m's exponents back.
+``term`` reads c and m's exponents back, and ``packed`` c and m itself.
 
 A monomial prod q_ij^e is one int, sum e * 2^(W k) (Kronecker substitution):
 k = (j-1)(j-2)/2 + i-1 numbers the pairs i < j whatever N is, and each
@@ -23,8 +23,8 @@ exponent of its result reaches 2^32, and ** +-1 only negates, so every
 exponent is a sum of exponents below 2^32, one per symbol or power factor:
 a field overflows only in a product of 2^31 or more factors.
 
-Both kinds of scalar mix under *, and negate; there is no +, so a
-QMonomial meets a rational only as a factor, and a zero factor gives the
+Both kinds of scalar mix under *; a QMonomial has no + and no unary -,
+so it meets a rational only as a factor, and a zero factor gives the
 rational 0.  ``specialize`` evaluates either at nonzero rationals, one per
 pair i < j, such as ``distinct_primes`` returns.  A term is inverted by
 ``** -1``, and nothing else symbolic is divided.  No floating point appears
@@ -131,9 +131,6 @@ class QMonomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "QMonomial":
-        return QMonomial(-self.c, self.m)
-
     def __pow__(self, n: int) -> "QMonomial":
         m = self.m * n
         if abs(n) > 1 and any(abs(e) >= 1 << 32 for _, e in _mono_items(m)):
@@ -173,6 +170,11 @@ def symbol(i: int, j: int) -> QMonomial:
     if not 1 <= i < j:
         raise ValueError(f"q({i},{j}) needs 1 <= i < j")
     return QMonomial(1, 1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)))
+
+
+def packed(value: Scalar) -> tuple[Coefficient, Monomial]:
+    """(c, m) for the scalar c * q^m, m packed; a rational has m = 0."""
+    return (value.c, value.m) if isinstance(value, QMonomial) else (value, 0)
 
 
 def term(value: Scalar) -> tuple[Coefficient, Exponents]:

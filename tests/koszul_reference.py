@@ -7,14 +7,23 @@ only.  A defect is a sum, so every coefficient here is a RefPolynomial.  The
 program walks once, one block at a time, checks del^2 = 0 and del h + h del =
 D(gamma) id on each block as it builds it, and never forms a defect or
 applies these maps to a chain; the tests do, and compare them with the
-per-element reference in test_koszul."""
+per-element reference in test_koszul.
+
+A block holds its weights scaled to int pairs (c, m), c * q^m: slot i's del
+moves times lambda_i(gamma) and the h moves times mu(gamma), and D(gamma)
+times lambda_{i0}(gamma) mu(gamma).  ``constants`` computes these from the
+algebra alone, and the maps here divide them back out."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import prod
+from operator import sub
+
 from qscalar_reference import RefPolynomial
-from qhyperplane.hyperplane import add_index, commutation_factor, sub_index
+from qhyperplane.hyperplane import add_index, commutation_factor, support
 from qhyperplane.koszul import ReducedComplex
-from qhyperplane.qscalar import term
+from qhyperplane.qscalar import QMonomial, term
 
 
 def ref(value) -> RefPolynomial:
@@ -22,6 +31,38 @@ def ref(value) -> RefPolynomial:
     if isinstance(value, RefPolynomial):
         return value
     return RefPolynomial.term(*term(value))
+
+
+def weight(c: int, m: int) -> RefPolynomial:
+    """A block's weight (c, m), c * q^m with m packed, as a RefPolynomial."""
+    return ref(QMonomial(c, m))
+
+
+def sub_index(a, b):
+    out = tuple(map(sub, a, b))
+    if min(out) < 0:
+        raise ValueError(f"{a} - {b} leaves the nonnegative orthant")
+    return out
+
+
+def moved_slot(beta, target) -> int:
+    """The slot a move between two exterior parts fills or empties."""
+    return next(k for k, (b, t) in enumerate(zip(beta, target), start=1) if b != t)
+
+
+def constants(complex_: ReducedComplex, gamma, i: int) -> tuple[RefPolynomial, RefPolynomial]:
+    """(lambda_i(gamma), mu_i(gamma)).  With q_ik the stored q of the pair
+    {i, k}, written a_ik / b_ik with b_ik the denominator of its coefficient,
+    and A_i(gamma) = prod_{k > i} q_ik^{-gamma_k}: lambda_i = B_i / A_i(gamma),
+    B_i = prod b_ik, and mu_i = A_i(gamma) prod a_ik, both over k in supp gamma
+    but i.  The block scales slot i's del moves by lambda_i, and h, which moves
+    slot i0 alone, by mu_{i0}."""
+    spec = complex_.spec
+    q = [ref(spec.q_power(min(i, k), max(i, k))) for k in support(gamma) if k != i]
+    b = prod(qk.single()[0].denominator for qk in q)
+    a = prod((qk * qk.single()[0].denominator for qk in q), start=ref(Fraction(1)))
+    above = ref(commutation_factor(spec, (0,) * i + tuple(gamma[i:]), i))
+    return above ** -1 * b, above * a
 
 
 def defect(complex_: ReducedComplex, gamma, i: int) -> RefPolynomial:
@@ -56,10 +97,11 @@ def _apply(complex_: ReducedComplex, chain: dict, down: bool) -> dict:
     for (alpha, beta), coeff in chain.items():
         gamma = add_index(alpha, beta)
         block = complex_.block(gamma)
-        for target, w in (block.d if down else block.h)[beta]:
-            w = ref(w) * ref(coeff)
+        for target, c, m in (block.d if down else block.h)[beta]:
+            i = moved_slot(beta, target)
+            lam, mu = constants(complex_, gamma, i)
+            w = weight(c, m) * ref(coeff) * (lam if down else mu) ** -1
             if down:
-                i = next(k for k, (b, t) in enumerate(zip(beta, target), start=1) if b != t)
                 w = w * defect(complex_, gamma, i)
             add_term(out, (sub_index(gamma, target), target), w)
     return out

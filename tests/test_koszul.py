@@ -13,16 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import apply_sigma, one_parameter
-from koszul_reference import add_term, defect, differential, homotopy, ref
+from koszul_reference import (add_term, constants, defect, differential, homotopy,
+                              moved_slot, ref, sub_index, weight)
 from qhyperplane.cli import EXIT_OK, main
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     exterior_under, is_admissible, iter_multidegrees,
                                     monomial_product, specialize_automorphism,
-                                    sub_index, support, unit)
+                                    support, unit)
+from qhyperplane import koszul
 from qhyperplane.koszul import ReducedComplex, check_complex
-from qhyperplane.qscalar import QMonomial, distinct_primes, symbol
+from qhyperplane.qscalar import QMonomial, distinct_primes, packed, symbol
 from qscalar_reference import RefPolynomial
 
 Q2 = AlgebraSpec.symbolic(2)
@@ -33,7 +35,7 @@ P1 = symbol(1, 2) ** -1
 
 # -- the per-element reference ---------------------------------------------------
 # The complex computed one basis element and one weight at a time, which the
-# per-multidegree blocks must reproduce exactly.
+# per-multidegree blocks must reproduce up to their documented constants.
 
 def basis_elements(complex_, bound):
     """All (alpha, beta) with |alpha+beta| <= bound, multidegree-major."""
@@ -42,11 +44,17 @@ def basis_elements(complex_, bound):
             yield (sub_index(gamma, beta), beta)
 
 
+def signed_factor(complex_, alpha, beta, i, e=1):
+    """s^e for the signed factor s = (-1)^{|beta below i|} c_i(u), u = beta
+    below i and alpha above it."""
+    s = ref(commutation_factor(complex_.spec, beta[:i - 1] + alpha[i - 1:], i)) ** e
+    return -s if sum(beta[:i - 1]) % 2 else s
+
+
 def differential_coefficient(complex_, alpha, beta, i):
     """Weight of the move of exterior slot i into the symmetric part:
     sign * c_i(u) * delta_i(alpha+beta)."""
-    return (ref(complex_._signed_factor(alpha, beta, i))
-            * defect(complex_, add_index(alpha, beta), i))
+    return signed_factor(complex_, alpha, beta, i) * defect(complex_, add_index(alpha, beta), i)
 
 
 def failing_indices(complex_, gamma):
@@ -79,7 +87,7 @@ def reference_homotopy(complex_, c):
         if not failing or beta[failing[0] - 1]:
             continue
         i = failing[0]
-        w = ref(complex_._signed_factor(alpha, beta, i) ** -1)
+        w = signed_factor(complex_, alpha, beta, i, -1)
         e = unit(complex_.spec.n, i)
         add_term(out, (sub_index(alpha, e), add_index(beta, e)), w * coeff)
     return out
@@ -153,9 +161,8 @@ def reference_differential_coefficient(spec, sigma, alpha, beta, i):
     for r in range(1, i):
         if alpha[r - 1]:
             second = second * spec.q_power(r, i, -alpha[r - 1])
-    if sum(beta[: i - 1]) % 2:
-        first, second = -first, -second
-    return ref(first) - ref(second)
+    difference = ref(first) - ref(second)
+    return -difference if sum(beta[: i - 1]) % 2 else difference
 
 
 @st.composite
@@ -247,7 +254,7 @@ def test_homotopy_weight_inverts_differential_weight():
     back = differential_coefficient(CANONICAL2, (0, 0), (1, 0), 1)
     assert w * back == first_defect(CANONICAL2, (1, 0)) == defect(CANONICAL2, (1, 0), 1)
     assert failing_indices(CANONICAL2, (1, 0)) == (1,)
-    assert CANONICAL2.block((1, 0)).scale == 1
+    assert CANONICAL2.block((1, 0)).scale == (1, 0)
 
 
 def test_homotopy_weight_skips_commuting_positions():
@@ -269,7 +276,9 @@ SYMBOLIC_TWISTS3 = (canonical_automorphism(Q3), ScalingAutomorphism.identity(3),
        st.tuples(*[st.integers(0, 1)] * 3), st.integers(1, 3))
 def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     # distinct primes are generic, so the two scalar types must agree; the
-    # numeric blocks hold Fractions, and its reference has no symbol in it
+    # numeric blocks hold ints, and its reference has no symbol in it.  At
+    # integral q the block constants specialize too, so the symbolic blocks
+    # specialize to the numeric ones weight by weight
     symbolic = ReducedComplex(Q3, sigma)
     numeric = ReducedComplex(PRIMES3, specialize_automorphism(sigma, PRIMES3.q))
     expected = differential_coefficient(numeric, alpha, beta, i).specialize({})
@@ -280,12 +289,17 @@ def test_symbolic_coefficients_specialize_to_numeric(sigma, alpha, beta, i):
     value = homotopy(symbolic, element)
     assert {key: c.specialize(PRIMES3.q) for key, c in value.items()} == expected
     gamma = add_index(alpha, beta)
-    block = numeric.block(gamma)
-    assert all(type(w) is Fraction for maps in (block.d, block.h)
-               for moves in maps.values() for _, w in moves)
+    block, symbolic_block = numeric.block(gamma), symbolic.block(gamma)
+    assert all(type(c) is int and m == 0 for maps in (block.d, block.h)
+               for moves in maps.values() for _, c, m in moves)
+    assert type(block.scale[0]) is int and block.scale[1] == 0
     assert (first_defect(symbolic, gamma).specialize(PRIMES3.q)
             == first_defect(numeric, gamma).specialize({}))
-    assert symbolic.block(gamma).scale == block.scale
+    for maps, symbolic_maps in ((block.d, symbolic_block.d), (block.h, symbolic_block.h)):
+        assert {beta: [(target, c) for target, c, _ in moves] for beta, moves in maps.items()} == {
+            beta: [(target, weight(c, m).specialize(PRIMES3.q)) for target, c, m in moves]
+            for beta, moves in symbolic_maps.items()}
+    assert weight(*symbolic_block.scale).specialize(PRIMES3.q) == block.scale[0]
 
 
 # -- homotopy ---------------------------------------------------------------------------
@@ -319,13 +333,16 @@ def test_contraction_on_one_element():
 def test_scaled_homotopy_contracts_every_basis_element(algebra, bound):
     # dh + hd = delta_{i0}(gamma) id, and delta_{i0}(gamma) vanishes exactly on
     # the admissible multidegrees, which is_admissible decides without a
-    # defect; the block scale D(gamma) is 1 elsewhere
+    # defect; the block scale is D(gamma) = 1 elsewhere times the constants
+    # lambda_{i0}(gamma) mu(gamma) of the slot i0 that h moves
     spec, sigma = algebra
     complex_ = ReducedComplex(spec, sigma)
     for element in basis_elements(complex_, bound):
         gamma = add_index(*element)
         scale = first_defect(complex_, gamma)
-        assert complex_.block(gamma).scale == (1 if scale else 0)
+        failing = failing_indices(complex_, gamma)
+        lam, mu = constants(complex_, gamma, failing[0]) if failing else (0, 0)
+        assert weight(*complex_.block(gamma).scale) == lam * mu
         assert contraction(complex_, element) == ({element: scale} if scale else {})
         assert (not scale) == is_admissible(spec, sigma, gamma)
 
@@ -384,49 +401,74 @@ def test_checks_fail_on_tampered_coefficients(monkeypatch):
         # flip the sign of every move out of slot 1 where slot 2 is occupied:
         # a sign on all of them would anticommute as before
         tamper_blocks(patch, lambda block: block._replace(d={
-            beta: [(target, -w if beta[0] and beta[1] and not target[0] else w)
-                   for target, w in moves]
+            beta: [(target, -c if beta[0] and beta[1] and not target[0] else c, m)
+                   for target, c, m in moves]
             for beta, moves in block.d.items()}))
         report = check_complex(ReducedComplex(Q3, canonical_automorphism(Q3)), 3)[0]
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
         # double the weight of every move back into slot 1
         tamper_blocks(patch, lambda block: block._replace(h={
-            beta: [(target, 2 * w if target[0] and not beta[0] else w) for target, w in moves]
+            beta: [(target, 2 * c if target[0] and not beta[0] else c, m)
+                   for target, c, m in moves]
             for beta, moves in block.h.items()}))
         report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)[1]
         assert not report.passed and report.failures
     with monkeypatch.context() as patch:
-        tamper_blocks(patch, lambda block: block._replace(scale=2 * block.scale))
+        tamper_blocks(patch, lambda block: block._replace(
+            scale=(2 * block.scale[0], block.scale[1])))
         report = check_complex(ReducedComplex(Q2, canonical_automorphism(Q2)), 3)[1]
         assert not report.passed and report.failures
 
 
 MINUS_ONE3 = AlgebraSpec.numeric(3, {pair: Fraction(-1) for pair in Q3.q})
+# q with denominators, so the blocks scale by their b_ik as well
+RATIONAL3 = AlgebraSpec.numeric(3, {(1, 2): Fraction(2, 3), (1, 3): Fraction(-5, 7),
+                                    (2, 3): Fraction(1, 2)})
 TWISTS3 = (canonical_automorphism, lambda spec: ScalingAutomorphism.identity(3),
            lambda spec: ScalingAutomorphism.from_rationals([Fraction(2, 3), 5, Fraction(-1, 2)]))
 REFERENCE_CASES = [ReducedComplex(spec, twist(spec))
-                   for spec in (PRIMES3, MINUS_ONE3, Q3) for twist in TWISTS3]
-# a factor 2, a sign or q_12 on the factor of slot 2 only where slot 1 sits
-# below it is no change of basis; blocks and reference read this factor.  The
-# q_12 leaves the coefficients of d^2 cancelling on each target, but not
-# their monomials
-TAMPERS = (None, lambda i, beta: 2 if i == 2 and beta[0] else 1,
-           lambda i, beta: -1 if i == 2 and beta[0] else 1,
-           lambda i, beta: symbol(1, 2) if i == 2 and beta[0] else 1)
+                   for spec in (PRIMES3, MINUS_ONE3, RATIONAL3, Q3) for twist in TWISTS3]
+# a factor 2, a sign or q_12 on the signed factor s of slot 2 only where slot
+# 1 sits below it is no change of basis.  The reference multiplies s by it;
+# the blocks multiply their del weights by it and their h weights, which
+# carry s^{-1}, by a constant of the block over it, and their scale by that
+# constant, which keeps every h weight an int.  The q_12 leaves the
+# coefficients of d^2 cancelling on each target, but not their monomials
+TAMPERS = (None, (lambda i, beta: 2 if i == 2 and beta[0] else 1, 2),
+           (lambda i, beta: -1 if i == 2 and beta[0] else 1, 1),
+           (lambda i, beta: symbol(1, 2) if i == 2 and beta[0] else 1, symbol(1, 2)))
+
+
+def tampered_block(block, factor, whole):
+    """The block with each del weight times t = factor(i, beta), for its slot
+    i and its target beta, each h weight times whole / t, for its source beta,
+    and the scale times whole."""
+    wc, wm = packed(whole)
+    d = {beta: [(target, c * tc, m + tm) for target, c, m in moves
+                for tc, tm in [packed(factor(moved_slot(beta, target), target))]]
+         for beta, moves in block.d.items()}
+    h = {beta: [(target, c * wc // tc, m + wm - tm) for target, c, m in moves
+                for tc, tm in [packed(factor(moved_slot(beta, target), beta))]]
+         for beta, moves in block.h.items()}
+    return block._replace(d=d, h=h, scale=(block.scale[0] * wc, block.scale[1] + wm))
 
 
 def test_tampered_checks_report_the_reference_failures(monkeypatch):
-    # numeric at distinct primes and at q = -1, and symbolic, under the
-    # canonical, identity and explicit twists, as they are and tampered: the
-    # checks on del fail exactly where the defect-weighted identities do
-    signed = ReducedComplex._signed_factor
+    # numeric at distinct primes, at q = -1 and at rational q, and symbolic,
+    # under the canonical, identity and explicit twists, as they are and
+    # tampered: the checks on del fail exactly where the defect-weighted
+    # identities do
+    signed = signed_factor
     failed = set()
-    for tamper in TAMPERS:
+    for t, tamper in enumerate(TAMPERS):
         with monkeypatch.context() as patch:
             if tamper:
-                patch.setattr(ReducedComplex, "_signed_factor", lambda self, alpha, beta, i:
-                              signed(self, alpha, beta, i) * tamper(i, beta))
+                factor, whole = tamper
+                patch.setattr(sys.modules[__name__], "signed_factor",
+                              lambda complex_, alpha, beta, i, e=1:
+                              signed(complex_, alpha, beta, i, e) * ref(factor(i, beta)) ** e)
+                tamper_blocks(patch, lambda block: tampered_block(block, factor, whole))
             for case in REFERENCE_CASES:
                 complex_ = ReducedComplex(case.spec, case.sigma)
                 reference = reference_check_failures(complex_, 4)
@@ -434,20 +476,32 @@ def test_tampered_checks_report_the_reference_failures(monkeypatch):
                     assert report.failures == failures
                     assert report.checked == len(list(basis_elements(complex_, 4)))
                     if failures:
-                        failed.add((tamper, k))
+                        failed.add((t, k))
     assert len(failed) == 2 * (len(TAMPERS) - 1)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(REFERENCE_CASES), st.data())
 def test_block_chain_maps_equal_the_reference(complex_, data):
-    # numeric at distinct primes and at q = -1, and symbolic, under the
-    # canonical, identity and explicit twists
+    # numeric at distinct primes, at q = -1 and at rational q, and symbolic,
+    # under the canonical, identity and explicit twists: the block weights are
+    # the reference weights times the constants of koszul_reference
     elements = list(basis_elements(complex_, 4))
     chain = data.draw(st.dictionaries(st.sampled_from(elements),
                                       st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
     assert differential(complex_, chain) == reference_differential(complex_, chain)
     assert homotopy(complex_, chain) == reference_homotopy(complex_, chain)
+
+
+def test_rational_blocks_scale_by_their_denominators():
+    # a block that left out its b_ik would still pass both checks, as the
+    # factor prod_{k in beta} b_ik of a move is a change of basis, but it
+    # would not be the reference times its constants
+    complex_ = ReducedComplex(RATIONAL3, canonical_automorphism(RATIONAL3))
+    for element in basis_elements(complex_, 3):
+        one = {element: Fraction(1)}
+        assert differential(complex_, one) == reference_differential(complex_, one)
+        assert homotopy(complex_, one) == reference_homotopy(complex_, one)
 
 
 # -- equivariance -----------------------------------------------------------------------------
@@ -476,10 +530,8 @@ def test_differential_and_homotopy_are_equivariant(terms):
 def test_symbolic_products_start_at_their_first_factor(monkeypatch, capsys):
     # a product started at Fraction(1) hands its first QMonomial factor to
     # Fraction.__mul__, which gives up, and then to QMonomial.__rmul__.  The
-    # monomial calculus and the block weights start at their first factor;
-    # only _compose still meets a rational 1 on the left, the del or h weight
-    # of a move of a slot with no letter below it in beta or above it in
-    # alpha, whichever order it multiplies in
+    # monomial calculus starts at its first factor, and the Koszul checks
+    # multiply no scalars at all
     callers = Counter()
     rmul = QMonomial.__rmul__
 
@@ -494,4 +546,35 @@ def test_symbolic_products_start_at_their_first_factor(monkeypatch, capsys):
     assert commutation_factor(spec, (2, 1, 1), 2) == symbol(1, 2) ** 2 * symbol(2, 3) ** -1
     assert not callers
     assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0", "--symbolic"]) == EXIT_OK
-    assert set(callers) <= {"_compose"}
+    assert not callers
+
+
+def test_numeric_checks_run_in_ints(monkeypatch, capsys):
+    # at distinct primes every block weight is an int with the monomial 0,
+    # and neither check adds, subtracts or multiplies a Fraction
+    arithmetic = {Fraction._add.__code__, Fraction._sub.__code__, Fraction._mul.__code__}
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in arithmetic:
+            seen[frame.f_code.co_name] += 1
+
+    def spied(check):
+        def run(block):
+            seen["blocks"] += 1
+            assert all(type(c) is int and m == 0 for maps in (block.d, block.h)
+                       for moves in maps.values() for _, c, m in moves)
+            assert type(block.scale[0]) is int and block.scale[1] == 0
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                return check(block)
+            finally:
+                sys.setprofile(previous)
+        return run
+
+    for check in (koszul.check_d_squared, koszul.check_homotopy_identity):
+        monkeypatch.setattr(koszul, check.__name__, spied(check))
+    assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0",
+                 "--auto-primes"]) == EXIT_OK
+    assert seen == {"blocks": 2 * len(list(iter_multidegrees(4, 5)))}

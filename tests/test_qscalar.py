@@ -229,7 +229,7 @@ def test_fraction_arithmetic_with_mixed_operands(a, r, k):
     value = specialize(f, nu)
     for combined, expected in (
             (f * r, value * r), (r * f, r * value), (f * a, value * specialize(a, nu)),
-            (a * f, specialize(a, nu) * value), (-f, -value), (f * k, value * k),
+            (a * f, specialize(a, nu) * value), (f * k, value * k),
             (k * f, k * value)):
         assert specialize(combined, nu) == expected
         assert isinstance(combined, QMonomial) or not k and combined == 0
@@ -296,7 +296,7 @@ def assert_agree(packed, ref):
 @given(terms, terms, st.integers(-3, 3), st.integers(-3, 3).filter(bool) | nonzero_scalars)
 def test_packed_arithmetic_agrees_with_the_reference(a, b, n, r):
     (pa, ra), (pb, rb) = both(*a), both(*b)
-    for packed, ref in ((pa, ra), (pa * pb, ra * rb), (-pa, -ra), (pa * r, ra * r),
+    for packed, ref in ((pa, ra), (pa * pb, ra * rb), (pa * r, ra * r),
                         (r * pa, r * ra), (pa ** n, ra ** n)):
         assert_agree(packed, ref)
         assert (packed == pa) == (ref == ra) and (packed == pb) == (ref == rb)
