@@ -14,11 +14,11 @@ Exit codes: 0 ok; 1 verification failed (an oracle cell disagrees with the
 Koszul prediction, a cell was skipped because its chain spaces exceed
 --cap, a Koszul self-check failed, or a required top class is absent);
 2 bad configuration, including a config file that cannot be read or
-decoded and an --out path that cannot be written; 3 truncated enumeration
-without --allow-truncated; 141 (128 + SIGPIPE) stdout was closed before the
-run had printed everything, as in `qhyperplane ... | head -1`.  Every
-command writes its --out report before it prints anything, so the report
-is complete whenever the code is not 2.
+decoded, a p_i too long to write and an --out path that cannot be written;
+3 truncated enumeration without --allow-truncated; 141 (128 + SIGPIPE)
+stdout was closed before the run had printed everything, as in
+`qhyperplane ... | head -1`.  Every command writes its --out report before
+it prints anything, so the report is complete whenever the code is not 2.
 """
 
 from __future__ import annotations
@@ -263,10 +263,17 @@ def _slice_doc(s: DegreeSlice) -> dict:
             "grading": [{"gamma": list(g), "count": c} for g, c in s.grading]}
 
 
-def _homology_doc(config: RunConfig, sigma: ScalingAutomorphism,
-                  report: HomologyReport) -> dict:
+def _p_text(sigma: ScalingAutomorphism) -> list[str]:
+    """The p_i as strings; str() refuses an int longer than the sys limit."""
+    try:
+        return [str(c) for c in sigma.p]
+    except ValueError:
+        raise ConfigError(f"a p_i has over {sys.get_int_max_str_digits()} digits") from None
+
+
+def _homology_doc(config: RunConfig, p: list[str], report: HomologyReport) -> dict:
     return {"mode": config.mode, "n": config.n, "bound": config.bound,
-            "n_max": config.n_max, "sigma": [str(c) for c in sigma.p],
+            "n_max": config.n_max, "sigma": p,
             "truncated": report.truncated,
             "admissible": _admissible_doc(report.admissible, config.bound),
             "betti": report.betti_list(),
@@ -321,12 +328,11 @@ def _generator_labels(n: int):
     return label
 
 
-def _print_homology_table(config: RunConfig, sigma: ScalingAutomorphism,
-                          report: HomologyReport) -> None:
+def _print_homology_table(config: RunConfig, p: list[str], report: HomologyReport) -> None:
     label = _generator_labels(config.n)
     lines = [f"twisted homology: N={config.n} mode={config.mode} "
              f"bound={config.bound} truncated={report.truncated}",
-             f"sigma: p = ({', '.join(str(c) for c in sigma.p)})"]
+             f"sigma: p = ({', '.join(p)})"]
     lines += [f"  n={s.n}  betti={s.betti}  [{', '.join(starmap(label, s.generators))}]"
               for s in report.slices]
     print("\n".join(lines))
@@ -338,9 +344,10 @@ def _print_homology_table(config: RunConfig, sigma: ScalingAutomorphism,
 def cmd_homology(config: RunConfig) -> int:
     spec = config.build_spec()
     sigma = config.build_sigma(spec)
+    p = _p_text(sigma)
     report = build_report(spec, sigma, config.bound, config.n_max)
-    _emit(config, "homology", _homology_doc(config, sigma, report))
-    _print_homology_table(config, sigma, report)
+    _emit(config, "homology", _homology_doc(config, p, report))
+    _print_homology_table(config, p, report)
     return _truncation_exit(config, not report.truncated)
 
 
@@ -410,10 +417,10 @@ def cmd_csigma(config: RunConfig) -> int:
 
 def cmd_canonical(config: RunConfig) -> int:
     spec = config.build_spec()
-    sigma = canonical_automorphism(spec)
-    _emit(config, "canonical", {"p": [str(c) for c in sigma.p]})
+    p = _p_text(canonical_automorphism(spec))
+    _emit(config, "canonical", {"p": p})
     print("canonical scaling automorphism:")
-    for i, c in enumerate(sigma.p, start=1):
+    for i, c in enumerate(p, start=1):
         print(f"  p_{i} = {c}")
     return EXIT_OK
 

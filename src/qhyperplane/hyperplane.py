@@ -5,7 +5,7 @@ for i < j, with q_ii = 1 and q_ji = q_ij^{-1}; AlgebraSpec holds the q_ij for
 i < j, a symbol or a rational each, and q_power reads any q_ij^e off them.
 Monomials are written in the normal form x_1^{a_1} ... x_N^{a_N}, so a
 monomial is just a multi-index (a tuple of nonnegative ints) together with a
-scalar coefficient: a Fraction, or in symbolic mode a QMonomial c * q^m.
+scalar coefficient: a Fraction, or in symbolic mode a QMonomial q^m.
 Numeric mode therefore computes with Fractions, up to the Koszul checks,
 which scale every weight to an int (see koszul).
 

@@ -1,17 +1,17 @@
-"""Exact coefficient arithmetic for the deformation parameters.
+"""Exact scalar arithmetic for the deformation parameters.
 
-All coefficients are exact, and there are two kinds of scalar:
+All scalars are exact, and there are two kinds, which never multiply each
+other:
 
     Fraction   a scalar with no q in it, in symbolic and numeric mode alike
-    QMonomial  a signed Laurent monomial c * q^m in the q_ij (one symbol per
-               pair i < j), with c a nonzero rational
+    QMonomial  a Laurent monomial q^m in the q_ij (one symbol per pair i < j)
 
-No scalar is a sum: the symbols enter only through products and powers of
-the q_ij and the p_i of a twist, so every symbolic scalar is a single term.
-The coefficient c is an int, and a Fraction only where its denominator is
-not 1: every operation stores an integer as an int, so the canonical and
-solve-top twists compute in ints alone.  ``symbol`` builds the term q_ij,
-``term`` reads c and m's exponents back, and ``packed`` c and m itself.
+No scalar is a sum, and no symbolic one has a coefficient: the symbols
+enter only through products and powers of the q_ij, so every symbolic
+scalar is a bare monomial.  A QMonomial times a Fraction or an int raises
+TypeError either way round; the two kinds meet only in comparisons, where
+q^0 equals 1.  ``symbol`` builds q_ij, and ``term`` and ``packed`` read a
+scalar back as r * q^m, r = 1 for a QMonomial and m = 0 for a Fraction.
 
 A monomial prod q_ij^e is one int, sum e * 2^(W k) (Kronecker substitution):
 k = (j-1)(j-2)/2 + i-1 numbers the pairs i < j whatever N is, and each
@@ -23,10 +23,8 @@ exponent of its result reaches 2^32, and ** +-1 only negates, so every
 exponent is a sum of exponents below 2^32, one per symbol or power factor:
 a field overflows only in a product of 2^31 or more factors.
 
-Both kinds of scalar mix under *; a QMonomial has no + and no unary -,
-so it meets a rational only as a factor, and a zero factor gives the
-rational 0.  ``specialize`` evaluates either at nonzero rationals, one per
-pair i < j, such as ``distinct_primes`` returns.  A term is inverted by
+``specialize`` evaluates either kind at nonzero rationals, one per pair
+i < j, such as ``distinct_primes`` returns.  A monomial is inverted by
 ``** -1``, and nothing else symbolic is divided.  No floating point appears
 anywhere; homology ranks are discrete and unforgiving of rounding.
 """
@@ -38,7 +36,6 @@ from fractions import Fraction
 from math import prod
 
 Pair = tuple[int, int]
-Coefficient = int | Fraction
 Monomial = int                               # packed exponents, 0 is 1
 Exponents = tuple[tuple[Pair, int], ...]     # ((i, j), e), e nonzero, sorted
 
@@ -97,89 +94,69 @@ def specialize(value, q: Mapping[Pair, Fraction]) -> Fraction:
     """Evaluate any scalar at the values q[i, j] of the q_ij, i < j; a
     rational is its own value."""
     if isinstance(value, QMonomial):
-        return value.c * prod((q[pair] ** e for pair, e in _mono_items(value.m)),
-                              start=Fraction(1))
+        return prod((q[pair] ** e for pair, e in _mono_items(value.m)), start=Fraction(1))
     return Fraction(value)
 
 
-def _coef(c: Fraction | int) -> Coefficient:
-    """A rational coefficient as an int when its denominator is 1."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class QMonomial:
-    """The signed Laurent monomial c * q^m: a nonzero int or Fraction c and a
-    packed monomial m, so equality compares the two.
+    """The Laurent monomial q^m, m packed, so equality compares the m.
 
-    A rational factor scales c, and a zero one gives the rational 0, never a
-    zero term.  There is no sum and no division: only powers, negative ones
-    included, and products, which stay single terms.
+    The only product is with another monomial, which adds the m; a rational
+    factor raises TypeError.  There is no sum and no division: only powers,
+    negative ones included, and products, which stay monomials.
     """
 
-    __slots__ = ("c", "m")
+    __slots__ = ("m",)
 
-    def __init__(self, c: Coefficient, m: Monomial):
-        self.c = c
+    def __init__(self, m: Monomial):
         self.m = m
 
-    def __mul__(self, other) -> "QMonomial | Fraction":
-        if isinstance(other, QMonomial):
-            return QMonomial(_coef(self.c * other.c), self.m + other.m)
-        if not isinstance(other, (Fraction, int)):
-            return NotImplemented
-        return QMonomial(_coef(self.c * other), self.m) if other else Fraction(0)
-
-    __rmul__ = __mul__
+    def __mul__(self, other) -> "QMonomial":
+        return QMonomial(self.m + other.m) if isinstance(other, QMonomial) else NotImplemented
 
     def __pow__(self, n: int) -> "QMonomial":
         m = self.m * n
         if abs(n) > 1 and any(abs(e) >= 1 << 32 for _, e in _mono_items(m)):
             raise OverflowError(f"({self}) ** {n} has an exponent of 2^32 or more")
-        c = self.c
-        return QMonomial(c ** abs(n) if c in (1, -1) else _coef(Fraction(c) ** n), m)
+        return QMonomial(m)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QMonomial):
-            return self.c == other.c and self.m == other.m
+            return self.m == other.m
         if isinstance(other, (Fraction, int)):
-            return not self.m and self.c == other
+            return not self.m and other == 1
         return NotImplemented
 
     def __str__(self) -> str:
-        c, m = self.c, self.m
-        if not m:
-            return str(c)
-        if c == 1:
-            return _mono_str(m)
-        if c == -1:
-            return "-" + _mono_str(m)
-        return f"{c}*{_mono_str(m)}"
+        return _mono_str(self.m)
 
 
 Scalar = Fraction | QMonomial
 
 
 def scalar_prod(factors: Iterator[Scalar]) -> Scalar:
-    """The product, Fraction(1) if empty, started at the first factor: no
-    QMonomial goes through Fraction.__mul__ to its own __rmul__."""
+    """The product of factors of one kind, Fraction(1) if empty.  It starts
+    at the first factor, as it must: a QMonomial times Fraction(1) raises
+    TypeError."""
     return prod(factors, start=next(factors, Fraction(1)))
 
 
 def symbol(i: int, j: int) -> QMonomial:
-    """The symbol q_ij, i < j, as the term 1 * q_ij."""
+    """The symbol q_ij, i < j, as a QMonomial."""
     if not 1 <= i < j:
         raise ValueError(f"q({i},{j}) needs 1 <= i < j")
-    return QMonomial(1, 1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)))
+    return QMonomial(1 << (W * ((j - 1) * (j - 2) // 2 + i - 1)))
 
 
-def packed(value: Scalar) -> tuple[Coefficient, Monomial]:
-    """(c, m) for the scalar c * q^m, m packed; a rational has m = 0."""
-    return (value.c, value.m) if isinstance(value, QMonomial) else (value, 0)
+def packed(value: Scalar) -> tuple[int | Fraction, Monomial]:
+    """(r, m) for the scalar r * q^m, m packed: (1, m) for a monomial, and
+    (r, 0) for a rational r."""
+    return (1, value.m) if isinstance(value, QMonomial) else (value, 0)
 
 
-def term(value: Scalar) -> tuple[Coefficient, Exponents]:
-    """(c, exponents of m) for the scalar c * q^m; a rational is its own
-    term, with no exponents."""
+def term(value: Scalar) -> tuple[int | Fraction, Exponents]:
+    """(r, exponents of m) for the scalar r * q^m: (1, exponents) for a
+    monomial, and (r, ()) for a rational r."""
     if isinstance(value, QMonomial):
-        return value.c, _mono_items(value.m)
+        return 1, _mono_items(value.m)
     return Fraction(value), ()

@@ -3,13 +3,12 @@ algebra, that the tests share."""
 
 import json
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 
 from qhyperplane.cli import EXIT_OK, main
 from qhyperplane.hyperplane import (NUMERIC, AlgebraSpec, MultiIndex,
                                     ScalingAutomorphism)
-from qhyperplane.qscalar import Scalar, all_pairs
+from qhyperplane.qscalar import Scalar, all_pairs, scalar_prod
 
 
 def one_parameter(n: int, q) -> AlgebraSpec:
@@ -21,8 +20,9 @@ def one_parameter(n: int, q) -> AlgebraSpec:
 
 
 def apply_sigma(sigma: ScalingAutomorphism, alpha: MultiIndex) -> Scalar:
-    """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}."""
-    return prod((c ** a for c, a in zip(sigma.p, alpha) if a), start=Fraction(1))
+    """Eigenvalue of x^alpha under sigma: prod_i p_i^{alpha(i)}, a product
+    of one kind of scalar, as the p_i of a twist are."""
+    return scalar_prod(c ** a for c, a in zip(sigma.p, alpha) if a)
 
 
 def generic_check(spec: AlgebraSpec, bound: int, workdir: Path) -> dict:

@@ -35,7 +35,7 @@ def ref(value) -> RefPolynomial:
 
 def weight(c: int, m: int) -> RefPolynomial:
     """A block's weight (c, m), c * q^m with m packed, as a RefPolynomial."""
-    return ref(QMonomial(c, m))
+    return ref(QMonomial(m)) * c
 
 
 def sub_index(a, b):

@@ -50,7 +50,11 @@ GOLDEN = {
     # the Koszul self-checks on 681 elements each, with Laurent-polynomial weights
     "verify-koszul-symbolic": ["verify", "--n", "4", "--bound", "5", "--nmax", "0",
                                "--symbolic"],
-    # exponents other than +-1 in sigma pin the symbolic coefficient strings
+    # the rational p_1 = 1 meets the symbolic commutation factors, and gamma =
+    # (k, 0) carries homology; the oracle's primes avoid those of 2/3
+    "verify-explicit-symbolic": ["verify", "--symbolic", "--n", "2", "--automorphism",
+                                 "explicit", "--p", "1,2/3", "--bound", "4"],
+    # exponents other than +-1 in sigma pin the symbolic monomial strings
     "homology-solve-top": ["homology", "--symbolic", "--n", "3", "--automorphism",
                            "solve-top", "--alpha", "1,0,2", "--bound", "6"],
     # every q_ij = 2: a one-parameter hyperplane, about 40 KB of generators
@@ -288,6 +292,14 @@ CONFIG_FILES = {
     (["homology", "--n", "2", "--automorphism", "solve-top", "--alpha", "1_0,0"],
      EXIT_BAD_CONFIG),
     (["homology", "--config", "underscore.json"], EXIT_BAD_CONFIG),
+    # a p_i of more digits than str() writes cannot be reported; verify
+    # writes no p, so it runs where homology and canonical refuse
+    (["canonical", "--n", "3", "--q", "1,2," + "7" * 4000, "--q", "1,3," + "3" * 4000,
+      "--q", "2,3,1"], EXIT_BAD_CONFIG),
+    (["homology", "--n", "2", "--q", "1,2,2", "--automorphism", "solve-top",
+      "--alpha", "20000,0", "--bound", "2", "--allow-truncated"], EXIT_BAD_CONFIG),
+    (["verify", "--n", "2", "--q", "1,2,2", "--automorphism", "solve-top",
+      "--alpha", "20000,0"], EXIT_OK),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -323,36 +335,38 @@ def test_numeric_mode_builds_no_symbolic_scalar(argv, monkeypatch):
     assert main(argv) == EXIT_OK
 
 
-def _stored_coefficients(monkeypatch) -> list:
-    """Every coefficient stored in a QMonomial from now on, by a spy on
+def _built_monomials(monkeypatch) -> list:
+    """The packed exponents of every QMonomial built from now on, by a spy on
     its constructor."""
-    stored = []
+    built = []
     init = QMonomial.__init__
 
-    def spy(self, c, m):
-        stored.append(c)
-        init(self, c, m)
+    def spy(self, m):
+        built.append(m)
+        init(self, m)
 
     monkeypatch.setattr(QMonomial, "__init__", spy)
-    return stored
+    return built
 
 
 def test_symbolic_checks_compute_in_ints(monkeypatch):
-    # the canonical twist keeps every symbolic coefficient a sign, and each
-    # one is stored as the int 1 or -1, never as a Fraction
-    stored = _stored_coefficients(monkeypatch)
+    # a symbolic scalar is a bare monomial, its packed exponents one int,
+    # with no slot for a coefficient; a rational factor would raise TypeError
+    built = _built_monomials(monkeypatch)
     assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0", "--symbolic"]) == EXIT_OK
-    assert stored and all(type(c) is int and c in (1, -1) for c in stored)
+    assert QMonomial.__slots__ == ("m",)
+    assert built and all(type(m) is int for m in built)
 
 
 def test_a_proper_fraction_in_sigma_stays_out_of_the_symbolic_terms(monkeypatch):
     # p_1 = 2/3 meets the q_ij only where sigma-commutation is decided, by
-    # comparison: the moves and the homotopy never multiply by a p_i, so
-    # every stored coefficient is still the int 1 or -1
-    stored = _stored_coefficients(monkeypatch)
+    # comparison: the moves and the homotopy never multiply by a p_i, which
+    # would raise TypeError, so the run ends and its monomials stay bare
+    built = _built_monomials(monkeypatch)
     assert main(["verify", "--symbolic", "--n", "2", "--automorphism", "explicit",
                  "--p", "2/3,5"]) == EXIT_OK
-    assert stored and all(type(c) is int and c in (1, -1) for c in stored)
+    assert QMonomial.__slots__ == ("m",)
+    assert built and all(type(m) is int for m in built)
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,16 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from algebras import apply_sigma, generic_check, one_parameter
+from koszul_reference import ref
 from qhyperplane.hyperplane import (NUMERIC, SYMBOLIC, AlgebraSpec,
                                     ScalingAutomorphism, automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     add_index, degree, is_admissible, is_generic,
                                     iter_multidegrees, monomial_product,
                                     sigma_commutes_at, unit)
-from qhyperplane.qscalar import distinct_primes, symbol
+from qhyperplane.qscalar import QMonomial, distinct_primes, symbol
 
 Q2 = AlgebraSpec.symbolic(2)
 Q3 = AlgebraSpec.symbolic(3)
@@ -27,14 +28,15 @@ def normal_order(spec, word):
     that commutation_factor and monomial_product are checked against.
 
     Letters are appended one at a time; appending x_i behind a prefix of
-    multidegree gamma costs prod_{k>i} q_ik^{-gamma(k)}.
+    multidegree gamma costs prod_{k>i} q_ik^{-gamma(k)}.  The coefficient is
+    a RefPolynomial, which multiplies rationals and monomials alike.
     """
     counts = [0] * spec.n
-    coeff = Fraction(1)
+    coeff = ref(Fraction(1))
     for i in word:
         for k in range(i + 1, spec.n + 1):
             if counts[k - 1]:
-                coeff = coeff * spec.q_power(i, k, -counts[k - 1])
+                coeff = coeff * ref(spec.q_power(i, k, -counts[k - 1]))
         counts[i - 1] += 1
     return coeff, tuple(counts)
 
@@ -56,7 +58,8 @@ MALFORMED_TABLES = {
 @pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
 @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
 def test_spec_rejects_a_malformed_q_table(case, mode):
-    q = {pair: Fraction(v) if mode == NUMERIC else v * symbol(*sorted(pair))
+    # a symbolic table holds the symbols, and the rational 0 in place of a zero
+    q = {pair: Fraction(v) if mode == NUMERIC or not v else symbol(*sorted(pair))
          for pair, v in MALFORMED_TABLES[case].items()}
     with pytest.raises(ValueError):
         AlgebraSpec(3, mode, q)
@@ -116,7 +119,7 @@ def test_commutation_factor_index_range():
 
 def test_normal_order_single_swap():
     coeff, alpha = normal_order(Q2, (2, 1))
-    assert coeff == q(1, 2, -1)
+    assert coeff == ref(q(1, 2, -1))
     assert alpha == (1, 1)
 
 
@@ -128,7 +131,7 @@ def test_normal_order_sorted_word():
 
 def test_normal_order_reversed_triple():
     coeff, alpha = normal_order(Q3, (3, 2, 1))
-    assert coeff == q(1, 2, -1) * q(1, 3, -1) * q(2, 3, -1)
+    assert coeff == ref(q(1, 2, -1) * q(1, 3, -1) * q(2, 3, -1))
     assert alpha == (1, 1, 1)
 
 
@@ -139,7 +142,7 @@ def test_normal_order_is_multiplicative(u, v):
     interleave, total = monomial_product(Q3, du, dv)
     cc, dd = normal_order(Q3, list(u) + list(v))
     assert dd == total
-    assert cc == cu * cv * interleave
+    assert cc == cu * cv * ref(interleave)
 
 
 @given(indices3, st.integers(1, 3))
@@ -148,7 +151,7 @@ def test_commutation_factor_matches_normal_order(gamma, i):
     c1, d1 = normal_order(Q3, word + [i])
     c2, d2 = normal_order(Q3, [i] + word)
     assert d1 == d2
-    assert c1 == commutation_factor(Q3, gamma, i) * c2
+    assert c1 == ref(commutation_factor(Q3, gamma, i)) * c2
 
 
 # -- scaling automorphisms -------------------------------------------------------
@@ -169,7 +172,8 @@ def test_apply_sigma_quantum_plane_top_degree():
 @given(indices3, indices3)
 def test_apply_sigma_is_a_character(a, b):
     sigma = canonical_automorphism(Q3)
-    assert apply_sigma(sigma, add_index(a, b)) == apply_sigma(sigma, a) * apply_sigma(sigma, b)
+    assert ref(apply_sigma(sigma, add_index(a, b))) == (ref(apply_sigma(sigma, a))
+                                                       * ref(apply_sigma(sigma, b)))
 
 
 @given(indices3, indices3)
@@ -177,8 +181,8 @@ def test_sigma_is_an_algebra_automorphism(a, b):
     # sigma(m1 m2) and sigma(m1) sigma(m2) as coefficient * monomial
     sigma = canonical_automorphism(Q3)
     coeff, total = monomial_product(Q3, a, b)
-    lhs = apply_sigma(sigma, total) * coeff
-    rhs = apply_sigma(sigma, a) * apply_sigma(sigma, b) * coeff
+    lhs = ref(apply_sigma(sigma, total)) * ref(coeff)
+    rhs = ref(apply_sigma(sigma, a)) * ref(apply_sigma(sigma, b)) * ref(coeff)
     assert lhs == rhs
 
 
@@ -217,6 +221,21 @@ def test_top_class_automorphism_quantum_plane():
 
 def test_top_class_automorphism_single_generator():
     assert automorphism_for_top_class(AlgebraSpec.symbolic(1), (4,)).p == (Fraction(1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(AlgebraSpec.symbolic(n)), *[st.tuples(*[st.integers(0, 3)] * n)] * 3,
+    st.integers(1, n))))
+def test_symbolic_scalars_are_bare_monomials(case):
+    # every symbolic scalar is q^m with no coefficient: a QMonomial, or the
+    # empty product Fraction(1); a coefficient or a rational factor would
+    # have no slot to go in, and a mixed product raises TypeError
+    spec, a, b, alpha, i = case
+    values = [commutation_factor(spec, a, i), monomial_product(spec, a, b)[0],
+              *automorphism_for_top_class(spec, alpha).p]
+    for value in values:
+        assert type(value) is QMonomial or (type(value) is Fraction and value == 1)
 
 
 @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (2, 3)])
