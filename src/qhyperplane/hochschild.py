@@ -21,11 +21,15 @@ wrap-around face b = (a_n + a_0, a_1, ..., a_{n-1}) carries p^{a_n}
 m(a_n, a_0); with x^{a_0} ... x^{a_{n-1}} = V x^{gamma-a_n}, W(a) =
 V m(gamma-a_n, a_n) and m(a_n, a_0) W(b) = V m(a_n, gamma-a_n), so in the
 basis f it is (-1)^n chi_gamma(a_n), chi_gamma(a) = p^a m(a, gamma-a) /
-m(gamma-a, a) = p^a prod_{j<k} s_jk^(a_k r_j - r_k a_j) with r = gamma - a
-and x_k x_j = s_jk x_j x_k.  It is made in ints from the p_i and the s_jk
-that monomial_product gives, never from the Koszul defects: chi_gamma(e_i)
-= 1 - delta_i(gamma) is what the comparison tests.  The change of basis is
-diagonal, so every rank is that of the plain boundary.
+m(gamma-a, a).  As m is multiplicative in each argument, with x_i x_j =
+t_ij x_j x_i, t_ij = m(e_i, e_j) / m(e_j, e_i) = 1 / t_ji, the ratio is
+prod_{i,j} t_ij^(a_i (gamma_j - a_j)), whose a_i a_j factors cancel in
+pairs: chi_gamma(a) = prod_i c_i(gamma)^(a_i), c_i(gamma) = p_i prod_j
+t_ij^(gamma_j), a character.  It is made in ints from the p_i and the t_ij
+that monomial_product gives once per complex, never from the Koszul
+defects: chi_gamma(e_i) = 1 - delta_i(gamma) is what the comparison tests.
+The change of basis is diagonal, so every rank is that of the plain
+boundary.
 
 Within a multidegree the ranks go up in degree, on the coboundary d_n
 transposed: its column for a tensor b of degree n-1 is cofaces(n, b), a dict
@@ -51,9 +55,9 @@ tensors alike, y = m - x is one subtraction, and a tensor's int is its row
 and its column label, the columns ascending as the rows; a gamma past the
 bound is refused, never aliased.  The pairs (x, y) with x + y = m and y
 nonunit are listed once per complex in a split table, which tails, hence
-bases, and the chi weights of gamma (kept for one gamma only) are read
-through.  Rank needs decidable zero, so the oracle is numeric; see
-compare_with_koszul for the cap and for symbolic input.
+bases, are read through; chi_gamma is kept for one gamma at a time.  Rank
+needs decidable zero, so the oracle is numeric; see compare_with_koszul
+for the cap and for symbolic input.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from math import comb, gcd, prod
 
 from .exactlinalg import SparseExactMatrix
@@ -91,6 +94,9 @@ class HochschildComplex:
         self._split_cache: dict[int, list[tuple[int, int]]] = {}
         self._chi_at: tuple[int, dict[int, tuple[int, int]]] = (-1, {})
         self._p = [c.as_integer_ratio() for c in sigma.p]
+        units = [unit(spec.n, i) for i in range(1, spec.n + 1)]
+        self._swaps = [[(monomial_product(spec, u, v)[0] / monomial_product(spec, v, u)[0])
+                        .as_integer_ratio() for v in units] for u in units]   # t_ij
 
     def _pack(self, gamma: MultiIndex) -> int:
         """gamma as the int sum of gamma_i R^(N-i), refused past the bound."""
@@ -196,22 +202,23 @@ class HochschildComplex:
 
     def _chi(self, m: int) -> dict[int, tuple[int, int]]:
         """(num, den) of chi_gamma(a) in lowest terms, gamma packed as m, for
-        the last slot a of each split (r, a) of gamma, from the swaps s_jk."""
-        n, inside = self.spec.n, [i for i, g in enumerate(self._digits(m), start=1) if g]
-        swaps = [(j - 1, k - 1, *monomial_product(self.spec, unit(n, k), unit(n, j))[0]
-                  .as_integer_ratio()) for j, k in combinations(inside, 2)]
+        every nonzero a <= gamma, packed: the product of the c_i(gamma)^(a_i),
+        grown one digit of a at a time, one int product per entry."""
+        gamma, table = self._digits(m), [(0, 1, 1)]
+        for (num, den), swaps, g in zip(self._p, self._swaps, gamma):
+            for (s_num, s_den), e in zip(swaps, gamma):     # c_i(gamma)
+                num, den = num * s_num ** e, den * s_den ** e
+            grown = []
+            for a, a_num, a_den in table:
+                a *= self._radix
+                for k in range(g + 1):
+                    grown.append((a + k, a_num, a_den))
+                    a_num, a_den = a_num * num, a_den * den
+            table = grown
         weights = {}
-        for x, y in self._splits(m):
-            r, a = self._digits(x), self._digits(y)
-            num = den = 1
-            for (p_num, p_den), e in zip(self._p, a):
-                num, den = num * p_num ** e, den * p_den ** e
-            for j, k, s_num, s_den in swaps:
-                e = a[k] * r[j] - r[k] * a[j]
-                up, down = (s_num, s_den) if e > 0 else (s_den, s_num)
-                num, den = num * up ** abs(e), den * down ** abs(e)
+        for a, num, den in table[1:]:
             g = gcd(num, den) if den > 0 else -gcd(num, den)
-            weights[y] = num // g, den // g
+            weights[a] = num // g, den // g
         return weights
 
     # -- homology dimensions ----------------------------------------------------

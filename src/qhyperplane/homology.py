@@ -123,16 +123,19 @@ def one_parameter_admissible(n: int, bound: int) -> AdmissibleSet:
 
 def _coprime_base(values: Iterable[int]) -> list[int]:
     """Pairwise coprime integers > 1 of which every value is a product,
-    built by gcd splitting, so no value is ever factored."""
+    built by gcd splitting, so no value is ever factored; a value coprime to
+    the product of the base joins it after one gcd, and only others scan it."""
     base: list[int] = []
-    pending = [x for x in values if x > 1]
+    whole, pending = 1, [x for x in values if x > 1]     # whole = prod(base)
     while pending:
         x = pending.pop()
-        b = next((b for b in base if gcd(x, b) > 1), None)
+        b = next(b for b in base if gcd(x, b) > 1) if gcd(x, whole) > 1 else None
         if b is None:
             base.append(x)
+            whole *= x
         elif b != x:
             base.remove(b)
+            whole //= b
             g = gcd(x, b)
             pending += [y for y in (g, b // g, x // g) if y > 1]
     return base

@@ -5,9 +5,9 @@ for i < j, with q_ii = 1 and q_ji = q_ij^{-1}; AlgebraSpec holds the q_ij for
 i < j, a symbol or a rational each, and q_power reads any q_ij^e off them.
 Monomials are written in the normal form x_1^{a_1} ... x_N^{a_N}, so a
 monomial is just a multi-index (a tuple of nonnegative ints) together with a
-scalar coefficient: a Fraction, or in symbolic mode a QMonomial q^m.
-Numeric mode therefore computes with Fractions, up to the Koszul checks,
-which scale every weight to an int (see koszul).
+scalar coefficient: a Fraction, or in symbolic mode a QMonomial q^m.  The
+Koszul blocks and the oracle's coboundaries turn the q_ij and p_i into int
+pairs once per complex and compute in ints (see koszul, hochschild).
 
 A scaling automorphism acts diagonally on the generators, sigma(x_i) = p_i x_i
 with p_i nonzero; the canonical one is p_i = prod_j q_ji, which is exactly the

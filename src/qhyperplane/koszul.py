@@ -52,7 +52,9 @@ nonzero constant, lambda_i lambda_j for d^2 and lambda_i mu for dh + hd, so
 an element fails a scaled identity exactly when it fails the unscaled one.
 A weight is a pair (c, m) of an int and a packed monomial, 0 in numeric
 mode, and a composite sums the products of the c keyed by (target beta, sum
-of the m).
+of the m).  F(gamma) is decided in ints too: p_i = c_i(gamma) when the
+cross-multiplied a_ik, b_ik and the p_i's own pair agree and so do the
+monomials, all read once per complex.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from math import prod
 from operator import sub
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism, exterior_under,
-                         iter_multidegrees, sigma_commutes_at, support)
+                         iter_multidegrees, support)
 from .qscalar import Monomial, packed
 
 BlockMap = dict[MultiIndex, list[tuple[MultiIndex, int, Monomial]]]
@@ -96,20 +98,28 @@ class ReducedComplex:
             raise ValueError("automorphism size disagrees with the algebra")
         self.spec = spec
         self.sigma = sigma
+        self._q = {ik: (r.numerator, r.denominator, m) for ik, c in spec.q.items()
+                   for r, m in [packed(c)]}
+        self._p = [(r.numerator, r.denominator, m) for r, m in map(packed, sigma.p)]
 
     def block(self, gamma: MultiIndex) -> Block:
         """Every scaled weight of gamma's block: del moves the failing slots i
         only, as delta_i(gamma) is zero on the others, and h the first of them
         only, its weight the scale over the del weight of the same move."""
-        spec, positions = self.spec, support(gamma)
-        failing = [i for i in positions if not sigma_commutes_at(spec, self.sigma, gamma, i)]
-        betas = exterior_under(gamma)
+        positions, failing, betas = support(gamma), [], exterior_under(gamma)
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
         scale = (0, 0)
-        for i in failing:
-            ab = [(k - 1, c.numerator, c.denominator, m) for k in positions if k != i
-                  for c, m in [packed(spec.q[min(i, k), max(i, k)])]]
+        for i in positions:
+            ab = [(k - 1, *self._q[min(i, k), max(i, k)]) for k in positions if k != i]
+            num, den, mono = self._p[i - 1]     # to be p_i / c_i(gamma) = num / den q^mono
+            for k, a, b, m in ab:   # c_i(gamma) has q_ki^gamma_k below i, q_ik^-gamma_k above
+                e = gamma[k]
+                num, den, mono = ((num * a ** e, den * b ** e, mono + e * m) if k >= i
+                                  else (num * b ** e, den * a ** e, mono - e * m))
+            if num == den and not mono:
+                continue    # delta_i(gamma) = 0: x_i sigma-commutes with x^gamma
+            failing.append(i)
             if i == failing[0]:
                 scale = (prod(a * b for _, a, b, _ in ab), sum(m for *_, m in ab))
             # the sign (-1)^{|beta below i|}, one factor -1 per slot below i

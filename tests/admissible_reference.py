@@ -7,17 +7,38 @@ row that reads 0 = nonzero before any elimination marks S hopeless.  Once
 completeness is settled false, a support larger than the bound can add no
 member, so the visit stops there.  Each consistent support is solved by the
 program's own _solve_support, so the two solvers differ only in how they
-reach the reduced row echelon form of each support.
+reach the reduced row echelon form of each support.  The coprime base the
+program used to build, with a scan of the whole base for every value, is
+kept here too, as the reference for the one that tests the base's product
+first.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import gcd
 
 from qhyperplane.homology import (AdmissibleSet, _coprime_base, _eliminate, _exponents,
                                   _solve_support, _sort_degrees)
 from qhyperplane.hyperplane import AlgebraSpec, ScalingAutomorphism
 from qhyperplane.qscalar import term
+
+
+def reference_coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product, by
+    gcd splitting, each value scanning the whole base for a shared factor."""
+    base: list[int] = []
+    pending = [x for x in values if x > 1]
+    while pending:
+        x = pending.pop()
+        b = next((b for b in base if gcd(x, b) > 1), None)
+        if b is None:
+            base.append(x)
+        elif b != x:
+            base.remove(b)
+            g = gcd(x, b)
+            pending += [y for y in (g, b // g, x // g) if y > 1]
+    return base
 
 
 def reference_admissible(spec: AlgebraSpec, sigma: ScalingAutomorphism,

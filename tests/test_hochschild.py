@@ -2,11 +2,11 @@
 coboundaries going up, the rescaled coboundary against the plain boundary,
 agreement with the full bar complex, hand-computed homology, the basis cap,
 agreement with the reduced Koszul complex, at random q too, and chi in ints
-against its Fraction formula."""
+against its Fraction formula and its split-by-split reference."""
 
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import combinations, product
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,8 +20,9 @@ from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     automorphism_for_top_class,
                                     canonical_automorphism, compositions,
                                     is_admissible, iter_multidegrees,
-                                    monomial_product, support)
-from qhyperplane.qscalar import all_pairs, distinct_primes, scalar_prod
+                                    monomial_product, specialize_automorphism,
+                                    support, unit)
+from qhyperplane.qscalar import all_pairs, distinct_primes, scalar_prod, term
 
 
 def primes_spec(n):
@@ -407,12 +408,13 @@ def test_natural_dims_quantum_plane_canonical_twist():
 def test_natural_dims_releases_the_bases_of_its_multidegree():
     # no basis is kept, and the chi weights are held for one multidegree
     # alone; the tails and splits, shared across multidegrees, stay, and so
-    # do the p_i as int pairs and the radix of the packed slots
+    # do the p_i and the swaps t_ij as int pairs and the radix of the packed
+    # slots
     complex_ = HochschildComplex(PRIMES3, canonical_automorphism(PRIMES3), BOUND)
     for gamma in ((1, 1, 1), (2, 0, 1), (1, 1, 1)):
         dims = complex_.natural_dims(gamma, 3)
         assert set(vars(complex_)) == {"spec", "sigma", "_tail_cache", "_split_cache",
-                                       "_chi_at", "_p", "_radix"}
+                                       "_chi_at", "_p", "_swaps", "_radix"}
         assert complex_._chi_at[0] == complex_._pack(gamma)
         assert complex_._tail_cache
         assert dims == COMPLEXES[2].natural_dims(gamma, 3)
@@ -720,6 +722,75 @@ def test_chi_is_the_fraction_formula(case):
                    / monomial_product(spec, x, y)[0])
             expected[y] = chi.numerator, chi.denominator
     assert weights == expected
+
+
+def reference_chi(complex_, m):
+    """(num, den) of chi_gamma(a) in lowest terms, gamma packed as m, for the
+    last slot a of each split (r, a) of gamma: p^a prod_{j<k} s_jk^(a_k r_j -
+    r_k a_j) in ints, x_k x_j = s_jk x_j x_k read off monomial_product for
+    this gamma.  Kept as the reference for the character table."""
+    n, inside = complex_.spec.n, [i for i, g in enumerate(complex_._digits(m), start=1) if g]
+    swaps = [(j - 1, k - 1, *monomial_product(complex_.spec, unit(n, k), unit(n, j))[0]
+              .as_integer_ratio()) for j, k in combinations(inside, 2)]
+    weights = {}
+    for x, y in complex_._splits(m):
+        r, a = complex_._digits(x), complex_._digits(y)
+        num = den = 1
+        for (p_num, p_den), e in zip(complex_._p, a):
+            num, den = num * p_num ** e, den * p_den ** e
+        for j, k, s_num, s_den in swaps:
+            e = a[k] * r[j] - r[k] * a[j]
+            up, down = (s_num, s_den) if e > 0 else (s_den, s_num)
+            num, den = num * up ** abs(e), den * down ** abs(e)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        weights[y] = num // g, den // g
+    return weights
+
+
+# the q_ij of each kind of algebra, drawn per pair; "symbolic" is specialized
+# at the distinct primes compare_with_koszul picks
+CHI_ALGEBRAS = {
+    "primes": None,
+    "rational": [Fraction(-2, 3), Fraction(1, 2), Fraction(-5, 7), Fraction(3, 4), -2],
+    "minus-one": [-1],
+    "61-bit": [Q61, -Q61, Fraction(1, Q61), Fraction(Q61, 2 ** 60)],
+    "symbolic": None,
+}
+CHI_TWISTS = {
+    "canonical": lambda spec, p, alpha: canonical_automorphism(spec),
+    "identity": lambda spec, p, alpha: ScalingAutomorphism.identity(spec.n),
+    "explicit": lambda spec, p, alpha: ScalingAutomorphism.from_rationals(p),
+    "solve-top": lambda spec, p, alpha: automorphism_for_top_class(spec, alpha),
+}
+
+
+@pytest.mark.parametrize("algebra", CHI_ALGEBRAS)
+@pytest.mark.parametrize("twist", CHI_TWISTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_chi_table_is_the_split_by_split_reference(algebra, twist, data):
+    # the character table equals the per-split formula on every gamma up to
+    # the bound, under every kind of twist
+    n = data.draw(st.integers(1, 4))
+    values = CHI_ALGEBRAS[algebra]
+    if algebra == "symbolic":
+        spec = AlgebraSpec.symbolic(n)
+    elif values is None:
+        spec = primes_spec(n)
+    else:
+        spec = AlgebraSpec.numeric(n, {pair: Fraction(data.draw(st.sampled_from(values)))
+                                       for pair in all_pairs(n)})
+    p = data.draw(st.lists(st.sampled_from(CHI_VALUES), min_size=n, max_size=n))
+    alpha = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    sigma = CHI_TWISTS[twist](spec, p, alpha)
+    if algebra == "symbolic":
+        q = distinct_primes(n, prod(abs(x) for c in sigma.p
+                                    for x in term(c)[0].as_integer_ratio()))
+        spec, sigma = AlgebraSpec.numeric(n, q), specialize_automorphism(sigma, q)
+    complex_ = HochschildComplex(spec, sigma, 4)
+    for gamma in iter_multidegrees(n, 4):
+        m = complex_._pack(gamma)
+        assert complex_._chi(m) == reference_chi(complex_, m)
 
 
 def _swapped_product(spec, a, b):

@@ -2,11 +2,13 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admissible_reference import reference_admissible
+from admissible_reference import reference_admissible, reference_coprime_base
 from algebras import apply_sigma, generic_check, one_parameter
 from koszul_reference import differential
 import qhyperplane.homology
@@ -300,6 +302,35 @@ def test_each_parameter_reaches_the_coprime_base_once(monkeypatch):
     [values] = seen
     assert len(values) == len(set(values))
     assert len([x for x in values if x > 1]) == 23
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 10 ** 6),
+                          st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 2 ** 61 - 1]),
+                                   max_size=5).map(prod)), max_size=12))
+def test_coprime_base_is_the_scanning_one(values):
+    # testing each value against the product of the base first gives the
+    # base the whole scan gave: pairwise coprime, and every value a product
+    # of its elements
+    base = qhyperplane.homology._coprime_base(values)
+    assert base == reference_coprime_base(values)
+    assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for x in values:
+        for b in base:
+            while x > 1 and x % b == 0:
+                x //= b
+        assert x <= 1
+
+
+def test_coprime_base_of_many_parameters():
+    # N = 20 under the canonical twist and the identity: 190 distinct primes,
+    # and under the canonical twist their products p_i
+    spec = primes_spec(20)
+    for sigma in (canonical_automorphism(spec), ScalingAutomorphism.identity(20)):
+        values = {abs(x) for c in (*spec.q.values(), *sigma.p) for x in c.as_integer_ratio()}
+        base = qhyperplane.homology._coprime_base(values)
+        assert sorted(base) == sorted(reference_coprime_base(values))
+        assert sorted(base) == sorted(int(c) for c in spec.q.values())
 
 
 def test_signs_close_a_ray_the_exponents_allow():

@@ -16,12 +16,13 @@ from algebras import apply_sigma, one_parameter
 from koszul_reference import (add_term, constants, defect, differential, homotopy,
                               moved_slot, ref, sub_index, weight)
 from qhyperplane.cli import EXIT_OK, main
+from qhyperplane.hochschild import HochschildComplex
 from qhyperplane.hyperplane import (AlgebraSpec, ScalingAutomorphism, add_index,
                                     automorphism_for_top_class,
                                     canonical_automorphism, commutation_factor,
                                     exterior_under, is_admissible, iter_multidegrees,
-                                    monomial_product, specialize_automorphism,
-                                    support, unit)
+                                    monomial_product, sigma_commutes_at,
+                                    specialize_automorphism, support, unit)
 from qhyperplane import koszul
 from qhyperplane.koszul import ReducedComplex, check_complex
 from qhyperplane.qscalar import QMonomial, distinct_primes, packed, symbol
@@ -136,7 +137,6 @@ def test_differential_coefficient_zero_iff_commutation_holds():
     spec = Q2
     sigma = canonical_automorphism(spec)
     complex_ = ReducedComplex(spec, sigma)
-    from qhyperplane.hyperplane import sigma_commutes_at
     for alpha, beta in basis_elements(complex_, 4):
         gamma = add_index(alpha, beta)
         for i in (1, 2):
@@ -384,10 +384,11 @@ def test_homotopy_identity_explicit_twist():
 
 def test_check_complex_keeps_no_block():
     # each block is built, checked both ways and dropped: after the walk the
-    # complex holds its algebra and its twist alone
+    # complex holds its algebra and its twist alone, and the (a, b, m) of
+    # each q_ik and p_i it reads them through
     complex_ = ReducedComplex(Q3, canonical_automorphism(Q3))
     check_complex(complex_, 4)
-    assert set(vars(complex_)) == {"spec", "sigma"}
+    assert set(vars(complex_)) == {"spec", "sigma", "_q", "_p"}
 
 
 def tamper_blocks(monkeypatch, tamper):
@@ -494,6 +495,38 @@ def test_block_chain_maps_equal_the_reference(complex_, data):
     assert homotopy(complex_, chain) == reference_homotopy(complex_, chain)
 
 
+def block_failing(block):
+    """F(gamma) as the block holds it: the slots its moves del empty, and the
+    one slot its homotopy fills."""
+    failing = sorted({moved_slot(beta, target) for beta, moves in block.d.items()
+                      for target, _, _ in moves})
+    assert {moved_slot(beta, target) for beta, moves in block.h.items()
+            for target, _, _ in moves} == set(failing[:1])
+    return failing
+
+
+TOP_SPECS = (AlgebraSpec.numeric(2, distinct_primes(2)), Q2)
+
+
+@pytest.mark.parametrize("complex_", REFERENCE_CASES + [
+    ReducedComplex(spec, automorphism_for_top_class(spec, (20000, 0))) for spec in TOP_SPECS])
+def test_failing_slots_are_those_that_do_not_sigma_commute(complex_):
+    # d^2 = 0 and the homotopy identity hold whatever F is, so F is pinned
+    # to the membership predicate here: numeric at distinct primes, at q = -1
+    # and at rational q, and symbolic, under the canonical, identity and
+    # explicit twists, and the twist solved for the top class at alpha =
+    # (20000, 0), whose p_2 = q_12^20001 the cross-multiplication reaches
+    spec, sigma = complex_.spec, complex_.sigma
+    gammas = list(iter_multidegrees(spec.n, 4))
+    if spec.n == 2:
+        gammas += [(20001, 1), (20000, 1), (20001, 0)]
+    for gamma in gammas:
+        expected = [i for i in support(gamma) if not sigma_commutes_at(spec, sigma, gamma, i)]
+        assert block_failing(complex_.block(gamma)) == expected
+    if spec.n == 2:
+        assert block_failing(complex_.block((20001, 1))) == []
+
+
 def test_rational_blocks_scale_by_their_denominators():
     # a block that left out its b_ik would still pass both checks, as the
     # factor prod_{k in beta} b_ik of a move is a change of basis, but it
@@ -544,31 +577,43 @@ def test_symbolic_products_start_at_their_first_factor(capsys):
 
 
 def test_numeric_checks_run_in_ints(monkeypatch, capsys):
-    # at distinct primes every block weight is an int with the monomial 0,
-    # and neither check adds, subtracts or multiplies a Fraction
-    arithmetic = {Fraction._add.__code__, Fraction._sub.__code__, Fraction._mul.__code__}
+    # at distinct primes every block weight is an int with the monomial 0;
+    # neither check adds, subtracts, multiplies or powers a Fraction, and
+    # once the complexes are built, neither does building a block nor the
+    # oracle's natural_dims
+    arithmetic = {f.__code__ for f in (Fraction._add, Fraction._sub, Fraction._mul,
+                                       Fraction.__pow__)}
     seen = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in arithmetic:
             seen[frame.f_code.co_name] += 1
 
-    def spied(check):
-        def run(block):
-            seen["blocks"] += 1
-            assert all(type(c) is int and m == 0 for maps in (block.d, block.h)
-                       for moves in maps.values() for _, c, m in moves)
-            assert type(block.scale[0]) is int and block.scale[1] == 0
+    def profiled(name, method):
+        def run(*args):
+            seen[name] += 1
             previous = sys.getprofile()
             sys.setprofile(profile)
             try:
-                return check(block)
+                return method(*args)
             finally:
                 sys.setprofile(previous)
         return run
 
+    def spied(check):
+        def run(block):
+            assert all(type(c) is int and m == 0 for maps in (block.d, block.h)
+                       for moves in maps.values() for _, c, m in moves)
+            assert type(block.scale[0]) is int and block.scale[1] == 0
+            return profiled("checks", check)(block)
+        return run
+
     for check in (koszul.check_d_squared, koszul.check_homotopy_identity):
         monkeypatch.setattr(koszul, check.__name__, spied(check))
+    monkeypatch.setattr(ReducedComplex, "block", profiled("blocks", ReducedComplex.block))
+    monkeypatch.setattr(HochschildComplex, "natural_dims",
+                        profiled("natural_dims", HochschildComplex.natural_dims))
     assert main(["verify", "--n", "4", "--bound", "5", "--nmax", "0",
                  "--auto-primes"]) == EXIT_OK
-    assert seen == {"blocks": 2 * len(list(iter_multidegrees(4, 5)))}
+    cells = len(list(iter_multidegrees(4, 5)))
+    assert seen == {"checks": 2 * cells, "blocks": cells, "natural_dims": cells}
