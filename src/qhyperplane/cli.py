@@ -30,7 +30,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, starmap
+from itertools import chain, compress, starmap
 from json.encoder import encode_basestring_ascii
 
 from .hochschild import DEFAULT_CELL_CAP, ComparisonCell, compare_with_koszul
@@ -219,7 +219,8 @@ def _write_json(write, obj, nl: str = "\n") -> None:
 
     Only str-keyed dicts, lists, str, int, bool and None are written; any
     other type, a float or a tuple say, raises TypeError.  A list of plain
-    ints (a multi-index) goes out as one string."""
+    ints (a multi-index) goes out as one string.  A list of same-shape records
+    (_record_template) is checked whole first, then written one record per write."""
     kind = type(obj)
     if kind is str:
         write(encode_basestring_ascii(obj))
@@ -235,13 +236,20 @@ def _write_json(write, obj, nl: str = "\n") -> None:
         inner = nl + "  "
         if set(map(type, obj)) == {int}:
             write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _write_json(write, item, inner)
-            sep = "," + inner
-        write(nl + "]")
+        elif records := _record_template(obj, inner):
+            template, rows = records
+            write(("[" + inner + template) % next(rows))
+            # map drops each row before the next, so zip refills one tuple
+            for text in map(("," + inner + template).__mod__, rows):
+                write(text)
+            write(nl + "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                write(sep)
+                _write_json(write, item, inner)
+                sep = "," + inner
+            write(nl + "]")
     else:
         inner = nl + "  "
         sep = "{" + inner
@@ -250,6 +258,39 @@ def _write_json(write, obj, nl: str = "\n") -> None:
             _write_json(write, obj[key], inner)
             sep = "," + inner
         write(nl + "}")
+
+
+def _record_template(records: list, inner: str):
+    """(template, rows), template % row being each record as _write_json
+    writes it at indent inner; None unless every record is a dict with the
+    first one's str keys, each value an int, true, false, null or a nonempty
+    list of ints as long as the first's.  Exact type tests; writes nothing."""
+    first = records[0]
+    if (set(map(type, records)) != {dict} or set(map(type, first)) != {str}
+            or not all(map(first.keys().__eq__, map(dict.keys, records)))):
+        return None
+    key_inner, item_inner = inner + "  ", inner + "    "
+    fields, slots, width = [], [], 0
+    for key in sorted(first):
+        column = [record[key] for record in records]
+        kinds = set(map(type, column))
+        if kinds <= {int, bool, type(None)}:
+            value, length = "%s", 1
+            slots.append(zip(column if kinds == {int} else [v if type(v) is int else
+                             "null" if v is None else "true" if v else "false" for v in column]))
+        elif (kinds == {list} and (length := len(first[key]))
+              and set(map(len, column)) == {length}
+              and set(map(type, chain.from_iterable(column))) == {int}):
+            value = ("[" + item_inner + ("," + item_inner).join(["%d"] * length)
+                     + key_inner + "]")
+            slots.append(column)
+        else:
+            return None
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + value)
+        width += length
+    values = chain.from_iterable(chain.from_iterable(zip(*slots)))
+    return ("{" + key_inner + ("," + key_inner).join(fields) + inner + "}",
+            zip(*[values] * width))
 
 
 def _admissible_doc(admissible: AdmissibleSet, bound: int) -> dict:

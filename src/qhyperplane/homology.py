@@ -28,13 +28,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 from math import comb, gcd, inf, lcm
 from operator import sub
 
 from .hyperplane import (AlgebraSpec, MultiIndex, ScalingAutomorphism,
-                         canonical_automorphism, degree, is_admissible,
-                         iter_multidegrees)
+                         canonical_automorphism, degree, exterior_under,
+                         is_admissible, iter_multidegrees)
 from .qscalar import Scalar, all_pairs, term
 
 
@@ -257,14 +257,11 @@ def build_report(spec: AlgebraSpec, sigma: ScalingAutomorphism, bound: int,
     admissible = enumerate_admissible(spec, sigma, bound)
     by_degree = [([], []) for _ in range(min(n_max, spec.n) + 1)]
     for g in admissible.members:
-        positions = [k for k, x in enumerate(g) if x]
-        for n, (generators, grading) in enumerate(by_degree[:len(positions) + 1]):
-            for chosen in combinations(positions, n):
-                beta = [0] * spec.n
-                for k in chosen:
-                    beta[k] = 1
-                generators.append((tuple(map(sub, g, beta)), tuple(beta)))
-            grading.append((g, comb(len(positions), n)))
+        weight = len(g) - g.count(0)
+        symbols = ((tuple(map(sub, g, b)), b) for b in exterior_under(g))
+        for n, (generators, grading) in enumerate(by_degree[:weight + 1]):
+            generators.extend(islice(symbols, comb(weight, n)))
+            grading.append((g, comb(weight, n)))
     slices = tuple(DegreeSlice(n, tuple(sorted(generators)), tuple(grading))
                    for n, (generators, grading) in enumerate(by_degree))
     return HomologyReport(admissible, slices)

@@ -68,11 +68,15 @@ def iter_multidegrees(n: int, max_total: int) -> Iterator[MultiIndex]:
         yield from compositions(total, n)
 
 
-def exterior_under(gamma: MultiIndex) -> list[MultiIndex]:
+def exterior_under(gamma: MultiIndex) -> Iterator[MultiIndex]:
     """All 0/1 multi-indices beta <= gamma, ordered by (weight, lex)."""
-    positions = support(gamma)
-    return [tuple(1 if k in chosen else 0 for k in range(1, len(gamma) + 1))
-            for w in range(len(positions) + 1) for chosen in combinations(positions, w)]
+    positions, zero = [k for k, x in enumerate(gamma) if x], [0] * len(gamma)
+    for w in range(len(positions) + 1):
+        for chosen in combinations(positions, w):
+            beta = zero.copy()
+            for k in chosen:
+                beta[k] = 1
+            yield tuple(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class ReducedComplex:
         """Every scaled weight of gamma's block: del moves the failing slots i
         only, as delta_i(gamma) is zero on the others, and h the first of them
         only, its weight the scale over the del weight of the same move."""
-        positions, failing, betas = support(gamma), [], exterior_under(gamma)
+        positions, failing, betas = support(gamma), [], list(exterior_under(gamma))
         d: BlockMap = {beta: [] for beta in betas}
         h: BlockMap = {beta: [] for beta in betas}
         scale = (0, 0)

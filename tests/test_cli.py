@@ -158,10 +158,108 @@ def test_writer_matches_json_dumps(document):
 
 @pytest.mark.parametrize("document", [
     {"x": 1.5}, [0, 1.0], {"gamma": (1, 2)}, (1, 2), {1: "a"}, {"a": [{2: 0}]},
+    # in a list of records, in the first record or in a later one
+    [{"a": 1.5}, {"a": 1}], [{"a": 1}, {"a": 1.5}], [{"a": [1]}, {"a": [1.0]}],
+    [{"a": [1]}, {"a": (1,)}], [{"a": 1}, {1: 1}], [{1: 1}, {"a": 1}],
+    {"r": [{"a": [1, 2], "b": True}, {"a": [1, 2], "b": 0.0}]},
 ])
 def test_writer_rejects_floats_tuples_and_non_str_keys(document):
     with pytest.raises(TypeError):
         _write_json(lambda text: None, document)
+
+
+def reference_write_json(write, obj, nl="\n"):
+    """The writer with no fast path: one call per dict, list and value."""
+    if type(obj) in (str, int) or obj is None or type(obj) is bool:
+        write(json.dumps(obj))
+    elif type(obj) not in (list, dict):
+        raise TypeError(f"a report cannot hold {type(obj).__name__}")
+    elif not obj:
+        write("[]" if type(obj) is list else "{}")
+    else:
+        inner, items = nl + "  ", obj if type(obj) is list else sorted(obj)
+        for k, item in enumerate(items):
+            sep = ("," if k else "[" if type(obj) is list else "{") + inner
+            if type(obj) is dict:
+                if type(item) is not str:
+                    raise TypeError(f"a report cannot hold the key {item!r}")
+                sep, item = sep + json.dumps(item) + ": ", obj[item]
+            write(sep)
+            reference_write_json(write, item, inner)
+        write(nl + ("]" if type(obj) is list else "}"))
+
+
+record_ints = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+SPOILS = ("bool in list", "float in list", "float", "tuple", "extra key", "missing key",
+          "empty list", "shorter list", "non-str key")
+
+
+@st.composite
+def record_documents(draw):
+    """A list of same-keyed records, maybe with one record spoiled, bare or
+    nested in a list or a dict."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    lengths = {key: draw(st.none() | st.integers(0, 4)) for key in keys}
+    records = draw(st.lists(st.fixed_dictionaries({
+        key: (st.none() | st.booleans() | record_ints) if length is None
+        else st.lists(record_ints, min_size=length, max_size=length)
+        for key, length in lengths.items()}), min_size=1, max_size=6))
+    if spoil := draw(st.none() | st.sampled_from(SPOILS)):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        key = draw(st.sampled_from(keys))
+        value = record[key] if type(record[key]) is list and record[key] else [0, 1]
+        at = draw(st.integers(0, len(value) - 1))
+        if spoil == "bool in list" or spoil == "float in list":
+            record[key] = value[:at] + [True if spoil == "bool in list" else 1.0] + value[at + 1:]
+        elif spoil == "float" or spoil == "tuple":
+            record[key] = 0.5 if spoil == "float" else tuple(value)
+        elif spoil == "extra key":
+            record[draw(st.text(max_size=4).filter(lambda k: k not in keys))] = 0
+        elif spoil == "missing key":
+            del record[key]
+        elif spoil == "empty list" or spoil == "shorter list":
+            record[key] = [] if spoil == "empty list" else value[:-1]
+        else:
+            record[draw(st.integers() | st.none())] = 0
+    return draw(st.sampled_from([records, [records, 0], {"records": records, "n": 1}]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_documents())
+def test_writer_matches_json_dumps_on_lists_of_records(document):
+    # a spoiled list of records takes the plain recursion: on a float, a
+    # tuple or a non-str key the writer raises TypeError after the same
+    # output as the writer with no fast path
+    expected, written = [], []
+    try:
+        reference_write_json(expected.append, document)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _write_json(written.append, document)
+        assert "".join(written) == "".join(expected)
+    else:
+        _write_json(written.append, document)
+        assert "".join(written) == json.dumps(document, indent=2, sort_keys=True)
+
+
+def test_one_parameter_report_is_written_by_records(tmp_path, monkeypatch, capsys):
+    # the bench's largest report: N = 10, every q_ij = 2, bound 30
+    config = tmp_path / "one-parameter.json"
+    config.write_text(json.dumps({"n": 10, "mode": "numeric", "bound": 30, "q": [
+        [i, j, "2"] for i in range(1, 11) for j in range(i + 1, 11)]}))
+    calls = []
+    writer = qhyperplane.cli._write_json
+    monkeypatch.setattr(qhyperplane.cli, "_write_json",
+                        lambda *args: calls.append(1) or writer(*args))
+    out = tmp_path / "report.json"
+    assert _run(["homology", "--config", str(config), "--allow-truncated"], out) == EXIT_OK
+    text = out.read_text()
+    document = json.loads(text)
+    assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    generators = sum(len(s["generators"]) for s in document["degrees"])
+    assert generators == 6725
+    # one call per list of records, not per record, key and multi-index
+    assert len(calls) < 1000
 
 
 def reference_generator_label(alpha, beta) -> str:
